@@ -10,12 +10,18 @@ whatever is still queued.
 All functions here are pure state transitions: one :class:`SensorState`
 per simulated sensor, no shared mutable state, so distinct sensors can be
 advanced independently.
+
+:func:`step` is the executable spec of the firmware, one raw sample at a
+time. The line simulator does not call it: ``simulate._run_position`` is an
+array kernel that must give the same transmitted events byte for byte, and
+the tests check it against a loop over ``step``. A change to the firmware's
+behaviour therefore goes into both, with ``step`` deciding what is right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -165,7 +171,7 @@ def _average_window(window: tuple[RawSample, ...]) -> Triple:
 def step(
     state: SensorState, raw: RawSample, cfg: SensorConfig
 ) -> tuple[SensorState, list[SampleEvent]]:
-    """Advance one sensor by one raw sample.
+    """Advance one sensor by one raw sample (the spec; see the module docstring).
 
     Returns the successor state and the events transmitted to the base
     station during this step (a full batch, or the flush that precedes

@@ -11,28 +11,30 @@ fatigue drift across repeats of the same route.
 All randomness comes from numpy generators derived from a single seed
 (one stream for planning, one per position), so identical inputs give
 byte-identical event streams.
+
+``sensor.step`` is the executable spec of the firmware. ``_run_position``
+is an array kernel that must transmit byte for byte what driving ``step``
+with one raw sample per visited tick would: every tick while awake, every
+``sleep_ticks``-th tick while asleep, with each visited tick taking the
+next row of the position's noise stream. The tests keep that step-driven
+loop as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SequencingError
 from .ingest import LineConfig
-from .sensor import (
-    Mode,
-    RawSample,
-    SampleEvent,
-    SensorConfig,
-    g_to_counts,
-    initial_state,
-    step,
-)
+from .sensor import SampleEvent, SensorConfig, change_gate, g_to_counts
+# the spec _run_position matches, kept bound here for tools that wrap simulate.step
+from .sensor import step  # noqa: F401
 
 # fixed unit direction of the swing excitation (x out of the wall, y lateral)
 BURST_DIRECTION = (0.36, 0.80, 0.48)
@@ -111,9 +113,17 @@ class ClimbTruth:
 
 @dataclass
 class LineSimulation:
+    """Transmitted events and ground truth of one line, plus energy proxies.
+
+    ``radio_batches[p]`` counts the radio transmissions of position ``p``
+    (steps that emitted events) and ``awake_s[p]`` its time in active mode.
+    """
+
     streams: dict[int, list[SampleEvent]]
     truth: list[ClimbTruth]
     end_time: float
+    radio_batches: dict[int, int]
+    awake_s: dict[int, float]
 
     def all_events(self) -> list[SampleEvent]:
         flat = [e for stream in self.streams.values() for e in stream]
@@ -169,24 +179,54 @@ def _plan_bursts(
     return truth, bursts
 
 
-class _NoiseStream:
-    """Buffered per-axis Gaussian draws (cheap per-sample access)."""
+# Each sleep stretch is gated this many samples at a time, and each awake
+# stretch averaged this many windows at a time: long enough to amortize the
+# numpy calls, short enough that a wake or a sleep soon after wastes little.
+_SLEEP_CHUNK = 512
+_ACTIVE_CHUNK = 64
 
-    def __init__(self, rng: np.random.Generator, sigma: float):
-        self._rng = rng
-        self._sigma = sigma
-        self._buf = np.empty((0, 3))
-        self._i = 0
 
-    def next3(self) -> np.ndarray:
-        if self._sigma == 0.0:
-            return np.zeros(3)
-        if self._i >= len(self._buf):
-            self._buf = self._rng.normal(0.0, self._sigma, size=(4096, 3))
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``sensor._round_half_away``: the same IEEE operations."""
+    mag = np.floor(np.abs(x) + 0.5)
+    return np.where(x >= 0, mag, -mag).astype(np.int64)
+
+
+def _swing(bursts: list[_Burst], t_end: float, rate: float) -> np.ndarray:
+    """Summed burst excitation at every tick ``tick / rate <= t_end``.
+
+    Ticks outside every burst get 0.0. Inside, the burst list is walked in
+    a fixed way that the event bytes depend on: skip finished bursts at the
+    front, stop at the first burst that has not started, add in list order.
+    Bursts may overlap or be out of order when climbs are closer together
+    than a route is long. The terms use scalar ``math.exp``/``math.sin``:
+    ``np.exp`` differs from ``math.exp`` in the last bit on some inputs.
+    """
+    t = np.arange(int(t_end * rate) + 3) / rate  # bit-equal to the scalar tick / rate
+    t = t[: np.searchsorted(t, t_end, side="right")]
+    inside = np.zeros(len(t), dtype=bool)
+    for b in bursts:
+        inside[np.searchsorted(t, b.t0) : np.searchsorted(t, b.t_end, side="right")] = True
+    ticks = np.flatnonzero(inside)
+
+    values = []
+    first_burst = 0
+    n_bursts = len(bursts)
+    for tt in t[ticks].tolist():
+        while first_burst < n_bursts and tt > bursts[first_burst].t_end:
+            first_burst += 1
+        total = 0.0
+        j = first_burst
+        while j < n_bursts and bursts[j].t0 <= tt:
+            b = bursts[j]
+            if tt <= b.t_end:
+                dt = tt - b.t0
+                total += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
+            j += 1
+        values.append(total)
+    swing = np.zeros(len(t))
+    swing[ticks] = values
+    return swing
 
 
 def _run_position(
@@ -196,44 +236,119 @@ def _run_position(
     cfg: SensorConfig,
     t_end: float,
     seed: int,
-) -> list[SampleEvent]:
-    rng = np.random.default_rng([seed, 1000 + position])
-    noise = _NoiseStream(rng, profile.noise_g)
-    rest = profile.rest_g
-    rest_counts = tuple(g_to_counts(v, cfg) for v in rest)
-    state = initial_state(position, rest_counts)
+) -> tuple[list[SampleEvent], int, float]:
+    """One sensor's transmitted events, radio batches and seconds awake.
 
-    sleep_ticks = max(1, round(cfg.active_rate_hz / cfg.sleep_rate_hz))
-    dir_x, dir_y, dir_z = BURST_DIRECTION
+    Matches ``sensor.step`` driven tick by tick up to ``t_end`` (see the
+    module docstring). Raw samples are synthesized on arrays, each sleep
+    stretch is gated in one vectorized pass, and only the per-window gate,
+    inactivity clocks and batching run as a plain loop. Noise row ``v``
+    belongs to the ``v``-th visited tick, not to tick ``v``.
+    """
+    rate = cfg.active_rate_hz
+    swing = _swing(bursts, t_end, rate)[:, None]
+    n_ticks = len(swing)
+
+    # one draw gives the same rows as any sequence of smaller draws
+    rng = np.random.default_rng([seed, 1000 + position])
+    noise = (
+        rng.normal(0.0, profile.noise_g, size=(n_ticks, 3))
+        if profile.noise_g != 0.0
+        else np.zeros((n_ticks, 3))
+    )
+    rest, direction = np.asarray(profile.rest_g), np.asarray(BURST_DIRECTION)
+    max_counts, scale = cfg.max_counts, cfg.full_scale_g
+
+    def raw_counts(ticks: slice, visits: slice) -> np.ndarray:
+        g = rest + direction * swing[ticks] + noise[visits]
+        return np.clip(_round_half_away(g * max_counts / scale), -max_counts, max_counts)
+
+    threshold = cfg.change_threshold_counts
+    window = cfg.averaging_window
+    # the wake sample opens the first window but cannot close it
+    first_lengths = np.full(_ACTIVE_CHUNK, window)
+    first_lengths[0] = max(window, 2)
+    lengths = np.full(_ACTIVE_CHUNK, window)
+    sleep_ticks = max(1, round(rate / cfg.sleep_rate_hz))
+
+    last_sent = tuple(g_to_counts(v, cfg) for v in profile.rest_g)
+    last_event_t: Optional[float] = None
     events: list[SampleEvent] = []
-    tick = 0
-    first_burst = 0
-    n_bursts = len(bursts)
-    while True:
-        t = tick / cfg.active_rate_hz
-        if t > t_end:
-            break
-        while first_burst < n_bursts and t > bursts[first_burst].t_end:
-            first_burst += 1
-        swing = 0.0
-        j = first_burst
-        while j < n_bursts and bursts[j].t0 <= t:
-            b = bursts[j]
-            if t <= b.t_end:
-                dt = t - b.t0
-                swing += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
-            j += 1
-        n = noise.next3()
-        raw = RawSample(
-            t,
-            g_to_counts(rest[0] + dir_x * swing + n[0], cfg),
-            g_to_counts(rest[1] + dir_y * swing + n[1], cfg),
-            g_to_counts(rest[2] + dir_z * swing + n[2], cfg),
+    pending: list[SampleEvent] = []
+    radio_batches = awake_ticks = 0
+    tick = visit = 0
+    while tick < n_ticks:
+        # asleep: find the first sample whose change gate opens
+        m = min(_SLEEP_CHUNK, -(-(n_ticks - tick) // sleep_ticks))
+        counts = raw_counts(
+            slice(tick, tick + m * sleep_ticks, sleep_ticks), slice(visit, visit + m)
         )
-        state, emitted = step(state, raw, cfg)
-        events.extend(emitted)
-        tick += 1 if state.mode is Mode.ACTIVE else sleep_ticks
-    return events
+        woke = np.flatnonzero((np.abs(counts - last_sent) >= threshold).any(axis=1))
+        if not woke.size:
+            tick += m * sleep_ticks
+            visit += m
+            continue
+        tick += int(woke[0]) * sleep_ticks
+        visit += int(woke[0])
+
+        # awake from the wake tick on, one sample per tick
+        wake = tick
+        chunk_lengths = first_lengths
+        below_since: Optional[float] = None
+        inactive_since: Optional[float] = None
+        asleep_at = None
+        while asleep_at is None:
+            ends = np.cumsum(chunk_lengths)
+            nw = int(np.searchsorted(ends, n_ticks - tick, side="right"))
+            if nw == 0:
+                break  # the line's end time falls inside this window
+            k = int(ends[nw - 1])
+            sums = np.add.reduceat(
+                raw_counts(slice(tick, tick + k), slice(visit, visit + k)),
+                np.concatenate(([0], ends[: nw - 1])),
+            )
+            averaged = _round_half_away(sums / chunk_lengths[:nw, None]).tolist()
+            for end, avg in zip((tick + ends[:nw] - 1).tolist(), averaged):
+                t_avg = end / rate
+                if change_gate(last_sent, avg, cfg):
+                    if last_event_t is not None and t_avg <= last_event_t:
+                        raise SequencingError(
+                            f"position {position}: averaged sample at t={t_avg} does "
+                            f"not advance past t={last_event_t}"
+                        )
+                    pending.append(SampleEvent(position, t_avg, *avg))
+                    if len(pending) >= cfg.group_size:
+                        events.extend(pending)
+                        pending = []
+                        radio_batches += 1
+                    last_sent = tuple(avg)
+                    below_since = inactive_since = None
+                    last_event_t = t_avg
+                    continue
+                # below threshold: run the inactivity clocks
+                if below_since is None:
+                    below_since = t_avg
+                if inactive_since is None and t_avg - below_since > cfg.inactive_grace_s:
+                    inactive_since = below_since + cfg.inactive_grace_s
+                if inactive_since is not None and t_avg - inactive_since >= cfg.sleep_after_s:
+                    # back to sleep: transmit whatever was held back
+                    if pending:
+                        events.extend(pending)
+                        pending = []
+                        radio_batches += 1
+                    asleep_at = end
+                    break
+            else:
+                tick += k
+                visit += k
+                chunk_lengths = lengths
+        if asleep_at is None:
+            awake_ticks += n_ticks - wake
+            break
+        awake_ticks += asleep_at - wake
+        visit += asleep_at - tick + 1
+        tick = asleep_at + sleep_ticks
+    return events, radio_batches, awake_ticks / rate
 
 
 def simulate_line(
@@ -258,10 +373,11 @@ def simulate_line(
     )
     t_end = last_burst_end + cfg.sleep_after_s + 30.0
 
-    streams = {
+    runs = {
         position: _run_position(position, bursts[position], profile, cfg, t_end, seed)
         for position in line.positions
     }
+    streams = {position: run[0] for position, run in runs.items()}
 
     if truth:
         boundaries = [
@@ -269,7 +385,14 @@ def simulate_line(
         ]
         edges = [-math.inf] + boundaries + [math.inf]
         for position, stream in streams.items():
+            times = [e.t for e in stream]
             for climb, lo, hi in zip(truth, edges, edges[1:]):
-                first = next((e.t for e in stream if lo <= e.t < hi), None)
-                climb.clip_times[position] = first
-    return LineSimulation(streams=streams, truth=truth, end_time=t_end)
+                i = bisect_left(times, lo)
+                climb.clip_times[position] = times[i] if i < len(times) and times[i] < hi else None
+    return LineSimulation(
+        streams=streams,
+        truth=truth,
+        end_time=t_end,
+        radio_batches={position: run[1] for position, run in runs.items()},
+        awake_s={position: run[2] for position, run in runs.items()},
+    )

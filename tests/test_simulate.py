@@ -1,0 +1,270 @@
+"""Line simulator: the array kernel against the step-driven spec, determinism,
+ground truth, energy proxies and route validation."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quickroutes.errors import ConfigError
+from quickroutes.ingest import LineConfig, segment_climbs, write_events
+from quickroutes.sensor import (
+    Mode,
+    RawSample,
+    SensorConfig,
+    g_to_counts,
+    initial_state,
+    step,
+)
+from quickroutes.simulate import (
+    BURST_DIRECTION,
+    RouteProfile,
+    RouteSpec,
+    _plan_bursts,
+    _swing,
+    simulate_line,
+)
+
+LINE5 = LineConfig(ie=5)
+
+
+class _NoiseStream:
+    """Per-axis Gaussian draws, one row per visited tick, in 4096-row blocks."""
+
+    def __init__(self, rng, sigma):
+        self._rng = rng
+        self._sigma = sigma
+        self._buf = np.empty((0, 3))
+        self._i = 0
+
+    def next3(self):
+        if self._sigma == 0.0:
+            return np.zeros(3)
+        if self._i >= len(self._buf):
+            self._buf = self._rng.normal(0.0, self._sigma, size=(4096, 3))
+            self._i = 0
+        row = self._buf[self._i]
+        self._i += 1
+        return row
+
+
+def reference_swing(bursts, t, first_burst):
+    """Burst excitation at time ``t`` and the updated first unfinished burst."""
+    n_bursts = len(bursts)
+    while first_burst < n_bursts and t > bursts[first_burst].t_end:
+        first_burst += 1
+    swing = 0.0
+    j = first_burst
+    while j < n_bursts and bursts[j].t0 <= t:
+        b = bursts[j]
+        if t <= b.t_end:
+            dt = t - b.t0
+            swing += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
+        j += 1
+    return swing, first_burst
+
+
+def reference_run(position, bursts, profile, cfg, t_end, seed):
+    """One position driven through ``sensor.step`` tick by tick.
+
+    The reference the kernel must match: (events, radio batches, seconds
+    awake), where a radio batch is a step that emitted events and a tick
+    is awake when the step left the sensor active.
+    """
+    rng = np.random.default_rng([seed, 1000 + position])
+    noise = _NoiseStream(rng, profile.noise_g)
+    rest = profile.rest_g
+    rest_counts = tuple(g_to_counts(v, cfg) for v in rest)
+    state = initial_state(position, rest_counts)
+
+    sleep_ticks = max(1, round(cfg.active_rate_hz / cfg.sleep_rate_hz))
+    dir_x, dir_y, dir_z = BURST_DIRECTION
+    events = []
+    batches = awake_ticks = 0
+    tick = 0
+    first_burst = 0
+    while True:
+        t = tick / cfg.active_rate_hz
+        if t > t_end:
+            break
+        swing, first_burst = reference_swing(bursts, t, first_burst)
+        n = noise.next3()
+        raw = RawSample(
+            t,
+            g_to_counts(rest[0] + dir_x * swing + n[0], cfg),
+            g_to_counts(rest[1] + dir_y * swing + n[1], cfg),
+            g_to_counts(rest[2] + dir_z * swing + n[2], cfg),
+        )
+        state, emitted = step(state, raw, cfg)
+        events.extend(emitted)
+        batches += bool(emitted)
+        if state.mode is Mode.ACTIVE:
+            awake_ticks += 1
+            tick += 1
+        else:
+            tick += sleep_ticks
+    return events, batches, awake_ticks / cfg.active_rate_hz
+
+
+def wire_bytes(events):
+    buf = io.StringIO()
+    write_events(buf, events)
+    return buf.getvalue()
+
+
+def assert_matches_reference(line, profile, seed, cfg, positions=None):
+    sim = simulate_line(line, profile, seed, cfg)
+    _, bursts = _plan_bursts(line, profile, np.random.default_rng([seed, 0]))
+    positions = list(positions or line.positions)
+    expected = []
+    for p in positions:
+        events, batches, awake_s = reference_run(
+            p, bursts[p], profile, cfg, sim.end_time, seed
+        )
+        assert sim.streams[p] == events, f"position {p}"
+        assert sim.radio_batches[p] == batches, f"position {p}"
+        assert sim.awake_s[p] == awake_s, f"position {p}"
+        expected.extend(events)
+    got = [e for p in positions for e in sim.streams[p]]
+    assert wire_bytes(got) == wire_bytes(expected)
+
+
+def short_route(name, amp, freq_hz=2.5):
+    """A five-quickdraw route a few seconds long, so reference runs stay cheap."""
+    return RouteSpec(
+        name=name,
+        clip_times=(1.0, 2.5, 4.0, 5.5, 7.0),
+        amplitudes=(amp, amp, 0.0, amp, amp),
+        durations=(1.5, 2.0, 1.0, 2.5, 1.5),
+        freq_hz=freq_hz,
+    )
+
+
+ROUTES = {"a": short_route("a", 0.9), "b": short_route("b", 0.5, freq_hz=1.5)}
+
+CONFIGS = [
+    SensorConfig(sleep_after_s=3.0),
+    SensorConfig(group_size=1, averaging_window=1, inactive_grace_s=0.2, sleep_after_s=1.5),
+    SensorConfig(
+        group_size=3, sleep_rate_hz=11.0, active_rate_hz=48.0, change_threshold_counts=6,
+        averaging_window=5, sleep_after_s=2.0,
+    ),
+    SensorConfig(output_bits=6, full_scale_g=1.0, averaging_window=3, sleep_after_s=2.5),
+]
+
+
+class TestKernelMatchesStep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cfg=st.sampled_from(CONFIGS),
+        climbs=st.lists(st.sampled_from(sorted(ROUTES)), min_size=1, max_size=3),
+        # below the 8.5 s a route lasts, bursts of successive climbs overlap
+        spacing=st.sampled_from([3.0, 6.0, 20.0]),
+        noise_g=st.sampled_from([0.0, 0.02, 0.08]),
+        clip_jitter_s=st.sampled_from([0.3, 2.0]),
+    )
+    def test_events_and_energy_proxies(self, seed, cfg, climbs, spacing, noise_g, clip_jitter_s):
+        profile = RouteProfile(
+            routes=ROUTES,
+            climbs=climbs,
+            climb_spacing_s=spacing,
+            start_s=2.0,
+            noise_g=noise_g,
+            clip_jitter_s=clip_jitter_s,
+        )
+        assert_matches_reference(LINE5, profile, seed, cfg)
+
+    def test_swing_bit_equal_to_scalar_walk(self):
+        # overlapping, out-of-order bursts; numpy's exp differs from math.exp
+        # in the last bit often enough to fail this, if rarely the event bytes
+        profile = RouteProfile(
+            routes=ROUTES, climbs=["a", "b", "a", "b"], climb_spacing_s=3.0,
+            start_s=2.0, clip_jitter_s=2.0,
+        )
+        _, bursts = _plan_bursts(LINE5, profile, np.random.default_rng([5, 0]))
+        for blist in bursts.values():
+            got = _swing(blist, 30.0, 50.0)
+            assert len(got) == 1501  # every tick up to and including t = 30 s
+            first, want = 0, []
+            for tick in range(len(got)):
+                swing, first = reference_swing(blist, tick / 50.0, first)
+                want.append(swing)
+            assert got.tolist() == want
+
+    def test_noise_beyond_one_draw_block(self):
+        # a long quiet start: more than 4096 samples, so the reference
+        # draws its noise in several blocks and the kernel in one
+        profile = RouteProfile(routes=ROUTES, climbs=["a"], start_s=450.0)
+        assert_matches_reference(LINE5, profile, 3, SensorConfig(), positions=[1, 5])
+
+    def test_conftest_line(self, small_line, small_profile):
+        assert_matches_reference(small_line, small_profile, 7, SensorConfig(), positions=[4])
+
+
+class TestSimulateLine:
+    PROFILE = RouteProfile(routes=ROUTES, climbs=["a", "b", "a"], climb_spacing_s=60.0)
+
+    def test_same_seed_same_bytes(self):
+        first = simulate_line(LINE5, self.PROFILE, seed=11)
+        again = simulate_line(LINE5, self.PROFILE, seed=11)
+        assert wire_bytes(first.all_events()) == wire_bytes(again.all_events())
+
+    def test_different_seed_different_bytes(self):
+        a = simulate_line(LINE5, self.PROFILE, seed=11)
+        b = simulate_line(LINE5, self.PROFILE, seed=12)
+        assert wire_bytes(a.all_events()) != wire_bytes(b.all_events())
+
+    def test_truth_is_what_segmentation_recovers(self, small_sim, small_line):
+        records = segment_climbs(small_sim.streams, small_line, gap_s=120.0)
+        assert len(records) == len(small_sim.truth)
+        for rec, truth in zip(records, small_sim.truth):
+            assert truth.clip_times == rec.clip_times
+
+    def test_truth_is_first_event_per_climb(self):
+        # climbs closer together than a route is long: streams interleave
+        profile = RouteProfile(routes=ROUTES, climbs=["a", "b", "a", "b"], climb_spacing_s=4.0)
+        sim = simulate_line(LINE5, profile, seed=5, cfg=CONFIGS[0])
+        starts = [c.start_s for c in sim.truth]
+        edges = [-math.inf] + [0.5 * (a + b) for a, b in zip(starts, starts[1:])] + [math.inf]
+        for climb, lo, hi in zip(sim.truth, edges, edges[1:]):
+            for p, stream in sim.streams.items():
+                first = next((e.t for e in stream if lo <= e.t < hi), None)
+                assert climb.clip_times[p] == first
+
+    def test_energy_proxies_cover_every_position(self, small_sim, small_line):
+        cfg = SensorConfig()
+        for p in small_line.positions:
+            n_events = len(small_sim.streams[p])
+            assert n_events / cfg.group_size <= small_sim.radio_batches[p] <= n_events
+            assert 0.0 < small_sim.awake_s[p] < small_sim.end_time
+
+    def test_route_for_other_line_length_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_line(LineConfig(ie=6), self.PROFILE, seed=0)
+
+
+class TestRouteValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(clip_times=(1.0, 2.0), amplitudes=(0.5,), durations=(1.0, 1.0)),
+            dict(clip_times=(1.0, 1.0), amplitudes=(0.5, 0.5), durations=(1.0, 1.0)),
+            dict(clip_times=(2.0, 1.0), amplitudes=(0.5, 0.5), durations=(1.0, 1.0)),
+            dict(clip_times=(1.0, 2.0), amplitudes=(0.5, 0.5), durations=(1.0, 0.0)),
+            dict(clip_times=(1.0, 2.0), amplitudes=(0.5, -0.1), durations=(1.0, 1.0)),
+        ],
+        ids=["lengths", "repeated-clip", "decreasing-clip", "zero-duration", "negative-amp"],
+    )
+    def test_bad_route_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            RouteSpec(name="bad", **kwargs)
+
+    def test_bad_profile_rejected(self):
+        with pytest.raises(ConfigError):
+            RouteProfile(routes=ROUTES, climbs=["a", "nope"])
+        with pytest.raises(ConfigError):
+            RouteProfile(routes=ROUTES, climbs=["a"], climb_spacing_s=0.0)

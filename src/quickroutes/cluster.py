@@ -11,8 +11,9 @@ parallel could never change the output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -46,6 +47,62 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _assigned_d2(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its assigned center, rounded exactly
+    as the matching entry of ``_squared_distances``."""
+    diff = centers[assign]
+    # in place: allocating a second (n, d) array measured slower than the arithmetic
+    np.subtract(points, diff, out=diff)
+    return np.einsum("nd,nd->n", diff, diff)
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# absolute rounding of one product in the subnormal range is at most half of this
+_SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m, the relative error bound of m roundings."""
+    mu = m * _UNIT_ROUNDOFF
+    return mu / (1.0 - mu)
+
+
+def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest center per row: ``argmin`` of ``_squared_distances``, ties to
+    the lowest index, without forming its (n, k, d) difference tensor.
+
+    ``xx`` holds each row's squared norm and ``xnorm`` its square root. The
+    expanded ``|x|^2 + |c|^2 - 2 x.c`` from one GEMM and the difference
+    form each lie within ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared
+    distance. A row whose best expanded value beats every other one by more
+    than twice the sum of both errors (with a factor 2 to spare, plus slack
+    for subnormal rounding) has the same unique argmin in the difference
+    form. Every other row, including ties and rows holding inf or NaN, is
+    decided by ``_squared_distances`` itself.
+    """
+    n, d = X.shape
+    if centers.shape[0] == 1:
+        return np.zeros(n, dtype=np.intp)
+    cc = np.einsum("kd,kd->k", centers, centers)
+    d2 = xx[:, None] + cc - 2.0 * (X @ centers.T)
+    assign = d2.argmin(axis=1)
+    # gap to the second-best center; NaN when the argmin found a NaN
+    rows = np.arange(n)
+    gap = -d2[rows, assign]
+    d2[rows, assign] = np.inf
+    gap += d2.min(axis=1)
+    # in place: on tiny inputs the temporaries cost more than the arithmetic
+    bound = xnorm + math.sqrt(cc.max())
+    bound *= bound
+    bound *= 8.0 * _gamma(d + 4)
+    bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
+    sure = gap > bound
+    if not sure.all():
+        unsure = np.flatnonzero(~sure)
+        assign[unsure] = np.argmin(_squared_distances(X[unsure], centers), axis=1)
+    return assign
+
+
 def kmeans(
     points,
     k: int,
@@ -57,49 +114,67 @@ def kmeans(
 
     Assignment ties break toward the lowest cluster index. If a cluster
     empties, the point currently farthest from its center becomes that
-    cluster's new singleton center, keeping k fixed. Stops when no center
-    moves more than ``tol`` or after ``max_iter`` rounds.
+    cluster's new singleton center. Stops when no center moves more than
+    ``tol`` or after ``max_iter`` rounds.
+
+    k clusters are not guaranteed to stay populated. With fewer than k
+    distinct points, the farthest point already sits on a center, its
+    copy loses the tie to the lower index, and a cluster stays empty: ten
+    points of two values at ``k=3`` give sizes 5, 5 and 0. The final
+    assignment is not repaired either.
+
+    Input is copied to C order first, so a point set gives the same result
+    in any memory layout.
     """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} outside 1..n={n}")
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)].astype(float).copy()
+    xx = np.einsum("nd,nd->n", X, X)
+    xnorm = np.sqrt(xx)
 
     history: list[float] = []
     iterations = 0
+    unchanged = False
     for iterations in range(1, max_iter + 1):
-        d2 = _squared_distances(X, centers)
-        assign = np.argmin(d2, axis=1)
+        assign = _assign(X, xx, xnorm, centers)
 
-        # keep k clusters populated: hand the farthest point to each empty one
-        for _ in range(k):
-            sizes = np.bincount(assign, minlength=k)
-            empties = np.flatnonzero(sizes == 0)
-            if empties.size == 0:
-                break
-            j = int(empties[0])
-            point_d2 = d2[np.arange(n), assign]
-            farthest = int(np.argmax(point_d2))
-            centers[j] = X[farthest]
+        if np.bincount(assign, minlength=k).min() == 0:
+            # keep k clusters populated: hand the farthest point to each empty one
             d2 = _squared_distances(X, centers)
-            assign = np.argmin(d2, axis=1)
+            for _ in range(k):
+                sizes = np.bincount(assign, minlength=k)
+                empties = np.flatnonzero(sizes == 0)
+                if empties.size == 0:
+                    break
+                j = int(empties[0])
+                point_d2 = d2[np.arange(n), assign]
+                farthest = int(np.argmax(point_d2))
+                centers[j] = X[farthest]
+                d2 = _squared_distances(X, centers)
+                assign = np.argmin(d2, axis=1)
 
-        history.append(float(d2[np.arange(n), assign].sum()))
+        history.append(float(_assigned_d2(X, centers, assign).sum()))
         new_centers = centers.copy()
         for j in range(k):
             members = X[assign == j]
             if members.size:
-                new_centers[j] = members.mean(axis=0)
+                # the arithmetic of members.mean(axis=0), without its overhead
+                new_centers[j] = members.sum(axis=0) / len(members)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        unchanged = np.array_equal(new_centers, centers)
         centers = new_centers
         if shift < tol:
             break
 
-    d2 = _squared_distances(X, centers)
-    assign = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assign].sum())
+    if unchanged:
+        # assignment and inertia are functions of the centers, which did not move
+        inertia = history[-1]
+    else:
+        assign = _assign(X, xx, xnorm, centers)
+        inertia = float(_assigned_d2(X, centers, assign).sum())
     return KMeansResult(
         assignments=assign,
         centers=centers,
@@ -131,13 +206,6 @@ def best_kmeans(
 # Rand index
 # ---------------------------------------------------------------------------
 
-def _contingency(a: Sequence, b: Sequence) -> dict:
-    table: dict = {}
-    for la, lb in zip(a, b):
-        table[(la, lb)] = table.get((la, lb), 0) + 1
-    return table
-
-
 def rand_index(a: Sequence, b: Sequence, adjusted: bool = True) -> float:
     """Pair-counting similarity of two labelings, ignoring permutations.
 
@@ -150,15 +218,9 @@ def rand_index(a: Sequence, b: Sequence, adjusted: bool = True) -> float:
     n = len(a)
     if n < 2:
         raise ValidationError("rand index needs at least 2 points")
-    table = _contingency(a, b)
-    sizes_a: dict = {}
-    sizes_b: dict = {}
-    for (la, lb), count in table.items():
-        sizes_a[la] = sizes_a.get(la, 0) + count
-        sizes_b[lb] = sizes_b.get(lb, 0) + count
-    sum_ij = sum(math.comb(c, 2) for c in table.values())
-    sum_a = sum(math.comb(c, 2) for c in sizes_a.values())
-    sum_b = sum(math.comb(c, 2) for c in sizes_b.values())
+    sum_ij = _pair_count(zip(a, b))
+    sum_a = _pair_count(a)
+    sum_b = _pair_count(b)
     pairs = math.comb(n, 2)
     if not adjusted:
         agreements = pairs + 2 * sum_ij - sum_a - sum_b
@@ -168,6 +230,11 @@ def rand_index(a: Sequence, b: Sequence, adjusted: bool = True) -> float:
     if maximum == expected:
         return 1.0  # both partitions degenerate and identical in structure
     return (sum_ij - expected) / (maximum - expected)
+
+
+def _pair_count(labels: Iterable) -> int:
+    """Number of point pairs that share a label."""
+    return sum(math.comb(c, 2) for c in Counter(labels).values())
 
 
 @dataclass
@@ -366,8 +433,13 @@ def gmm_em(
 
     Initialized from a K-Means run with the same seed (means = centers,
     weights = cluster fractions, covariances = within-cluster scatter plus
-    ``reg`` on the diagonal). The total log-likelihood is non-decreasing
-    every iteration; EM stops when its gain drops below ``tol``.
+    ``reg`` on the diagonal). EM stops at the first iteration whose
+    log-likelihood gain is below ``tol``, so every earlier iteration gained
+    at least ``tol``. That last change can be slightly negative and the run
+    still reports ``converged=True``: the ``reg`` added to each covariance
+    makes the M-step inexact. On unit-variance data the loss stays below
+    about 1e-9 (drops up to 1.5e-10 in 9 of 40 seeds of three blobs in
+    5-D); it grows as component variances approach ``reg``.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = X.shape
@@ -450,20 +522,20 @@ def silhouette(points, assignments) -> SilhouetteResult:
     if clusters.size < 2:
         raise ValidationError("silhouette needs at least 2 clusters")
 
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
     n = X.shape[0]
     scores = np.zeros(n)
+    diff = np.empty_like(X)  # one row of the distance matrix at a time: O(n*d) memory
     for i in range(n):
         own = labels[i]
         same = (labels == own)
         own_size = int(same.sum())
         if own_size <= 1:
-            scores[i] = 0.0
             continue
-        a = dist[i, same].sum() / (own_size - 1)
+        np.subtract(X[i], X, out=diff)
+        dist = np.sqrt(np.einsum("md,md->m", diff, diff))
+        a = dist[same].sum() / (own_size - 1)
         b = min(
-            dist[i, labels == other].mean() for other in clusters if other != own
+            dist[labels == other].mean() for other in clusters if other != own
         )
         top = max(a, b)
         scores[i] = 0.0 if top == 0.0 else (b - a) / top
@@ -479,22 +551,17 @@ def silhouette(points, assignments) -> SilhouetteResult:
 # ---------------------------------------------------------------------------
 
 def count_misassigned(truth: Sequence, predicted: Sequence) -> int:
-    """Disagreements under the best one-to-one cluster-to-route matching."""
-    import itertools
+    """Disagreements under the best one-to-one cluster-to-route matching
+    (an assignment problem, solved in polynomial time; Kuhn 1955)."""
+    # imported here: scipy.optimize adds about 0.2 s to importing this module
+    from scipy.optimize import linear_sum_assignment
 
     if len(truth) != len(predicted):
         raise ValidationError("labelings must have equal length")
     truth_ids = {label: i for i, label in enumerate(dict.fromkeys(truth))}
     pred_ids = {label: i for i, label in enumerate(dict.fromkeys(predicted))}
-    t = [truth_ids[l] for l in truth]
-    p = [pred_ids[l] for l in predicted]
-    n_t, n_p = len(truth_ids), len(pred_ids)
-    size = max(n_t, n_p)
-    agree = np.zeros((size, size), dtype=int)
-    for ti, pi in zip(t, p):
-        agree[pi, ti] += 1
-    best = max(
-        sum(agree[j, perm[j]] for j in range(size))
-        for perm in itertools.permutations(range(size))
-    )
-    return len(truth) - int(best)
+    agree = np.zeros((len(pred_ids), len(truth_ids)), dtype=int)
+    for lt, lp in zip(truth, predicted):
+        agree[pred_ids[lp], truth_ids[lt]] += 1
+    rows, cols = linear_sum_assignment(agree, maximize=True)
+    return len(truth) - int(agree[rows, cols].sum())

@@ -16,11 +16,26 @@ resolution to ignore one-count chatter.
 
 The first and the last quickdraws are excluded from the assembled vector:
 the bottom sensor mostly measures the belayer, the top one the lowering.
+
+Layout of the computation: :func:`build_feature_matrix` converts the
+events of every window of every climb in one :func:`axis_sets` call, then
+groups the windows by length. Each length becomes an (m, L) block per
+series, and one kernel per statistic family runs on all its rows at once:
+``_stat_rows`` (the 13 statistics, with ``_peak_counts`` for the peaks)
+over the x, y, z and g blocks together, and ``_cross_rows`` for the
+correlations. The kernels reduce along axis 1 of C-ordered blocks, which
+rounds exactly as the same reduction of one series does, so the matrix
+is bit for bit what a per-series loop gives. :func:`stat_features`,
+:func:`count_peaks`, :func:`cross_correlations` and :func:`assemble` are
+the one-row calls of the same kernels. The temporal block is computed
+per climb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -55,77 +70,120 @@ def magnitude(x: float, y: float, z: float) -> float:
     return float(np.sqrt(x * x + y * y + z * z))
 
 
+def _peak_bases(
+    S: np.ndarray, rows: np.ndarray, cols: np.ndarray, height: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest sample on each side of each peak ``S[rows, cols]``.
+
+    A side's walk runs from the peak until a sample that is not lower than
+    the peak, or the series edge; the base is the lowest sample walked over,
+    or the peak itself when the walk stops at once. Both sides of all peaks
+    walk together, over chunks of offsets that double in width, so a walk
+    of w samples costs O(log w) numpy calls rather than w.
+    """
+    n = S.shape[1]
+    step = np.repeat([-1, 1], rows.size)
+    r, c, h = np.tile(rows, 2), np.tile(cols, 2), np.tile(height, 2)
+    base = h.copy()
+    todo = np.arange(base.size)
+    start, width = 1, 8
+    while todo.size:
+        j = c[todo, None] + step[todo, None] * np.arange(start, start + width)
+        inside = (j >= 0) & (j < n)
+        v = np.where(inside, S[r[todo, None], np.clip(j, 0, n - 1)], np.inf)
+        walked = np.logical_and.accumulate(v < h[todo, None], axis=1)
+        base[todo] = np.minimum(base[todo], np.where(walked, v, np.inf).min(axis=1))
+        todo = todo[walked[:, -1]]
+        start += width
+        width *= 2
+    return base[: rows.size], base[rows.size :]
+
+
+def _peak_counts(S: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Per row of the 2-D ``S``: strict local maxima with enough prominence."""
+    m, n = S.shape
+    if n < 3:
+        return np.zeros(m)
+    mid = S[:, 1:-1]
+    rows, cols = np.nonzero((S[:, :-2] < mid) & (mid > S[:, 2:]))
+    cols += 1
+    height = S[rows, cols]
+    left, right = _peak_bases(S, rows, cols, height)
+    keep = height - np.maximum(left, right) >= min_prominence
+    return np.bincount(rows[keep], minlength=m).astype(float)
+
+
 def count_peaks(series: Sequence[float], min_prominence: float = 0.0) -> int:
     """Strict local maxima (s[k-1] < s[k] > s[k+1]) with enough prominence.
 
     Prominence of a peak is its height above the higher of the two lowest
     points separating it from higher terrain (or the series edge).
     """
-    s = np.asarray(series, dtype=float)
-    n = s.size
-    count = 0
-    for k in range(1, n - 1):
-        if not (s[k - 1] < s[k] > s[k + 1]):
-            continue
-        left_min = s[k]
-        j = k - 1
-        while j >= 0 and s[j] < s[k]:
-            left_min = min(left_min, s[j])
-            j -= 1
-        right_min = s[k]
-        j = k + 1
-        while j < n and s[j] < s[k]:
-            right_min = min(right_min, s[j])
-            j += 1
-        if s[k] - max(left_min, right_min) >= min_prominence:
-            count += 1
-    return count
+    s = np.asarray(series, dtype=float).reshape(1, -1)
+    return int(_peak_counts(s, min_prominence)[0])
+
+
+def _stat_rows(S: np.ndarray, peak_prominence: float) -> np.ndarray:
+    """The 13 statistics of every row of the 2-D ``S``, in STAT_NAMES order.
+
+    Each statistic is a reduction along axis 1 of a C-ordered block, which
+    rounds exactly as the same reduction of the row alone does.
+    """
+    S = np.ascontiguousarray(S, dtype=float)
+    out = np.empty((S.shape[0], len(STAT_NAMES)))
+    mean = S.mean(axis=1)
+    lo = S.min(axis=1)
+    hi = S.max(axis=1)
+    var = S.var(axis=1)  # population
+    var[lo == hi] = 0.0  # exact 0 when degenerate
+    std = np.sqrt(var)
+    out[:, 0] = mean
+    out[:, 1] = lo
+    out[:, 2] = hi
+    out[:, 3] = var
+    out[:, 4] = std
+    out[:, 5] = np.sqrt((S * S).mean(axis=1))
+    out[:, 6:10] = np.percentile(S, [5, 25, 75, 95], axis=1).T
+    out[:, 10:12] = 0.0  # kurtosis and skew of constant rows
+    moving = var != 0.0
+    if moving.any():
+        # standardize first so tiny variances cannot underflow
+        z = (S[moving] - mean[moving, None]) / std[moving, None]
+        out[moving, 10] = (z**4).mean(axis=1) - 3.0
+        out[moving, 11] = (z**3).mean(axis=1)
+    out[:, 12] = _peak_counts(S, peak_prominence)
+    return out
 
 
 def stat_features(
     series: Sequence[float], peak_prominence: float = DEFAULT_PEAK_PROMINENCE_G
 ) -> dict[str, float]:
-    """The 13 named statistics of one series, in STAT_NAMES order."""
+    """The 13 named statistics of one series, in STAT_NAMES order.
+
+    Population variance, Fisher-Pearson skew and Fisher excess kurtosis
+    (both 0 for a constant series), linearly interpolated percentiles, and
+    the strict peaks of :func:`count_peaks` at ``peak_prominence``.
+    """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValidationError("cannot compute statistics of an empty series")
-    mean = float(x.mean())
-    constant = bool(x.max() == x.min())
-    var = 0.0 if constant else float(x.var())  # population; exact 0 when degenerate
-    std = float(np.sqrt(var))
-    rms = float(np.sqrt(np.mean(x * x)))
-    p5, p25, p75, p95 = (float(v) for v in np.percentile(x, [5, 25, 75, 95]))
-    if var == 0.0:
-        skew = 0.0
-        kurt = 0.0
-    else:
-        z = (x - mean) / std  # standardize first so tiny variances cannot underflow
-        skew = float(np.mean(z**3))
-        kurt = float(np.mean(z**4)) - 3.0
-    return {
-        "mean": mean,
-        "min": float(x.min()),
-        "max": float(x.max()),
-        "variance": var,
-        "std": std,
-        "rms": rms,
-        "p5": p5,
-        "p25": p25,
-        "p75": p75,
-        "p95": p95,
-        "kurtosis": kurt,
-        "skew": skew,
-        "n_peaks": float(count_peaks(x, peak_prominence)),
-    }
+    row = _stat_rows(x.reshape(1, -1), peak_prominence)[0]
+    return dict(zip(STAT_NAMES, row.tolist()))
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da * da).sum() * (db * db).sum())
-    if denom == 0.0:
-        return 0.0  # zero-variance convention
-    return float((da * db).sum() / denom)
+def _cross_rows(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Pearson (r_xy, r_xz, r_yz) of every row; 0 where a row is constant."""
+    centred = []
+    for A in (X, Y, Z):
+        A = np.ascontiguousarray(A, dtype=float)
+        centred.append(A - A.mean(axis=1, keepdims=True))
+    power = [(d * d).sum(axis=1) for d in centred]
+    out = np.zeros((len(centred[0]), 3))  # zero-variance convention
+    for col, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        denom = np.sqrt(power[a] * power[b])
+        num = (centred[a] * centred[b]).sum(axis=1)
+        np.divide(num, denom, out=out[:, col], where=denom != 0.0)
+    return out
 
 
 def cross_correlations(
@@ -137,12 +195,13 @@ def cross_correlations(
         raise ValidationError("correlation series must have equal lengths")
     if ax.size < 2:
         raise ValidationError("correlations need at least 2 samples")
-    return (_pearson(ax, ay), _pearson(ax, az), _pearson(ay, az))
+    r = _cross_rows(ax.reshape(1, -1), ay.reshape(1, -1), az.reshape(1, -1))[0]
+    return tuple(r.tolist())
 
 
 @dataclass(frozen=True)
 class AxisSets:
-    """The four per-window series (x, y, z accelerations and magnitudes), in g."""
+    """The four series (x, y, z accelerations and magnitudes) of a run of events, in g."""
 
     x: np.ndarray
     y: np.ndarray
@@ -154,15 +213,49 @@ class AxisSets:
         return int(self.x.size)
 
 
+_EVENT_COUNTS = attrgetter("x_counts", "y_counts", "z_counts")
+
+
 def axis_sets(window, cfg: SensorConfig) -> AxisSets:
-    """Convert a window of transmitted events to acceleration series in g."""
+    """Convert transmitted events to acceleration series in g.
+
+    ``window`` is one window, or several back to back. Counts beyond the
+    output range raise the ``ValueError`` of :func:`counts_to_g`.
+    """
     if not window:
         raise ValidationError("empty sample window")
-    x = np.array([counts_to_g(e.x_counts, cfg) for e in window])
-    y = np.array([counts_to_g(e.y_counts, cfg) for e in window])
-    z = np.array([counts_to_g(e.z_counts, cfg) for e in window])
+    flat = chain.from_iterable(map(_EVENT_COUNTS, window))
+    counts = np.fromiter(flat, dtype=np.int64, count=3 * len(window))
+    counts = np.ascontiguousarray(counts.reshape(-1, 3).T)
+    out_of_range = np.abs(counts) > cfg.max_counts
+    if out_of_range.any():
+        counts_to_g(int(counts[out_of_range][0]), cfg)  # raises
+    # the arithmetic of counts_to_g, on arrays
+    x, y, z = counts * cfg.full_scale_g / cfg.max_counts
     g = np.sqrt(x * x + y * y + z * z)
     return AxisSets(x=x, y=y, z=z, g=g)
+
+
+PER_POSITION = len(AXIS_SOURCES) * len(STAT_NAMES) + 3
+
+
+def _window_features(sets: AxisSets, lengths: np.ndarray, prominence: float) -> np.ndarray:
+    """The 55 per-position entries of every window, one row per window.
+
+    ``sets`` holds the windows' samples back to back, in the order of
+    ``lengths``. Windows of one length are stacked into (m, L) blocks, so
+    each kernel runs once per distinct length.
+    """
+    starts = np.cumsum(lengths) - lengths
+    series = np.stack([sets.x, sets.y, sets.z, sets.g])
+    out = np.empty((lengths.size, PER_POSITION))
+    for n in np.unique(lengths):
+        which = np.flatnonzero(lengths == n)
+        block = series[:, starts[which, None] + np.arange(n)]  # (4, m, n)
+        stats = _stat_rows(block.reshape(-1, n), prominence)  # x rows, then y, z, g
+        out[which, :-3] = np.hstack(np.split(stats, 4))
+        out[which, -3:] = _cross_rows(*block[:3])
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,35 +345,11 @@ def assemble(
     cfg: Optional[SensorConfig] = None,
 ) -> FeatureVector:
     """The full feature vector of one climb (positions 2..ie-1, then time)."""
-    cfg = cfg or SensorConfig()
-    prominence = 2 * cfg.resolution_g
-    values: list[float] = []
-    for position in range(2, line.ie):
-        window = climb.windows.get(position)
-        if not window:
-            raise MissingClipError(climb.climb_id, position)
-        sets = axis_sets(window, cfg)
-        for series in (sets.x, sets.y, sets.z, sets.g):
-            stats = stat_features(series, peak_prominence=prominence)
-            values.extend(stats[name] for name in STAT_NAMES)
-        values.extend(cross_correlations(sets.x, sets.y, sets.z))
-
-    temporal = temporal_features(climb, line.ie)
-    values.extend(temporal.short)
-    values.extend(temporal.long)
-    values.append(temporal.duration)
-    values.extend(temporal.short_stats[s] for s in ("min", "max", "mean", "std"))
-
-    names = feature_names(line.ie)
-    out = np.asarray(values, dtype=float)
-    if out.size != len(names):
-        raise ValidationError(
-            f"assembled {out.size} values for {len(names)} feature names"
-        )
+    matrix = build_feature_matrix([climb], line, cfg)
     return FeatureVector(
         climb_id=climb.climb_id,
-        names=names,
-        values=out,
+        names=matrix.names,
+        values=matrix.values[0],
         label=climb.ground_truth_route,
     )
 
@@ -320,15 +389,46 @@ def build_feature_matrix(
     line: LineConfig,
     cfg: Optional[SensorConfig] = None,
 ) -> FeatureMatrix:
+    """One row per climb, columns named by :func:`feature_names`.
+
+    Every climb needs a window of at least 2 samples and a clip time at
+    each position 2..ie-1; the first climb and position without them raise
+    (``MissingClipError`` when absent). Counts beyond the output range
+    raise ``ValueError`` once all climbs have passed that check.
+    """
     if not records:
         raise ValidationError("no climbs to featurize")
-    vectors = [assemble(record, line, cfg) for record in records]
-    names = vectors[0].names
-    labels = tuple(v.label for v in vectors)
+    cfg = cfg or SensorConfig()
+    events: list = []
+    lengths: list[int] = []
+    temporal: list[list[float]] = []
+    for record in records:
+        for position in range(2, line.ie):
+            window = record.windows.get(position)
+            if not window:
+                raise MissingClipError(record.climb_id, position)
+            if len(window) < 2:
+                raise ValidationError(
+                    f"climb {record.climb_id}: position {position} has 1 sample; "
+                    "correlations need at least 2 samples"
+                )
+            events.extend(window)
+            lengths.append(len(window))
+        t = temporal_features(record, line.ie)
+        stats = [t.short_stats[s] for s in ("min", "max", "mean", "std")]
+        temporal.append([*t.short, *t.long, t.duration, *stats])
+
+    per_window = _window_features(
+        axis_sets(events, cfg), np.asarray(lengths), 2 * cfg.resolution_g
+    )
+    values = np.hstack(
+        [per_window.reshape(len(records), -1), np.asarray(temporal, dtype=float)]
+    )
+    labels = tuple(r.ground_truth_route for r in records)
     return FeatureMatrix(
-        names=names,
-        values=np.vstack([v.values for v in vectors]),
-        climb_ids=tuple(v.climb_id for v in vectors),
+        names=feature_names(line.ie),
+        values=values,
+        climb_ids=tuple(r.climb_id for r in records),
         labels=labels if all(l is not None for l in labels) else None,
     )
 

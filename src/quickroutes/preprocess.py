@@ -12,7 +12,7 @@ record that labels were consumed here so reports can disclose it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -32,12 +32,21 @@ class QuantileScaler:
     data (linear interpolation between fit points, clipped away from 0 and
     1 by half a rank) and then through the standard normal quantile
     function. Monotone non-decreasing per column; constant columns are
-    flagged and always map to 0.
+    flagged and always map to 0. The ECDF knots are derived from
+    ``references`` once, when the scaler is built.
     """
 
     names: tuple[str, ...]
     references: list[np.ndarray]  # sorted ascending, one per column
     n_fit: int
+    _knots: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # mid-rank ECDF knots at the distinct fit values
+        self._knots = []
+        for ref in self.references:
+            distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
+            self._knots.append((distinct, (first + (first + counts)) / (2.0 * self.n_fit)))
 
     @property
     def lo(self) -> float:
@@ -51,28 +60,12 @@ class QuantileScaler:
         ref = self.references[col]
         return bool(ref[0] == ref[-1])
 
-    def _transform_column(self, col: int, v: np.ndarray) -> np.ndarray:
-        ref = self.references[col]
-        if self.is_constant(col):
-            return np.zeros_like(v, dtype=float)
-        # mid-rank ECDF knots at the distinct fit values
-        distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
-        q = (first + (first + counts)) / (2.0 * self.n_fit)
-        ecdf = np.interp(v, distinct, q)
-        ecdf = np.clip(ecdf, self.lo, self.hi)
-        ecdf = np.where(v < distinct[0], self.lo, ecdf)
-        ecdf = np.where(v > distinct[-1], self.hi, ecdf)
-        return ndtri(ecdf)
-
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         if matrix.names != self.names:
             raise ValidationError("matrix columns do not match the fitted scaler")
-        out = np.empty_like(matrix.values, dtype=float)
-        for col in range(len(self.names)):
-            out[:, col] = self._transform_column(col, matrix.values[:, col])
         return FeatureMatrix(
             names=matrix.names,
-            values=out,
+            values=self.transform_values(matrix.values),
             climb_ids=matrix.climb_ids,
             labels=matrix.labels,
         )
@@ -81,9 +74,16 @@ class QuantileScaler:
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[1] != len(self.names):
             raise ValidationError("value width does not match the fitted scaler")
-        out = np.empty_like(values)
-        for col in range(values.shape[1]):
-            out[:, col] = self._transform_column(col, values[:, col])
+        ecdf = np.empty_like(values)
+        for col, (distinct, q) in enumerate(self._knots):
+            ecdf[:, col] = np.interp(values[:, col], distinct, q)
+        lowest = np.array([distinct[0] for distinct, _ in self._knots])
+        highest = np.array([distinct[-1] for distinct, _ in self._knots])
+        ecdf = np.clip(ecdf, self.lo, self.hi)
+        ecdf = np.where(values < lowest, self.lo, ecdf)
+        ecdf = np.where(values > highest, self.hi, ecdf)
+        out = ndtri(ecdf)
+        out[:, [self.is_constant(col) for col in range(len(self.names))]] = 0.0
         return out
 
     def save(self, target: Union[TextIO, str]) -> None:
@@ -136,35 +136,49 @@ class FeatureScore:
     f: float  # >= 0, math.inf when within-group variance vanishes
 
 
+def _anova_rows(XT: np.ndarray, labels: Sequence) -> np.ndarray:
+    """One-way ANOVA F ratio of every row of ``XT`` (rows = columns of data).
+
+    Sums of squares accumulate group by group, in first-seen label order,
+    over C-ordered blocks: a reduction of a gathered block that is not
+    C-ordered skips numpy's pairwise summation and rounds differently.
+    """
+    XT = np.ascontiguousarray(XT, dtype=float)
+    n = XT.shape[1]
+    if n != len(labels):
+        raise ValidationError("column and labels must have equal length")
+    groups: dict = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    k = len(groups)
+    if k < 2:
+        raise ValidationError("ANOVA needs at least 2 groups")
+    if n <= k:
+        raise ValidationError("ANOVA needs more samples than groups")
+    grand = XT.mean(axis=1)
+    ssb = np.zeros(len(XT))
+    ssw = np.zeros(len(XT))
+    for idx in groups.values():
+        G = np.ascontiguousarray(XT[:, idx])
+        mean = G.mean(axis=1)
+        # square as Python floats: like the scalar power, unlike np.square
+        d2 = np.array([d**2 for d in (mean - grand).tolist()])
+        ssb += len(idx) * d2
+        ssw += ((G - mean[:, None]) ** 2).sum(axis=1)
+    f = np.where(ssb > 0.0, math.inf, 0.0)  # zero within-group variance
+    spread = ssw != 0.0
+    f[spread] = (ssb[spread] / (k - 1)) / (ssw[spread] / (n - k))
+    return f
+
+
 def anova_f(column: Sequence[float], labels: Sequence) -> float:
     """One-way ANOVA F ratio of between- to within-group mean squares.
 
     Zero within-group variance yields the +inf sentinel when group means
     differ and 0 when they do not.
     """
-    x = np.asarray(column, dtype=float)
-    y = list(labels)
-    if x.size != len(y):
-        raise ValidationError("column and labels must have equal length")
-    groups: dict = {}
-    for value, label in zip(x, y):
-        groups.setdefault(label, []).append(value)
-    k = len(groups)
-    n = x.size
-    if k < 2:
-        raise ValidationError("ANOVA needs at least 2 groups")
-    if n <= k:
-        raise ValidationError("ANOVA needs more samples than groups")
-    grand = x.mean()
-    ssb = 0.0
-    ssw = 0.0
-    for values in groups.values():
-        g = np.asarray(values)
-        ssb += g.size * (g.mean() - grand) ** 2
-        ssw += float(((g - g.mean()) ** 2).sum())
-    if ssw == 0.0:
-        return math.inf if ssb > 0.0 else 0.0
-    return float((ssb / (k - 1)) / (ssw / (n - k)))
+    x = np.asarray(column, dtype=float).reshape(1, -1)
+    return float(_anova_rows(x, list(labels))[0])
 
 
 def score_features(matrix: FeatureMatrix, labels: Optional[Sequence] = None) -> list[FeatureScore]:
@@ -173,14 +187,12 @@ def score_features(matrix: FeatureMatrix, labels: Optional[Sequence] = None) -> 
         labels = matrix.labels
     if labels is None:
         raise ValidationError("feature scoring needs ground-truth labels")
-    scores = []
-    for col, name in enumerate(matrix.names):
-        column = matrix.values[:, col]
-        if column.min() == column.max():
-            scores.append(FeatureScore(name, 0.0))
-        else:
-            scores.append(FeatureScore(name, anova_f(column, labels)))
-    return scores
+    XT = np.ascontiguousarray(matrix.values.T)
+    varying = XT.min(axis=1) != XT.max(axis=1)
+    f = np.zeros(len(XT))
+    if varying.any():
+        f[varying] = _anova_rows(XT[varying], list(labels))
+    return [FeatureScore(name, v) for name, v in zip(matrix.names, f.tolist())]
 
 
 def select_k_best(scores: Sequence[FeatureScore], k: int) -> list[str]:

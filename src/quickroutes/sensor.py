@@ -2,10 +2,11 @@
 
 A wall-mounted sensor runs in one of two modes. Asleep it samples slowly
 and ignores everything until some axis moves far enough from the last
-transmitted value. Awake it samples fast, averages fixed-size windows,
-drops averaged samples that changed too little, and batches the rest so
-the radio wakes up as rarely as possible. Going back to sleep flushes
-whatever is still queued.
+transmitted value. Awake it samples fast, averages fixed-size windows
+(except the first after a wake at a window of 1; see
+:class:`SensorConfig`), drops averaged samples that changed too little,
+and batches the rest so the radio wakes up as rarely as possible. Going
+back to sleep flushes whatever is still queued.
 
 All functions here are pure state transitions: one :class:`SensorState`
 per simulated sensor, no shared mutable state, so distinct sensors can be
@@ -37,6 +38,13 @@ class SensorConfig:
     Defaults reproduce the prototype: +/-2 g full scale on a signed 8-bit
     output, 10 Hz asleep / 50 Hz awake, 8-sample averaging, a 15-count
     change gate, and 2-sample radio batches.
+
+    An averaging window closes on the sample that fills it, never on the
+    sample that opened it. The sample that wakes the sensor opens the
+    first window, so at ``averaging_window=1`` the first window after
+    every wake averages 2 samples (the wake sample and the next); every
+    other window, and every window at larger sizes, holds exactly
+    ``averaging_window`` samples.
     """
 
     full_scale_g: float = 2.0
@@ -176,6 +184,11 @@ def step(
     Returns the successor state and the events transmitted to the base
     station during this step (a full batch, or the flush that precedes
     sleep; usually nothing).
+
+    A waking sample only opens the next averaging window; the window is
+    averaged when a later sample fills it. At ``averaging_window=1`` the
+    first window after a wake therefore averages 2 samples (see
+    :class:`SensorConfig`).
     """
     if state.last_raw_t is not None and raw.t < state.last_raw_t:
         raise SequencingError(

@@ -2,16 +2,21 @@
 
 The oracle functions below deliberately avoid numpy and share no code
 with the package: plain loops and textbook formulas, so agreement is
-meaningful.
+meaningful. The batched kernels are held to a stricter standard at the
+end: bit for bit the per-series numpy code they replaced, kept here as
+the ``reference_*`` functions.
 """
 
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quickroutes import features
 from quickroutes.errors import MissingClipError, ValidationError
 from quickroutes.features import (
     STAT_NAMES,
@@ -26,7 +31,8 @@ from quickroutes.features import (
     temporal_features,
     write_feature_matrix,
 )
-from quickroutes.ingest import LineConfig, segment_climbs
+from quickroutes.ingest import ClimbRecord, LineConfig, segment_climbs
+from quickroutes.sensor import SampleEvent, SensorConfig, counts_to_g
 
 # ---------------------------------------------------------------------------
 # naive oracles
@@ -400,3 +406,245 @@ class TestAssemble:
         assert back.labels == matrix.labels
         assert back.climb_ids == matrix.climb_ids
         assert (back.values == matrix.values).all()
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the per-series reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_count_peaks(series, min_prominence=0.0):
+    s = np.asarray(series, dtype=float)
+    n = s.size
+    count = 0
+    for k in range(1, n - 1):
+        if not (s[k - 1] < s[k] > s[k + 1]):
+            continue
+        left_min = s[k]
+        j = k - 1
+        while j >= 0 and s[j] < s[k]:
+            left_min = min(left_min, s[j])
+            j -= 1
+        right_min = s[k]
+        j = k + 1
+        while j < n and s[j] < s[k]:
+            right_min = min(right_min, s[j])
+            j += 1
+        if s[k] - max(left_min, right_min) >= min_prominence:
+            count += 1
+    return count
+
+
+def reference_stat_features(series, peak_prominence):
+    x = np.asarray(series, dtype=float)
+    mean = float(x.mean())
+    constant = bool(x.max() == x.min())
+    var = 0.0 if constant else float(x.var())
+    std = float(np.sqrt(var))
+    rms = float(np.sqrt(np.mean(x * x)))
+    p5, p25, p75, p95 = (float(v) for v in np.percentile(x, [5, 25, 75, 95]))
+    if var == 0.0:
+        skew = 0.0
+        kurt = 0.0
+    else:
+        z = (x - mean) / std
+        skew = float(np.mean(z**3))
+        kurt = float(np.mean(z**4)) - 3.0
+    return {
+        "mean": mean, "min": float(x.min()), "max": float(x.max()),
+        "variance": var, "std": std, "rms": rms,
+        "p5": p5, "p25": p25, "p75": p75, "p95": p95,
+        "kurtosis": kurt, "skew": skew,
+        "n_peaks": float(reference_count_peaks(x, peak_prominence)),
+    }
+
+
+def reference_pearson(a, b):
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = np.sqrt((da * da).sum() * (db * db).sum())
+    if denom == 0.0:
+        return 0.0
+    return float((da * db).sum() / denom)
+
+
+def reference_cross_correlations(x, y, z):
+    ax, ay, az = (np.asarray(v, dtype=float) for v in (x, y, z))
+    return (reference_pearson(ax, ay), reference_pearson(ax, az), reference_pearson(ay, az))
+
+
+def reference_assemble(climb, line, cfg):
+    """The per-climb, per-series vector the batched matrix must reproduce."""
+    prominence = 2 * cfg.resolution_g
+    values = []
+    for position in range(2, line.ie):
+        window = climb.windows[position]
+        x = np.array([counts_to_g(e.x_counts, cfg) for e in window])
+        y = np.array([counts_to_g(e.y_counts, cfg) for e in window])
+        z = np.array([counts_to_g(e.z_counts, cfg) for e in window])
+        g = np.sqrt(x * x + y * y + z * z)
+        for series in (x, y, z, g):
+            stats = reference_stat_features(series, prominence)
+            values.extend(stats[name] for name in STAT_NAMES)
+        values.extend(reference_cross_correlations(x, y, z))
+    t = temporal_features(climb, line.ie)
+    values.extend(t.short)
+    values.extend(t.long)
+    values.append(t.duration)
+    values.extend(t.short_stats[s] for s in ("min", "max", "mean", "std"))
+    return np.asarray(values, dtype=float)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+KERNEL_EXAMPLES = settings(max_examples=80, deadline=None)
+LENGTHS = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 128, 129]), st.integers(1, 300))
+PROMINENCES = st.sampled_from([0.0, features.DEFAULT_PEAK_PROMINENCE_G, 0.5])
+
+
+@st.composite
+def series_blocks(draw, min_length=1):
+    """(m, L) blocks: wide-scale noise, quantized count grids (ties and
+    plateaus), constant rows, or rows at 1e8 +/- 1e-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = max(min_length, draw(LENGTHS))
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["noise", "grid", "coarse_grid", "constant", "near_1e8"]))
+    if kind == "noise":
+        return rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-6, 6))
+    if kind in ("grid", "coarse_grid"):
+        top = 127 if kind == "grid" else 2
+        return rng.integers(-top, top + 1, size=(m, n)) * 2.0 / 127
+    if kind == "constant":
+        return np.repeat(rng.standard_normal((m, 1)), n, axis=1)
+    return 1e8 + rng.choice([-1e-6, 0.0, 1e-6], size=(m, n))
+
+
+class TestStatKernel:
+    @KERNEL_EXAMPLES
+    @given(series_blocks(), PROMINENCES)
+    def test_rows_match_reference(self, S, prominence):
+        ours = features._stat_rows(S, prominence)
+        for row, series in zip(ours, S):
+            ref = reference_stat_features(series, prominence)
+            assert same_bits(row, [ref[name] for name in STAT_NAMES])
+        assert same_bits(features._stat_rows(np.asfortranarray(S), prominence), ours)
+
+    @KERNEL_EXAMPLES
+    @given(series_blocks(), PROMINENCES)
+    def test_stat_features_on_a_strided_view(self, S, prominence):
+        strided = np.asfortranarray(S)[0]  # a row of an F-ordered block
+        ours = stat_features(strided, peak_prominence=prominence)
+        ref = reference_stat_features(strided, prominence)
+        assert same_bits([ours[n] for n in STAT_NAMES], [ref[n] for n in STAT_NAMES])
+
+    @KERNEL_EXAMPLES
+    @given(series_blocks(), PROMINENCES)
+    def test_peak_counts_match_reference(self, S, prominence):
+        for series in S:
+            assert count_peaks(series, prominence) == reference_count_peaks(series, prominence)
+
+    def test_empty_series_has_no_peaks(self):
+        assert count_peaks([]) == 0
+
+    def test_long_up_then_down_window_is_fast(self):
+        # one strict peak that walks 1,000 samples each way: the walk must
+        # not cost a numpy call per sample
+        up = np.repeat(np.arange(-127, 127), 4)[:1000]
+        counts = np.concatenate([up, [127], up[::-1]])
+        window = [SampleEvent(3, 0.01 * i, int(c), int(-c), 60) for i, c in enumerate(counts)]
+        record = short_record(0, {3: window})
+        started = time.perf_counter()
+        matrix = build_feature_matrix([record], LineConfig(ie=5))
+        assert time.perf_counter() - started < 1.0
+        assert matrix.column("p3.x.n_peaks")[0] == 1.0
+        assert same_bits(matrix.values[0], reference_assemble(record, LineConfig(ie=5), SensorConfig()))
+
+
+class TestCrossKernel:
+    @KERNEL_EXAMPLES
+    @given(series_blocks(min_length=2), st.data())
+    def test_rows_match_reference(self, X, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Y = X[:, rng.permutation(X.shape[1])]
+        Z = rng.standard_normal(X.shape)
+        Z[rng.random(len(X)) < 0.3] = 1.0  # constant rows: r = 0
+        ours = features._cross_rows(X, np.asfortranarray(Y), Z)
+        for row, x, y, z in zip(ours, X, Y, Z):
+            assert same_bits(row, reference_cross_correlations(x, y, z))
+            assert same_bits(cross_correlations(x, y, z), row)
+
+
+def short_record(climb_id, windows, ie=5, label=None):
+    """A climb on an ie-position line; positions missing from ``windows``
+    get a 3-sample window of their own."""
+    full = {}
+    for position in range(2, ie):
+        full[position] = windows.get(
+            position,
+            [SampleEvent(position, position + 0.1 * i, 10 * i, -5 * i, 60 - i) for i in range(3)],
+        )
+    clips = {p: float(10 * p) for p in range(1, ie + 1)}
+    return ClimbRecord(
+        climb_id=climb_id, clip_times=clips, windows=full, ground_truth_route=label
+    )
+
+
+@st.composite
+def mixed_length_climbs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ie = draw(st.integers(5, 9))
+    top = draw(st.sampled_from([3, 127]))
+    records = []
+    for climb_id in range(draw(st.integers(1, 6))):
+        windows = {}
+        for position in range(2, ie):
+            n = int(rng.integers(2, 40))
+            counts = rng.integers(-top, top + 1, size=(n, 3))
+            windows[position] = [
+                SampleEvent(position, position + 0.01 * i, *map(int, c))
+                for i, c in enumerate(counts)
+            ]
+        clips = dict(enumerate(np.cumsum(rng.uniform(1, 30, size=ie)).tolist(), start=1))
+        records.append(ClimbRecord(climb_id, clips, windows, ground_truth_route=f"r{climb_id % 2}"))
+    return records, LineConfig(ie=ie)
+
+
+class TestBatchedMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_length_climbs())
+    def test_matches_stacked_per_climb_reference(self, case):
+        records, line = case
+        cfg = SensorConfig()
+        matrix = build_feature_matrix(records, line, cfg)
+        assert same_bits(matrix.values, np.vstack([reference_assemble(r, line, cfg) for r in records]))
+        assert matrix.names == feature_names(line.ie)
+        for row, record in zip(matrix.values, records):
+            assert same_bits(assemble(record, line, cfg).values, row)
+
+    def test_simulated_records_match_reference(self, small_records, small_line):
+        matrix = build_feature_matrix(small_records, small_line)
+        reference = [reference_assemble(r, small_line, SensorConfig()) for r in small_records]
+        assert same_bits(matrix.values, np.vstack(reference))
+
+    def test_missing_window_names_first_climb_and_position(self):
+        good = short_record(0, {})
+        first_gap = short_record(1, {})
+        del first_gap.windows[3]
+        first_gap.windows[4] = []
+        later_gap = short_record(2, {})
+        del later_gap.windows[2]
+        with pytest.raises(MissingClipError) as err:
+            build_feature_matrix([good, first_gap, later_gap], LineConfig(ie=5))
+        assert (err.value.climb_id, err.value.position) == (1, 3)
+
+    def test_one_sample_window_rejected(self):
+        record = short_record(0, {4: [SampleEvent(4, 40.0, 1, 2, 3)]})
+        with pytest.raises(ValidationError, match="position 4"):
+            build_feature_matrix([record], LineConfig(ie=5))
+
+    def test_out_of_range_count_rejected(self):
+        record = short_record(0, {3: [SampleEvent(3, 30.0, 1, 2, 3), SampleEvent(3, 30.1, 1, -128, 3)]})
+        with pytest.raises(ValueError, match="counts -128 outside"):
+            build_feature_matrix([record], LineConfig(ie=5))

@@ -1,10 +1,13 @@
-"""Quantile-to-normal scaling and ANOVA-F selection against naive oracles."""
+"""Quantile-to-normal scaling and ANOVA-F selection against naive oracles,
+and the array kernels against the per-column code they replaced."""
 
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from quickroutes.errors import ValidationError
@@ -214,3 +217,165 @@ class TestSelectKBest:
         )
         scores = {s.name: s.f for s in score_features(m)}
         assert scores["flat"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the per-column reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_transform_column(scaler, col, v):
+    ref = scaler.references[col]
+    if scaler.is_constant(col):
+        return np.zeros_like(v, dtype=float)
+    distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
+    q = (first + (first + counts)) / (2.0 * scaler.n_fit)
+    ecdf = np.interp(v, distinct, q)
+    ecdf = np.clip(ecdf, scaler.lo, scaler.hi)
+    ecdf = np.where(v < distinct[0], scaler.lo, ecdf)
+    ecdf = np.where(v > distinct[-1], scaler.hi, ecdf)
+    return ndtri(ecdf)
+
+
+def reference_transform(scaler, values):
+    out = np.empty_like(values, dtype=float)
+    for col in range(values.shape[1]):
+        out[:, col] = reference_transform_column(scaler, col, values[:, col])
+    return out
+
+
+def reference_anova_f(column, labels):
+    x = np.asarray(column, dtype=float)
+    groups: dict = {}
+    for value, label in zip(x, labels):
+        groups.setdefault(label, []).append(value)
+    k = len(groups)
+    n = x.size
+    grand = x.mean()
+    ssb = 0.0
+    ssw = 0.0
+    for values in groups.values():
+        g = np.asarray(values)
+        ssb += g.size * (g.mean() - grand) ** 2
+        ssw += float(((g - g.mean()) ** 2).sum())
+    if ssw == 0.0:
+        return math.inf if ssb > 0.0 else 0.0
+    return float((ssb / (k - 1)) / (ssw / (n - k)))
+
+
+def product_square_anova_f(column, labels):
+    """reference_anova_f with the between-group offsets squared as d * d."""
+    x = np.asarray(column, dtype=float)
+    groups: dict = {}
+    for value, label in zip(x, labels):
+        groups.setdefault(label, []).append(value)
+    grand = x.mean()
+    ssb = ssw = 0.0
+    for values in groups.values():
+        g = np.asarray(values)
+        d = g.mean() - grand
+        ssb += g.size * (d * d)
+        ssw += float(((g - g.mean()) ** 2).sum())
+    return float((ssb / (len(groups) - 1)) / (ssw / (x.size - len(groups))))
+
+
+def reference_scores(matrix, labels):
+    out = []
+    for col in range(matrix.n_features):
+        column = matrix.values[:, col]
+        out.append(0.0 if column.min() == column.max() else reference_anova_f(column, labels))
+    return out
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def scored_matrices(draw):
+    """Columns of noise, count grids, constants and group-constant values,
+    over unequal groups with string or integer labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 5))
+    sizes = [draw(st.integers(1, 9)) for _ in range(k)]
+    if sum(sizes) <= k:
+        sizes[0] += 1
+    names = draw(st.sampled_from([["a", "b", "c", "d", "e"], [3, -1, 0, 7, 2]]))
+    labels = [names[g] for g in rng.permutation(np.repeat(np.arange(k), sizes))]
+    n = len(labels)
+    columns = {}
+    for c in range(draw(st.integers(1, 12))):
+        kind = rng.integers(4)
+        if kind == 0:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
+        elif kind == 1:
+            col = rng.integers(-3, 4, size=n) * 2.0 / 127
+        elif kind == 2:
+            col = np.full(n, rng.standard_normal())
+        else:  # zero within-group variance
+            level = {name: rng.integers(0, 2) for name in names}
+            col = np.array([float(level[label]) for label in labels])
+        columns[f"c{c}"] = col
+    return matrix_of(columns, labels), labels
+
+
+class TestScoreKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(scored_matrices())
+    def test_scores_match_reference(self, case):
+        matrix, labels = case
+        ours = [s.f for s in score_features(matrix)]
+        assert same_bits(ours, reference_scores(matrix, labels))
+        for col in range(matrix.n_features):
+            column = matrix.values[:, col]
+            assert same_bits(anova_f(column, labels), reference_anova_f(column, labels))
+
+    def test_constant_and_group_constant_columns(self):
+        labels = ["a", "a", "a", "b", "b", "c"]
+        m = matrix_of(
+            {"flat": [2.0] * 6, "split": [1, 1, 1, 4, 4, 9], "noise": [1, 2, 3, 2, 5, 9]},
+            labels,
+        )
+        scores = [s.f for s in score_features(m)]
+        assert scores[:2] == [0.0, math.inf]
+        assert same_bits(scores, reference_scores(m, labels))
+
+    def test_column_where_scalar_square_is_not_a_product(self):
+        # the scalar code squared each group-mean offset d as d ** 2 (libm
+        # pow), which rounds differently from the array square d * d in
+        # about 1 of 1,000 draws; find a column where that moves F
+        rng = np.random.default_rng(0)
+        labels = [0, 0, 0, 1, 1, 1, 1, 2, 2]
+        for _ in range(50000):
+            column = rng.standard_normal(len(labels))
+            if reference_anova_f(column, labels) != product_square_anova_f(column, labels):
+                break
+        else:
+            pytest.fail("no column where d ** 2 and d * d give different F")
+        m = matrix_of({"x": column}, labels)
+        assert same_bits([s.f for s in score_features(m)], reference_scores(m, labels))
+
+
+class TestScalerKnots:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6))
+    def test_transform_matches_per_column_reference(self, seed, n, width):
+        rng = np.random.default_rng(seed)
+        fit = rng.integers(-3, 4, size=(n, width)) * rng.choice([1.0, 1e-3, 1e6], size=width)
+        fit[:, 0] = fit[0, 0]  # one constant column
+        scaler = fit_quantile(matrix_of({f"c{i}": fit[:, i] for i in range(width)}))
+        probes = np.vstack([fit, fit * 1.5 - 1.0, rng.standard_normal((n, width)) * 3])
+        assert same_bits(scaler.transform_values(probes), reference_transform(scaler, probes))
+
+    def test_loaded_scaler_transforms_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        m = matrix_of({"a": rng.normal(size=15), "b": rng.integers(0, 3, size=15), "c": [1.0] * 15})
+        scaler = fit_quantile(m)
+        buf = io.StringIO()
+        scaler.save(buf)
+        buf.seek(0)
+        back = QuantileScaler.load(buf)
+        probes = np.vstack([m.values, rng.normal(size=(30, 3)) * 2])
+        expected = reference_transform(scaler, probes)
+        assert same_bits(back.transform_values(probes), expected)
+        assert same_bits(scaler.transform_values(probes), expected)
+        assert same_bits(back.transform(m).values, reference_transform(back, m.values))

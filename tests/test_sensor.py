@@ -154,6 +154,17 @@ class TestAutomaton:
                 expected = int(math.floor(abs(mean) + 0.5)) * (1 if mean >= 0 else -1)
                 assert got == expected
 
+    def test_window_of_one_averages_the_wake_sample_with_the_next(self):
+        # the wake sample opens a window but cannot close it, so at
+        # averaging_window=1 the first window after a wake holds 2 samples
+        cfg = SensorConfig(averaging_window=1, group_size=1)
+        state, woke = step(rested(), RawSample(0.00, 40, 0, 63), cfg)
+        assert state.mode is Mode.ACTIVE and woke == []
+        state, first = step(state, RawSample(0.02, 61, 0, 63), cfg)
+        state, second = step(state, RawSample(0.04, 90, 0, 63), cfg)
+        assert [(e.t, e.counts) for e in first] == [(0.02, (51, 0, 63))]  # 50.5 rounds away
+        assert [(e.t, e.counts) for e in second] == [(0.04, (90, 0, 63))]
+
     def test_batching_cadence(self):
         # a long wiggle: every emission before the final flush is a full batch
         wiggle = []

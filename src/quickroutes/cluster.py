@@ -4,14 +4,24 @@ Gaussian mixture fitted by EM, and silhouette scoring.
 
 Everything is Euclidean and deterministic: each stochastic operation is a
 pure function of its inputs and an integer seed, restarts use consecutive
-seeds, and results are merged in seed order so running restarts in
-parallel could never change the output.
+seeds, and results are merged in seed order.
+
+``kmeans_restarts`` is the one Lloyd loop; ``kmeans``, ``best_kmeans``,
+``repeated_kmeans``, the sweep and the GMM initialization all call it. Its
+restarts are batched: each round assigns the points of every restart
+still running from one GEMM against all their centers, and a restart
+leaves the batch once it converges. Each restart's result is bit for bit
+that of running it alone: assignments are certified against the
+difference form, and sums keep the rounding of the one-restart code.
+Restarts run in chunks sized by memory: one chunk's (restarts, points,
+dimensions) block holds at most 8 MB, or one restart's when that alone is
+larger.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +36,8 @@ DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
+# floats in one chunk's (restarts, n, d) block of K-Means restarts: 8 MB
+_CHUNK_FLOATS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +59,6 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _assigned_d2(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to its assigned center, rounded exactly
-    as the matching entry of ``_squared_distances``."""
-    diff = centers[assign]
-    # in place: allocating a second (n, d) array measured slower than the arithmetic
-    np.subtract(points, diff, out=diff)
-    return np.einsum("nd,nd->n", diff, diff)
-
-
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # absolute rounding of one product in the subnormal range is at most half of this
 _SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -68,39 +71,199 @@ def _gamma(m: int) -> float:
 
 
 def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest center per row: ``argmin`` of ``_squared_distances``, ties to
-    the lowest index, without forming its (n, k, d) difference tensor.
+    """Nearest center per restart and row: ``argmin`` of ``_squared_distances``
+    against each restart's centers, ties to the lowest index, without
+    forming a difference tensor.
 
-    ``xx`` holds each row's squared norm and ``xnorm`` its square root. The
-    expanded ``|x|^2 + |c|^2 - 2 x.c`` from one GEMM and the difference
-    form each lie within ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared
-    distance. A row whose best expanded value beats every other one by more
-    than twice the sum of both errors (with a factor 2 to spare, plus slack
-    for subnormal rounding) has the same unique argmin in the difference
-    form. Every other row, including ties and rows holding inf or NaN, is
-    decided by ``_squared_distances`` itself.
+    ``centers`` is (A, k, d), the centers of A restarts; the result is
+    (A, n). ``xx`` holds each row's squared norm and ``xnorm`` its square
+    root. One GEMM against all A*k centers gives the expanded
+    ``|x|^2 + |c|^2 - 2 x.c``. It and the difference form each lie within
+    ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared distance, in any
+    summation order, so the width of the GEMM cannot change a decision. A
+    row whose best expanded value beats every other center of its restart
+    by more than twice the sum of both errors (with a factor 2 to spare,
+    plus slack for subnormal rounding) has the same unique argmin in the
+    difference form. Every other row, including ties and rows holding inf
+    or NaN, is decided by ``_squared_distances`` against that restart's
+    centers.
     """
-    n, d = X.shape
-    if centers.shape[0] == 1:
-        return np.zeros(n, dtype=np.intp)
-    cc = np.einsum("kd,kd->k", centers, centers)
-    d2 = xx[:, None] + cc - 2.0 * (X @ centers.T)
-    assign = d2.argmin(axis=1)
+    A, k, d = centers.shape
+    n = X.shape[0]
+    if k == 1:
+        return np.zeros((A, n), dtype=np.intp)
+    cc = np.einsum("akd,akd->ak", centers, centers)
+    d2 = xx[:, None] + cc.reshape(A * k) - 2.0 * (X @ centers.reshape(A * k, d).T)
+    d2 = d2.reshape(n, A, k)
+    best = d2.argmin(axis=2)
     # gap to the second-best center; NaN when the argmin found a NaN
-    rows = np.arange(n)
-    gap = -d2[rows, assign]
-    d2[rows, assign] = np.inf
-    gap += d2.min(axis=1)
+    rows, runs = np.arange(n)[:, None], np.arange(A)
+    gap = -d2[rows, runs, best]
+    d2[rows, runs, best] = np.inf
+    gap += d2.min(axis=2)
     # in place: on tiny inputs the temporaries cost more than the arithmetic
-    bound = xnorm + math.sqrt(cc.max())
+    bound = xnorm[:, None] + np.sqrt(cc.max(axis=1))
     bound *= bound
     bound *= 8.0 * _gamma(d + 4)
     bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
-    sure = gap > bound
-    if not sure.all():
-        unsure = np.flatnonzero(~sure)
-        assign[unsure] = np.argmin(_squared_distances(X[unsure], centers), axis=1)
+    unsure = ~(gap > bound)
+    assign = best.T.copy()
+    if unsure.any():
+        for a in np.flatnonzero(unsure.any(axis=0)).tolist():
+            redo = np.flatnonzero(unsure[:, a])
+            assign[a, redo] = np.argmin(_squared_distances(X[redo], centers[a]), axis=1)
     return assign
+
+
+def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Keep one restart's k clusters populated: hand the farthest point to
+    each empty cluster in turn. Moves ``centers`` in place and returns the
+    new assignment."""
+    n, k = len(X), len(centers)
+    d2 = _squared_distances(X, centers)
+    for _ in range(k):
+        sizes = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(sizes == 0)
+        if empties.size == 0:
+            break
+        j = int(empties[0])
+        point_d2 = d2[np.arange(n), assign]
+        farthest = int(np.argmax(point_d2))
+        centers[j] = X[farthest]
+        d2 = _squared_distances(X, centers)
+        assign = np.argmin(d2, axis=1)
+    return assign
+
+
+def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Sum of squared distances to the assigned centers, per restart; each
+    term rounds as the matching entry of ``_squared_distances``. ``keys``
+    is ``a * k + assign[a]`` per restart a and row."""
+    A, k, d = centers.shape
+    diff = centers.reshape(A * k, d)[keys]
+    # in place: allocating a second (A, n, d) array measured slower than the arithmetic
+    np.subtract(X, diff, out=diff)
+    return np.einsum("and,and->an", diff, diff).sum(axis=1)
+
+
+def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's members, per restart; an empty cluster keeps
+    its center. ``keys`` as for ``_inertias``.
+
+    One stable sort gathers each cluster's members as a C-ordered block in
+    row order, the very block ``X[assign[a] == j]`` is, so each sum rounds
+    as that one does, numpy's pairwise sum at d = 1 included.
+    ``np.add.reduceat`` over the sorted rows would round differently.
+    """
+    A, k, d = centers.shape
+    members = X[np.argsort(keys, axis=None, kind="stable") % len(X)]
+    sizes = np.bincount(keys.ravel(), minlength=A * k)
+    new = centers.copy()
+    flat = new.reshape(A * k, d)
+    start = 0
+    for group, end in enumerate(sizes.cumsum().tolist()):
+        if end > start:
+            np.add.reduce(members[start:end], axis=0, out=flat[group])
+        start = end
+    filled = sizes > 0
+    # the arithmetic of members.mean(axis=0), without its overhead
+    flat[filled] /= sizes[filled, None]
+    return new
+
+
+@functools.lru_cache(maxsize=256)
+def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
+    """The k distinct rows that seed a restart: the sweep draws the same
+    seeds at the same n for every feature count."""
+    return tuple(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+
+
+def kmeans_restarts(
+    points,
+    k: int,
+    seeds: Iterable[int],
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> list[KMeansResult]:
+    """One K-Means run per seed (see ``kmeans``), in seed order.
+
+    The restarts advance together: every Lloyd round assigns the points of
+    all restarts still running from one GEMM, and a restart leaves the
+    batch when it converges. Batching changes no result: each one is bit
+    for bit the run of its seed alone. Restarts run in chunks whose
+    (restarts, n, d) blocks hold at most ``_CHUNK_FLOATS`` floats.
+    """
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+    n, d = X.shape
+    if not 1 <= k <= n:
+        raise ValidationError(f"k={k} outside 1..n={n}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValidationError("K-Means restarts need at least one seed")
+    xx = np.einsum("nd,nd->n", X, X)
+    xnorm = np.sqrt(xx)
+    per_chunk = max(1, _CHUNK_FLOATS // max(1, n * d))
+    results: list[KMeansResult] = []
+    for start in range(0, len(seeds), per_chunk):
+        results += _lloyd(X, xx, xnorm, k, seeds[start:start + per_chunk], max_iter, tol)
+    return results
+
+
+def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) -> list[KMeansResult]:
+    """Lloyd rounds of one chunk of restarts, all advancing together."""
+    n = len(X)
+    centers = X[np.array([_initial_rows(n, k, seed) for seed in seeds])]
+    last = list(centers)  # each restart's centers when it stopped
+    histories: list[list[float]] = [[] for _ in seeds]
+    rounds = [0] * len(seeds)
+    results: list[Optional[KMeansResult]] = [None] * len(seeds)
+    live = list(range(len(seeds)))
+    for it in range(1, max_iter + 1):
+        assign = _assign(X, xx, xnorm, centers)
+        offsets = np.arange(0, len(live) * k, k)[:, None]
+        keys = offsets + assign
+        sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
+        empty = np.flatnonzero(sizes.min(axis=1) == 0).tolist()
+        if empty:
+            for a in empty:
+                assign[a] = _repair(X, centers[a], assign[a])
+            keys = offsets + assign
+        for slot, inertia in zip(live, _inertias(X, centers, keys).tolist()):
+            histories[slot].append(inertia)
+            rounds[slot] = it
+        new_centers = _means(X, centers, keys)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
+        unchanged = (new_centers == centers).all(axis=(1, 2))
+        centers = new_centers
+        stop = (shift < tol) | (it == max_iter)
+        if stop.any():
+            for a in np.flatnonzero(stop).tolist():
+                slot = live[a]
+                # a copy: a view would keep the whole block of this round alive
+                last[slot] = centers[a].copy()
+                if unchanged[a]:
+                    # assignment and inertia are functions of the centers, which did not move
+                    results[slot] = KMeansResult(
+                        assign[a].copy(), last[slot], histories[slot][-1], it, seeds[slot],
+                        histories[slot],
+                    )
+            live = [slot for slot, halt in zip(live, stop.tolist()) if not halt]
+            if not live:
+                break
+            centers = centers[~stop]
+
+    # restarts whose centers moved in their last round get one more assignment
+    moved = [slot for slot, result in enumerate(results) if result is None]
+    if moved:
+        final = np.stack([last[slot] for slot in moved])
+        assign = _assign(X, xx, xnorm, final)
+        keys = np.arange(0, len(moved) * k, k)[:, None] + assign
+        for m, inertia in enumerate(_inertias(X, final, keys).tolist()):
+            slot = moved[m]
+            results[slot] = KMeansResult(
+                assign[m], final[m], inertia, rounds[slot], seeds[slot], histories[slot]
+            )
+    return results
 
 
 def kmeans(
@@ -124,65 +287,9 @@ def kmeans(
     assignment is not repaired either.
 
     Input is copied to C order first, so a point set gives the same result
-    in any memory layout.
+    in any memory layout. This is the one-seed call of ``kmeans_restarts``.
     """
-    X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-    n = X.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} outside 1..n={n}")
-    rng = np.random.default_rng(seed)
-    centers = X[rng.choice(n, size=k, replace=False)].astype(float).copy()
-    xx = np.einsum("nd,nd->n", X, X)
-    xnorm = np.sqrt(xx)
-
-    history: list[float] = []
-    iterations = 0
-    unchanged = False
-    for iterations in range(1, max_iter + 1):
-        assign = _assign(X, xx, xnorm, centers)
-
-        if np.bincount(assign, minlength=k).min() == 0:
-            # keep k clusters populated: hand the farthest point to each empty one
-            d2 = _squared_distances(X, centers)
-            for _ in range(k):
-                sizes = np.bincount(assign, minlength=k)
-                empties = np.flatnonzero(sizes == 0)
-                if empties.size == 0:
-                    break
-                j = int(empties[0])
-                point_d2 = d2[np.arange(n), assign]
-                farthest = int(np.argmax(point_d2))
-                centers[j] = X[farthest]
-                d2 = _squared_distances(X, centers)
-                assign = np.argmin(d2, axis=1)
-
-        history.append(float(_assigned_d2(X, centers, assign).sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            members = X[assign == j]
-            if members.size:
-                # the arithmetic of members.mean(axis=0), without its overhead
-                new_centers[j] = members.sum(axis=0) / len(members)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        unchanged = np.array_equal(new_centers, centers)
-        centers = new_centers
-        if shift < tol:
-            break
-
-    if unchanged:
-        # assignment and inertia are functions of the centers, which did not move
-        inertia = history[-1]
-    else:
-        assign = _assign(X, xx, xnorm, centers)
-        inertia = float(_assigned_d2(X, centers, assign).sum())
-    return KMeansResult(
-        assignments=assign,
-        centers=centers,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_history=history,
-    )
+    return kmeans_restarts(points, k, [seed], max_iter, tol)[0]
 
 
 def best_kmeans(
@@ -193,13 +300,8 @@ def best_kmeans(
     **kwargs,
 ) -> KMeansResult:
     """Lowest-inertia run over consecutive seeds; ties keep the lowest seed."""
-    best: Optional[KMeansResult] = None
-    for seed in range(seed0, seed0 + restarts):
-        result = kmeans(points, k, seed=seed, **kwargs)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    assert best is not None
-    return best
+    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts), **kwargs)
+    return min(results, key=lambda result: result.inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +315,54 @@ def rand_index(a: Sequence, b: Sequence, adjusted: bool = True) -> float:
     Adjusted: chance-corrected via the standard contingency-table formula,
     1 for identical partitions, ~0 in expectation for random ones.
     """
-    if len(a) != len(b):
+    return _rand_indices(a, _label_codes(b)[None, :], adjusted)[0]
+
+
+def _label_codes(labels: Iterable) -> np.ndarray:
+    """Integer code per label, in first-seen order; equal labels share one."""
+    codes: dict = {}
+    return np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.intp)
+
+
+def _rand_indices(truth: Sequence, labelings: np.ndarray, adjusted: bool) -> list[float]:
+    """Rand index of ``truth`` against each row of ``labelings`` (R, n),
+    whose entries are non-negative integer codes.
+
+    The contingency tables of all rows come from one ``np.unique`` over
+    (row, truth, label) keys, which counts only the occupied cells: memory
+    stays O(R n) even when both labelings have about n labels. The pair
+    counts are exact integers and become Python ints before the formula.
+    """
+    rows, n = labelings.shape
+    t = _label_codes(truth)
+    if len(t) != n:
         raise ValidationError("labelings must have equal length")
-    n = len(a)
     if n < 2:
         raise ValidationError("rand index needs at least 2 points")
-    sum_ij = _pair_count(zip(a, b))
-    sum_a = _pair_count(a)
-    sum_b = _pair_count(b)
+    n_truth = int(t.max()) + 1
+    n_labels = int(labelings.max()) + 1
+    row = np.arange(rows)[:, None]
+    cells, counts = np.unique((row * n_truth + t) * n_labels + labelings, return_counts=True)
+    # every row occupies at least one cell, so each row's cells start where its keys do
+    first = np.searchsorted(cells, np.arange(rows) * (n_truth * n_labels))
+    sum_ij = np.add.reduceat(counts * (counts - 1) // 2, first).tolist()
+    sizes_b = np.bincount((row * n_labels + labelings).ravel(), minlength=rows * n_labels)
+    sum_b = (sizes_b * (sizes_b - 1) // 2).reshape(rows, n_labels).sum(axis=1).tolist()
+    sizes_a = np.bincount(t)
+    sum_a = int((sizes_a * (sizes_a - 1) // 2).sum())
     pairs = math.comb(n, 2)
-    if not adjusted:
-        agreements = pairs + 2 * sum_ij - sum_a - sum_b
-        return agreements / pairs
-    expected = sum_a * sum_b / pairs
-    maximum = 0.5 * (sum_a + sum_b)
-    if maximum == expected:
-        return 1.0  # both partitions degenerate and identical in structure
-    return (sum_ij - expected) / (maximum - expected)
-
-
-def _pair_count(labels: Iterable) -> int:
-    """Number of point pairs that share a label."""
-    return sum(math.comb(c, 2) for c in Counter(labels).values())
+    values = []
+    for ij, sb in zip(sum_ij, sum_b):
+        if not adjusted:
+            values.append((pairs + 2 * ij - sum_a - sb) / pairs)
+            continue
+        expected = sum_a * sb / pairs
+        maximum = 0.5 * (sum_a + sb)
+        if maximum == expected:
+            values.append(1.0)  # both partitions degenerate and identical in structure
+        else:
+            values.append((ij - expected) / (maximum - expected))
+    return values
 
 
 @dataclass
@@ -263,10 +391,8 @@ def repeated_kmeans(
     Seeds are seed0..seed0+restarts-1, so the whole sweep is reproducible
     from a single integer.
     """
-    values = []
-    for seed in range(seed0, seed0 + restarts):
-        result = kmeans(points, k, seed=seed, **kwargs)
-        values.append(rand_index(truth, result.assignments.tolist(), adjusted=adjusted))
+    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts), **kwargs)
+    values = _rand_indices(truth, np.stack([r.assignments for r in results]), adjusted)
     arr = np.asarray(values)
     return RandStats(
         minimum=float(arr.min()),

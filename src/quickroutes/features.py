@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import MissingClipError, ValidationError
-from .ingest import ClimbRecord, LineConfig
+from .ingest import ClimbRecord, LineConfig, open_text
 from .sensor import SensorConfig, counts_to_g
 
 STAT_NAMES = (
@@ -439,9 +439,7 @@ def write_feature_matrix(target, matrix: FeatureMatrix) -> None:
     A ``route`` sidecar column carries the ground-truth label when known.
     Floats are written with shortest exact repr so a read-back round-trips.
     """
-    own = isinstance(target, str)
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with open_text(target, "w") as fh:
         head = ["climb_id"]
         if matrix.labels is not None:
             head.append("route")
@@ -453,15 +451,10 @@ def write_feature_matrix(target, matrix: FeatureMatrix) -> None:
                 row.append(matrix.labels[row_idx])
             row.extend(repr(float(v)) for v in matrix.values[row_idx])
             fh.write("\t".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_feature_matrix(source) -> FeatureMatrix:
-    own = isinstance(source, str)
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with open_text(source, "r") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "climb_id":
             raise ValidationError("feature matrix must start with a climb_id column")
@@ -489,6 +482,3 @@ def read_feature_matrix(source) -> FeatureMatrix:
             climb_ids=tuple(ids),
             labels=tuple(labels) if has_labels else None,
         )
-    finally:
-        if own:
-            fh.close()

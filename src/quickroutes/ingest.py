@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import io
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 from .errors import ConfigError, MissingClipError, ValidationError
 from .sensor import SampleEvent
@@ -154,17 +156,23 @@ def read_events(path, ie: Optional[int] = None) -> dict[int, list[SampleEvent]]:
         return parse_events(fh, ie=ie)
 
 
-def write_events(target: Union[TextIO, str], events: Iterable[SampleEvent]) -> None:
+@contextmanager
+def open_text(target: Union[TextIO, str, os.PathLike], mode: str) -> Iterator[TextIO]:
+    """A path (``str`` or ``os.PathLike``) opened as UTF-8 text in ``mode``
+    and closed on exit; an open file passes through and stays open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
+
+
+def write_events(target: Union[TextIO, str, os.PathLike], events: Iterable[SampleEvent]) -> None:
     """Write events in timestamp order in the wire format above."""
     ordered = sorted(events, key=lambda e: (e.t, e.position))
-    own = isinstance(target, str)
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with open_text(target, "w") as fh:
         for e in ordered:
             fh.write(f"{e.position}\t{e.t:.3f}\t{e.x_counts}\t{e.y_counts}\t{e.z_counts}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def _flatten(events) -> list[SampleEvent]:

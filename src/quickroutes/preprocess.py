@@ -12,6 +12,7 @@ record that labels were consumed here so reports can disclose it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO, Union
 
@@ -20,6 +21,7 @@ from scipy.special import ndtri
 
 from .errors import ValidationError
 from .features import FeatureMatrix
+from .ingest import open_text
 
 SCALER_FORMAT = "quickroutes-scaler v1"
 
@@ -42,11 +44,7 @@ class QuantileScaler:
     _knots: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # mid-rank ECDF knots at the distinct fit values
-        self._knots = []
-        for ref in self.references:
-            distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
-            self._knots.append((distinct, (first + (first + counts)) / (2.0 * self.n_fit)))
+        self._knots = [_ecdf_knots(ref, self.n_fit) for ref in self.references]
 
     @property
     def lo(self) -> float:
@@ -86,38 +84,59 @@ class QuantileScaler:
         out[:, [self.is_constant(col) for col in range(len(self.names))]] = 0.0
         return out
 
-    def save(self, target: Union[TextIO, str]) -> None:
-        own = isinstance(target, str)
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
+    def save(self, target: Union[TextIO, str, os.PathLike]) -> None:
+        with open_text(target, "w") as fh:
             fh.write(f"# {SCALER_FORMAT}\n")
             fh.write(f"n_fit\t{self.n_fit}\n")
             for name, ref in zip(self.names, self.references):
                 fh.write(name + "\t" + "\t".join(repr(float(v)) for v in ref) + "\n")
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
-    def load(cls, source: Union[TextIO, str]) -> "QuantileScaler":
-        own = isinstance(source, str)
-        fh = open(source, "r", encoding="utf-8") if own else source
-        try:
+    def load(cls, source: Union[TextIO, str, os.PathLike]) -> "QuantileScaler":
+        with open_text(source, "r") as fh:
             head = fh.readline().strip()
             if head != f"# {SCALER_FORMAT}":
                 raise ValidationError(f"not a scaler file (header {head!r})")
             tag, n_fit = fh.readline().split("\t")
             if tag != "n_fit":
                 raise ValidationError("scaler file missing n_fit")
+            n_fit = int(n_fit)
             names, refs = [], []
             for line in fh:
                 parts = line.rstrip("\n").split("\t")
+                ref = np.array([float(v) for v in parts[1:]])
+                if len(ref) != n_fit:
+                    raise ValidationError(
+                        f"scaler column {parts[0]!r}: {len(ref)} references, n_fit {n_fit}"
+                    )
+                if not _ascending(ref):
+                    raise ValidationError(f"scaler column {parts[0]!r}: references not ascending")
                 names.append(parts[0])
-                refs.append(np.array([float(v) for v in parts[1:]]))
-            return cls(names=tuple(names), references=refs, n_fit=int(n_fit))
-        finally:
-            if own:
-                fh.close()
+                refs.append(ref)
+            return cls(names=tuple(names), references=refs, n_fit=n_fit)
+
+
+def _ecdf_knots(ref: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an ascending, non-empty reference and their
+    mid-rank ECDF levels, read off its runs of equal values without
+    sorting again.
+
+    Equal to the knots from ``np.unique(ref, return_index=True,
+    return_counts=True)``: -0.0 and 0.0 share one run, whose first value
+    stands for it, and all NaNs, which sort last, share one.
+    """
+    nan = np.isnan(ref)
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (ref[1:] != ref[:-1]) & ~(nan[1:] & nan[:-1]))
+    ))
+    bounds = np.append(starts, ref.size)
+    return ref[starts], (bounds[:-1] + bounds[1:]) / (2.0 * n_fit)
+
+
+def _ascending(ref: np.ndarray) -> bool:
+    """Sorted as ``np.sort`` sorts: numbers non-decreasing, then NaNs."""
+    nan = np.isnan(ref)
+    return not ((ref[1:] < ref[:-1]).any() or (nan[:-1] & ~nan[1:]).any())
 
 
 def fit_quantile(matrix: FeatureMatrix) -> QuantileScaler:

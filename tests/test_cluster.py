@@ -1,5 +1,6 @@
-"""Clustering: the GEMM-based K-Means kernel against the difference-form
-reference, rand index, silhouette, label matching and the GMM contract."""
+"""Clustering: the batched K-Means restart engine against the
+difference-form reference, rand index, silhouette, label matching, PCA
+and the GMM contract."""
 
 import itertools
 import math
@@ -18,7 +19,11 @@ from quickroutes.cluster import (
     count_misassigned,
     gmm_em,
     kmeans,
+    kmeans_restarts,
+    pca_fit,
+    pca_project,
     rand_index,
+    repeated_kmeans,
     silhouette,
 )
 from quickroutes.errors import ValidationError
@@ -77,14 +82,22 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
     return assign, centers, inertia, iterations, history
 
 
-def assert_matches_reference(result, X, k, seed):
-    assign, centers, inertia, iterations, history = reference_kmeans(X, k, seed)
+def assert_matches_reference(result, X, k, seed, max_iter=cluster.DEFAULT_MAX_ITER,
+                             tol=cluster.DEFAULT_TOL):
+    assign, centers, inertia, iterations, history = reference_kmeans(X, k, seed, max_iter, tol)
     assert result.assignments.dtype == assign.dtype
     np.testing.assert_array_equal(result.assignments, assign)
     assert result.iterations == iterations
     assert result.centers.tobytes() == centers.tobytes()
     assert result.inertia == inertia
     assert result.inertia_history == history
+
+
+def assert_restarts_match_reference(results, X, k, seeds, max_iter=cluster.DEFAULT_MAX_ITER,
+                                    tol=cluster.DEFAULT_TOL):
+    assert [result.seed for result in results] == list(seeds)
+    for result, seed in zip(results, seeds):
+        assert_matches_reference(result, X, k, seed, max_iter, tol)
 
 
 @contextmanager
@@ -172,7 +185,7 @@ class TestKMeansKernel:
         centers = X[rows]
         xx = np.einsum("nd,nd->n", X, X)
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers)
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None])[0]
         d2 = reference_squared_distances(X, centers)
         np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
         two = np.sort(d2, axis=1)[:, :2]
@@ -183,7 +196,7 @@ class TestKMeansKernel:
         X = np.array([[0.0], [1.0], [2.0]])
         xx = np.einsum("nd,nd->n", X, X)
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), np.array([[2.0], [0.0]]))
+            assign = cluster._assign(X, xx, np.sqrt(xx), np.array([[[2.0], [0.0]]]))[0]
         np.testing.assert_array_equal(assign, [1, 0, 0])
         (points, _), _ = spy.call_args
         np.testing.assert_array_equal(points, [[1.0]])
@@ -197,7 +210,7 @@ class TestKMeansKernel:
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-162, -150)
             centers = X[rng.choice(n, k, replace=False)]
             xx = np.einsum("nd,nd->n", X, X)
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers)
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None])[0]
             expected = np.argmin(reference_squared_distances(X, centers), axis=1)
             np.testing.assert_array_equal(assign, expected)
 
@@ -246,6 +259,149 @@ class TestKMeansContract:
         assert len(tied) > 1
         assert best.seed == tied[0]
         assert best.inertia == lowest
+
+
+SEED_BATCHES = st.lists(st.integers(0, 999), min_size=1, max_size=8)
+
+
+def chunk_of(restarts, X):
+    """A chunk size, in floats, that holds ``restarts`` restarts on ``X``."""
+    return restarts * X.shape[0] * X.shape[1]
+
+
+class TestKMeansRestarts:
+    @EXAMPLES
+    @given(grid_inputs(), SEED_BATCHES)
+    def test_grid_batches_match_reference(self, case, seeds):
+        X, k, _ = case
+        assert_restarts_match_reference(kmeans_restarts(X, k, seeds), X, k, seeds)
+
+    @EXAMPLES
+    @given(duplicate_row_inputs(), SEED_BATCHES)
+    def test_duplicate_row_batches_match_reference(self, case, seeds):
+        X, k, _ = case
+        assert_restarts_match_reference(kmeans_restarts(X, k, seeds), X, k, seeds)
+
+    @EXAMPLES
+    @given(wide_scale_inputs(), SEED_BATCHES)
+    def test_wide_scale_batches_match_reference(self, case, seeds):
+        X, k, _ = case
+        assert_restarts_match_reference(kmeans_restarts(X, k, seeds), X, k, seeds)
+
+    @EXAMPLES
+    @given(ANY_INPUT, SEED_BATCHES)
+    def test_fortran_order_batches_give_the_c_order_result(self, case, seeds):
+        X, k, _ = case
+        results = kmeans_restarts(np.asfortranarray(X), k, seeds)
+        assert_restarts_match_reference(results, np.ascontiguousarray(X), k, seeds)
+
+    @EXAMPLES
+    @given(ANY_INPUT, SEED_BATCHES, st.sampled_from([0, 1, 2, 3, 20]),
+           st.sampled_from([0.0, cluster.DEFAULT_TOL, 0.5]))
+    def test_max_iter_and_tol_batches_match_reference(self, case, seeds, max_iter, tol):
+        X, k, _ = case
+        results = kmeans_restarts(X, k, seeds, max_iter=max_iter, tol=tol)
+        assert_restarts_match_reference(results, X, k, seeds, max_iter, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ANY_INPUT, SEED_BATCHES, st.sampled_from([1, 2]))
+    def test_chunk_boundaries_do_not_change_results(self, case, seeds, per_chunk):
+        X, k, _ = case
+        with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X)), \
+                mock.patch.object(cluster, "_lloyd", wraps=cluster._lloyd) as chunks:
+            results = kmeans_restarts(X, k, seeds)
+        assert chunks.call_count == -(-len(seeds) // per_chunk)
+        assert_restarts_match_reference(results, X, k, seeds)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.integers(1, 5), SEED_BATCHES)
+    def test_one_column_sums_pairwise_like_the_reference(self, data_seed, n, k, seeds):
+        # at d = 1 numpy sums a cluster's members pairwise, not row by row
+        X = np.random.default_rng(data_seed).standard_normal((n, 1)) * 1e3
+        assert_restarts_match_reference(kmeans_restarts(X, k, seeds), X, k, seeds)
+
+    def test_restarts_converge_in_different_rounds(self):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        seeds = list(range(8))
+        results = kmeans_restarts(X, 4, seeds)
+        assert len({result.iterations for result in results}) > 1
+        assert_restarts_match_reference(results, X, 4, seeds)
+
+    def test_max_iter_hits_some_restarts_only(self):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        seeds = list(range(8))
+        _, _, _, iterations, _ = zip(*(reference_kmeans(X, 4, s) for s in seeds))
+        cap = sorted(iterations)[len(seeds) // 2]
+        results = kmeans_restarts(X, 4, seeds, max_iter=cap)
+        hits = [result.iterations == cap for result in results]
+        assert any(hits) and not all(hits)
+        assert_restarts_match_reference(results, X, 4, seeds, cap)
+
+    def test_repair_in_one_restart_while_others_continue(self):
+        # seeds that pick two rows of one value start with two equal centers
+        X = np.repeat([[0.0, 0.0], [1.0, 3.0], [5.0, 1.0]], 5, axis=0)
+        seeds = list(range(8))
+        with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as spy:
+            results = kmeans_restarts(X, 3, seeds)
+        assert 0 < spy.call_count < len(seeds)
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+    def test_assign_falls_back_only_in_the_restart_with_a_tie(self):
+        X = np.array([[0.0], [1.0], [2.0], [4.0]])
+        xx = np.einsum("nd,nd->n", X, X)
+        centers = np.array([[[0.0], [2.0]],    # row 1.0 is equidistant
+                            [[0.5], [3.0]]])   # no ties
+        with fallback_spy() as spy:
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers)
+        (points, restart_centers), _ = spy.call_args
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(points, [[1.0]])
+        np.testing.assert_array_equal(restart_centers, centers[0])
+        for a in range(2):
+            expected = np.argmin(reference_squared_distances(X, centers[a]), axis=1)
+            np.testing.assert_array_equal(assign[a], expected)
+
+    def test_results_keep_no_other_restarts_arrays_alive(self):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        results = kmeans_restarts(X, 4, range(8))
+        for field in ("centers", "assignments"):
+            arrays = [getattr(result, field) for result in results]
+            bases = {id(a.base): a.base for a in arrays if a.base is not None}
+            held = sum(a.nbytes for a in arrays if a.base is None)
+            held += sum(base.nbytes for base in bases.values())
+            assert held == sum(a.nbytes for a in arrays)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValidationError):
+            kmeans_restarts(np.zeros((4, 2)), 2, [])
+        with pytest.raises(ValidationError):
+            best_kmeans(np.zeros((4, 2)), 2, restarts=0)
+
+    def test_best_kmeans_keeps_lowest_tied_seed_across_chunks(self):
+        rng = np.random.default_rng(0)
+        X = np.concatenate([rng.normal(c, 0.1, size=(10, 2)) for c in (0.0, 5.0, 10.0)])
+        inertias = {s: kmeans(X, 3, seed=s).inertia for s in range(4, 16)}
+        lowest = min(inertias.values())
+        tied = [s for s, v in inertias.items() if v == lowest]
+        assert len(tied) > 1
+        for per_chunk in (1, 2, tied[1] - tied[0]):
+            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X)):
+                best = best_kmeans(X, 3, restarts=12, seed0=4)
+            assert best.seed == tied[0]
+            assert best.inertia == lowest
+
+    @settings(max_examples=30, deadline=None)
+    @given(ANY_INPUT, st.integers(1, 6), st.integers(0, 50), st.booleans())
+    def test_repeated_kmeans_values_equal_per_seed_rand_index(self, case, restarts, seed0, adjusted):
+        X, k, seed = case
+        truth = np.random.default_rng(seed).choice(["a", "b", "c"], size=len(X)).tolist()
+        stats = repeated_kmeans(X, truth, k, restarts=restarts, seed0=seed0, adjusted=adjusted)
+        expected = [
+            rand_index(truth, kmeans(X, k, seed=s).assignments.tolist(), adjusted)
+            for s in range(seed0, seed0 + restarts)
+        ]
+        assert stats.values == tuple(expected)
+        assert (stats.minimum, stats.maximum) == (min(expected), max(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +473,42 @@ class TestRandIndex:
             rand_index([0, 1], [0])
         with pytest.raises(ValidationError):
             rand_index([0], [0])
+
+
+@st.composite
+def labeling_batches(draw):
+    """A truth labeling and 1-6 labelings of the same points, of any label kind."""
+    n = draw(st.integers(2, 40))
+    truth = draw(st.lists(draw(LABEL_KINDS), min_size=n, max_size=n))
+    rows = draw(st.lists(
+        st.lists(draw(LABEL_KINDS), min_size=n, max_size=n), min_size=1, max_size=6
+    ))
+    return truth, rows
+
+
+class TestBatchedRandIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(labeling_batches(), st.booleans())
+    def test_equals_dict_reference_per_row(self, batch, adjusted):
+        truth, rows = batch
+        codes = np.stack([cluster._label_codes(row) for row in rows])
+        expected = [reference_rand_index(truth, row, adjusted) for row in rows]
+        assert cluster._rand_indices(truth, codes, adjusted) == expected
+
+    @pytest.mark.parametrize("adjusted", [True, False])
+    def test_degenerate_partitions(self, adjusted):
+        n = 7
+        cases = [
+            (["x"] * n, [0] * n),                    # one cluster on both sides
+            (list(range(n)), [0] * n),               # singletons against one cluster
+            (list(range(n)), [f"s{i}" for i in range(n)]),  # singletons on both sides
+            (["x", "x"], [0, 1]),                    # two points
+        ]
+        for truth, labels in cases:
+            expected = reference_rand_index(truth, labels, adjusted)
+            assert rand_index(truth, labels, adjusted) == expected
+            codes = np.stack([cluster._label_codes(labels)] * 3)
+            assert cluster._rand_indices(truth, codes, adjusted) == [expected] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +607,65 @@ class TestCountMisassigned:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             count_misassigned(["A", "B"], [0])
+
+
+# ---------------------------------------------------------------------------
+# PCA
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pca_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 8))
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(0, 5, size=d)
+    return X, draw(st.integers(1, min(n - 1, d)))
+
+
+class TestPca:
+    @EXAMPLES
+    @given(pca_inputs())
+    def test_components_are_orthonormal_rows(self, case):
+        X, dims = case
+        model = pca_fit(X, dims)
+        assert model.components.shape == (dims, X.shape[1])
+        np.testing.assert_allclose(model.components @ model.components.T, np.eye(dims),
+                                   atol=1e-12)
+
+    @EXAMPLES
+    @given(pca_inputs())
+    def test_explained_variance_is_descending_and_matches_svd(self, case):
+        X, dims = case
+        model = pca_fit(X, dims)
+        assert (np.diff(model.explained_variance) <= 0).all()
+        singular = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
+        expected = singular[:dims] ** 2 / (len(X) - 1)
+        np.testing.assert_allclose(model.explained_variance, expected,
+                                   rtol=1e-9, atol=1e-12 * expected[0])
+
+    @EXAMPLES
+    @given(pca_inputs())
+    def test_largest_coefficient_of_each_row_is_positive(self, case):
+        X, dims = case
+        for row in pca_fit(X, dims).components:
+            assert row[np.argmax(np.abs(row))] > 0
+
+    @EXAMPLES
+    @given(pca_inputs())
+    def test_projected_training_data_has_mean_zero(self, case):
+        X, dims = case
+        projected = pca_project(pca_fit(X, dims), X)
+        assert projected.shape == (len(X), dims)
+        scale = np.abs(X - X.mean(axis=0)).max()
+        np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-12 * scale)
+
+    def test_dims_outside_range_rejected(self):
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        for dims in (0, 4):
+            with pytest.raises(ValidationError):
+                pca_fit(X, dims)
+        with pytest.raises(ValidationError):
+            pca_fit(X[:3], 3)  # n - 1 = 2 limits dims
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,16 @@ class TestAssemble:
         assert back.climb_ids == matrix.climb_ids
         assert (back.values == matrix.values).all()
 
+    def test_matrix_path_round_trip(self, small_records, small_line, tmp_path):
+        matrix = build_feature_matrix(small_records, small_line)
+        as_str, as_path = tmp_path / "str.tsv", tmp_path / "path.tsv"
+        write_feature_matrix(str(as_str), matrix)
+        write_feature_matrix(as_path, matrix)
+        assert as_path.read_bytes() == as_str.read_bytes()
+        back = read_feature_matrix(as_path)
+        assert back.climb_ids == matrix.climb_ids
+        assert (back.values == matrix.values).all()
+
 
 # ---------------------------------------------------------------------------
 # batched kernels against the per-series reference, bit for bit

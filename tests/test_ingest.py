@@ -10,6 +10,7 @@ from quickroutes.ingest import (
     ClimbRecord,
     LineConfig,
     parse_events,
+    read_events,
     segment_climbs,
     write_events,
 )
@@ -65,6 +66,14 @@ class TestParse:
             assert parsed[position] == [
                 SampleEvent(e.position, round(e.t, 3), *e.counts) for e in stream
             ]
+
+    def test_path_round_trip(self, small_sim, tmp_path):
+        path = tmp_path / "line.events"
+        write_events(path, small_sim.all_events())
+        buf = io.StringIO()
+        write_events(buf, small_sim.all_events())
+        assert path.read_text(encoding="utf-8") == buf.getvalue()
+        assert read_events(path) == parse_events(buf.getvalue())
 
     def test_simulated_line_has_all_position_groups(self, small_sim):
         buf = io.StringIO()

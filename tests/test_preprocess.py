@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+from quickroutes import preprocess
 from quickroutes.errors import ValidationError
 from quickroutes.features import FeatureMatrix
 from quickroutes.preprocess import (
+    SCALER_FORMAT,
     FeatureScore,
     QuantileScaler,
     anova_f,
@@ -379,3 +381,50 @@ class TestScalerKnots:
         assert same_bits(back.transform_values(probes), expected)
         assert same_bits(scaler.transform_values(probes), expected)
         assert same_bits(back.transform(m).values, reference_transform(back, m.values))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-2.0, -0.0, 0.0, 1.5, 3.0, math.inf, -math.inf, math.nan]),
+                 min_size=1, max_size=12),
+        st.integers(1, 40),
+    )
+    def test_knots_equal_np_unique_on_sorted_references(self, values, n_fit):
+        assert_knots_match_np_unique(np.sort(np.array(values)), n_fit)
+
+    @pytest.mark.parametrize("ref", [
+        [1.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, -0.0, 0.0, 1.0], [4.0] * 9,
+        [1.0, math.nan], [math.nan, math.nan, math.nan], [-math.inf, 1.0, 1.0, math.inf],
+    ])
+    def test_knots_equal_np_unique_on_edge_references(self, ref):
+        assert_knots_match_np_unique(np.array(ref), len(ref))
+
+    @pytest.mark.parametrize("column", ["2.0\t1.0\t3.0", "nan\t1.0\t2.0", "1.0\t1.0\t-0.5"])
+    def test_load_rejects_references_out_of_order(self, column):
+        text = f"# {SCALER_FORMAT}\nn_fit\t3\na\t1.0\t2.0\tnan\nb\t{column}\n"
+        with pytest.raises(ValidationError, match="'b'"):
+            QuantileScaler.load(io.StringIO(text))
+
+    @pytest.mark.parametrize("column", ["", "\t1.0\t2.0", "\t1.0\t2.0\t3.0\t4.0"])
+    def test_load_rejects_a_column_without_n_fit_references(self, column):
+        text = f"# {SCALER_FORMAT}\nn_fit\t3\na\t1.0\t2.0\t3.0\nb{column}\n"
+        with pytest.raises(ValidationError, match="'b'"):
+            QuantileScaler.load(io.StringIO(text))
+
+    def test_save_load_path_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scaler = fit_quantile(matrix_of({"a": rng.normal(size=7), "b": [2.0, 1.0] * 3 + [0.0]}))
+        path = tmp_path / "scaler.tsv"
+        scaler.save(path)
+        buf = io.StringIO()
+        scaler.save(buf)
+        assert path.read_text(encoding="utf-8") == buf.getvalue()
+        back = QuantileScaler.load(path)
+        assert back.names == scaler.names and back.n_fit == scaler.n_fit
+        assert same_bits(np.concatenate(back.references), np.concatenate(scaler.references))
+
+
+def assert_knots_match_np_unique(ref, n_fit):
+    distinct, q = preprocess._ecdf_knots(ref, n_fit)
+    want, first, counts = np.unique(ref, return_index=True, return_counts=True)
+    assert distinct.tobytes() == want.tobytes()
+    assert q.tobytes() == ((first + (first + counts)) / (2.0 * n_fit)).tobytes()

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericError, ValidationError
 from .preprocess import FeatureScore, select_k_best
@@ -456,13 +455,13 @@ def sweep_feature_count(
     limit = len(names) if max_features is None else min(max_features, len(names))
     # one ranking serves every k: top-k is a prefix of it
     ranking = select_k_best(scores, len(names))
-    col_idx = [names.index(n) for n in ranking]
+    # columns in rank order: each prefix is a view, copied once to C order by the engine
+    ranked = np.ascontiguousarray(values[:, [names.index(n) for n in ranking[:limit]]])
 
     entries = []
     for k in range(1, limit + 1):
-        subset = values[:, col_idx[:k]]
         stats = repeated_kmeans(
-            subset, truth, n_clusters, restarts=restarts, seed0=seed0, adjusted=adjusted
+            ranked[:, :k], truth, n_clusters, restarts=restarts, seed0=seed0, adjusted=adjusted
         )
         entries.append(
             SweepEntry(n_features=k, columns=tuple(ranking[:k]), stats=stats)
@@ -527,6 +526,15 @@ class GmmResult:
     converged: bool
 
 
+def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``lower @ y = b`` for a lower-triangular ``lower`` (d, d) and
+    ``b`` (d, n), one row of ``y`` at a time."""
+    y = np.empty_like(b)
+    for i in range(len(lower)):
+        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+    return y
+
+
 def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     n, d = X.shape
     k = means.shape[0]
@@ -539,8 +547,7 @@ def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.nda
                 f"component {j}: covariance singular beyond regularization "
                 f"(min diagonal {covs[j].diagonal().min():.3e})"
             ) from exc
-        diff = (X - means[j]).T
-        y = solve_triangular(chol, diff, lower=True)
+        y = _forward_substitution(chol, (X - means[j]).T)
         maha = np.einsum("dn,dn->n", y, y)
         logdet = 2.0 * np.log(np.diag(chol)).sum()
         out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
@@ -561,11 +568,14 @@ def gmm_em(
     weights = cluster fractions, covariances = within-cluster scatter plus
     ``reg`` on the diagonal). EM stops at the first iteration whose
     log-likelihood gain is below ``tol``, so every earlier iteration gained
-    at least ``tol``. That last change can be slightly negative and the run
-    still reports ``converged=True``: the ``reg`` added to each covariance
-    makes the M-step inexact. On unit-variance data the loss stays below
-    about 1e-9 (drops up to 1.5e-10 in 9 of 40 seeds of three blobs in
-    5-D); it grows as component variances approach ``reg``.
+    at least ``tol``. That last change can be negative: the ``reg`` added to
+    each covariance makes the M-step inexact. On unit-variance data the
+    loss stays below about 1e-9 (drops up to 1.5e-10 in 9 of 40 seeds of
+    three blobs in 5-D); it grows as component variances approach ``reg``
+    (up to 1.5e-2 on two 2-D blobs at sd 0.01 fitted with three
+    components). ``converged`` is True only when EM stopped on a change in
+    ``[-tol, tol)``; a run that stopped on a larger loss, or at
+    ``max_iter``, reports False.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = X.shape
@@ -593,7 +603,7 @@ def gmm_em(
 
         history.append(ll)
         if len(history) >= 2 and ll - history[-2] < tol:
-            converged = True
+            converged = ll - history[-2] >= -tol
             break
 
         nk = resp.sum(axis=0)
@@ -676,12 +686,61 @@ def silhouette(points, assignments) -> SilhouetteResult:
 # Label matching
 # ---------------------------------------------------------------------------
 
+def _max_matching_total(weights: np.ndarray) -> int:
+    """Largest total weight of a matching that pairs each row with at most
+    one column and each column with at most one row, for non-negative
+    integer ``weights``.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path
+    form: rows join one at a time, each along a shortest alternating path
+    under the dual potentials ``u`` and ``v``, O(r^2 c) for r <= c. It minimizes the cost ``-weights``; all
+    arithmetic is on Python ints, so it is exact.
+    """
+    if weights.shape[0] > weights.shape[1]:
+        weights = weights.T
+    rows, cols = weights.shape
+    cost = (-weights).tolist()
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    owner = [0] * (cols + 1)  # 1-based row matched to each column; 0 is free
+    for row in range(1, rows + 1):
+        owner[0] = row
+        col = 0
+        slack = [math.inf] * (cols + 1)
+        way = [0] * (cols + 1)
+        used = [False] * (cols + 1)
+        while owner[col]:
+            used[col] = True
+            r = owner[col]
+            delta, nxt = math.inf, 0
+            for j in range(1, cols + 1):
+                if not used[j]:
+                    reduced = cost[r - 1][j - 1] - u[r] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:  # flip the augmenting path
+            prev = way[col]
+            owner[col] = owner[prev]
+            col = prev
+    return sum(-cost[owner[j] - 1][j - 1] for j in range(1, cols + 1) if owner[j])
+
+
 def count_misassigned(truth: Sequence, predicted: Sequence) -> int:
     """Disagreements under the best one-to-one cluster-to-route matching
-    (an assignment problem, solved in polynomial time; Kuhn 1955)."""
-    # imported here: scipy.optimize adds about 0.2 s to importing this module
-    from scipy.optimize import linear_sum_assignment
+    (an assignment problem, solved in polynomial time; Kuhn 1955).
 
+    The best total agreement is unique even when several matchings reach
+    it, so the count does not depend on which one the solver finds.
+    """
     if len(truth) != len(predicted):
         raise ValidationError("labelings must have equal length")
     truth_ids = {label: i for i, label in enumerate(dict.fromkeys(truth))}
@@ -689,5 +748,4 @@ def count_misassigned(truth: Sequence, predicted: Sequence) -> int:
     agree = np.zeros((len(pred_ids), len(truth_ids)), dtype=int)
     for lt, lp in zip(truth, predicted):
         agree[pred_ids[lp], truth_ids[lt]] += 1
-    rows, cols = linear_sum_assignment(agree, maximize=True)
-    return len(truth) - int(agree[rows, cols].sum())
+    return len(truth) - _max_matching_total(agree)

@@ -65,11 +65,6 @@ AXIS_SOURCES = ("x", "y", "z", "g")
 DEFAULT_PEAK_PROMINENCE_G = 2 * SensorConfig().resolution_g
 
 
-def magnitude(x: float, y: float, z: float) -> float:
-    """Euclidean norm of one sample's axis accelerations."""
-    return float(np.sqrt(x * x + y * y + z * z))
-
-
 def _peak_bases(
     S: np.ndarray, rows: np.ndarray, cols: np.ndarray, height: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -192,41 +192,71 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, mag, -mag).astype(np.int64)
 
 
-def _swing(bursts: list[_Burst], t_end: float, rate: float) -> np.ndarray:
-    """Summed burst excitation at every tick ``tick / rate <= t_end``.
+def _ticks_before(t: float, rate: float, inclusive: bool = False) -> int:
+    """How many ticks ``0, 1, ...`` fall before time ``t`` (or at it, with
+    ``inclusive``): ``np.searchsorted(np.arange(N) / rate, t)`` for any
+    large enough N, without the array."""
+    tick = max(0, math.floor(t * rate) - 2)
+    while tick / rate < t or (inclusive and tick / rate == t):
+        tick += 1
+    return tick
+
+
+class _Swing:
+    """Summed burst excitation of one position, at any ticks.
 
     Ticks outside every burst get 0.0. Inside, the burst list is walked in
     a fixed way that the event bytes depend on: skip finished bursts at the
     front, stop at the first burst that has not started, add in list order.
     Bursts may overlap or be out of order when climbs are closer together
-    than a route is long. The terms use scalar ``math.exp``/``math.sin``:
-    ``np.exp`` differs from ``math.exp`` in the last bit on some inputs.
+    than a route is long. The value at a tick depends on that tick alone,
+    so the kernel evaluates only the ticks it visits, chunk by chunk. The
+    terms use scalar ``math.exp``/``math.sin``: ``np.exp`` differs from
+    ``math.exp`` in the last bit on some inputs.
     """
-    t = np.arange(int(t_end * rate) + 3) / rate  # bit-equal to the scalar tick / rate
-    t = t[: np.searchsorted(t, t_end, side="right")]
-    inside = np.zeros(len(t), dtype=bool)
-    for b in bursts:
-        inside[np.searchsorted(t, b.t0) : np.searchsorted(t, b.t_end, side="right")] = True
-    ticks = np.flatnonzero(inside)
 
-    values = []
-    first_burst = 0
-    n_bursts = len(bursts)
-    for tt in t[ticks].tolist():
-        while first_burst < n_bursts and tt > bursts[first_burst].t_end:
-            first_burst += 1
-        total = 0.0
-        j = first_burst
-        while j < n_bursts and bursts[j].t0 <= tt:
-            b = bursts[j]
-            if tt <= b.t_end:
-                dt = tt - b.t0
-                total += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
-            j += 1
-        values.append(total)
-    swing = np.zeros(len(t))
-    swing[ticks] = values
-    return swing
+    def __init__(self, bursts: list[_Burst], rate: float):
+        self.bursts, self.rate = bursts, rate
+        spans = sorted(
+            (_ticks_before(b.t0, rate), _ticks_before(b.t_end, rate, inclusive=True))
+            for b in bursts
+        )
+        merged: list[list[int]] = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            elif lo < hi:
+                merged.append([lo, hi])
+        # ticks in [starts[i], ends[i]) lie inside some burst
+        self.starts = np.array([lo for lo, _ in merged], dtype=np.int64)
+        self.ends = np.array([hi for _, hi in merged], dtype=np.int64)
+        # the walk at time t skips the longest prefix of bursts that ended before t
+        self.ended = np.maximum.accumulate(np.array([b.t_end for b in bursts], dtype=float))
+
+    def at(self, ticks: np.ndarray) -> np.ndarray:
+        """The excitation at each of the ascending ``ticks``."""
+        swing = np.zeros(len(ticks))
+        if not self.starts.size:
+            return swing
+        span = np.searchsorted(self.starts, ticks, side="right") - 1
+        hits = np.flatnonzero((span >= 0) & (ticks < self.ends[span]))
+        if not hits.size:
+            return swing
+        t = ticks[hits] / self.rate  # bit-equal to the scalar tick / rate
+        firsts = np.searchsorted(self.ended, t).tolist()
+        bursts, n_bursts = self.bursts, len(self.bursts)
+        values = []
+        for tt, j in zip(t.tolist(), firsts):
+            total = 0.0
+            while j < n_bursts and bursts[j].t0 <= tt:
+                b = bursts[j]
+                if tt <= b.t_end:
+                    dt = tt - b.t0
+                    total += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
+                j += 1
+            values.append(total)
+        swing[hits] = values
+        return swing
 
 
 def _run_position(
@@ -246,21 +276,35 @@ def _run_position(
     belongs to the ``v``-th visited tick, not to tick ``v``.
     """
     rate = cfg.active_rate_hz
-    swing = _swing(bursts, t_end, rate)[:, None]
-    n_ticks = len(swing)
+    n_ticks = _ticks_before(t_end, rate, inclusive=True)
+    swing = _Swing(bursts, rate)
 
-    # one draw gives the same rows as any sequence of smaller draws
+    # Noise rows are drawn as they are first visited: a run of draws gives
+    # the same rows as one draw of their total size. Visits only move
+    # forward and never skip a row, so rows before ``start`` are dropped.
     rng = np.random.default_rng([seed, 1000 + position])
-    noise = (
-        rng.normal(0.0, profile.noise_g, size=(n_ticks, 3))
-        if profile.noise_g != 0.0
-        else np.zeros((n_ticks, 3))
-    )
+    noise, noise_from = np.empty((0, 3)), 0  # rows from visit noise_from on
+
+    def noise_rows(start: int, stop: int) -> np.ndarray:
+        nonlocal noise, noise_from
+        drawn = noise_from + len(noise)
+        if stop > drawn:
+            fresh = (
+                rng.normal(0.0, profile.noise_g, size=(stop - drawn, 3))
+                if profile.noise_g != 0.0
+                else np.zeros((stop - drawn, 3))
+            )
+            noise, noise_from = np.concatenate((noise[start - noise_from:], fresh)), start
+        return noise[start - noise_from : stop - noise_from]
+
     rest, direction = np.asarray(profile.rest_g), np.asarray(BURST_DIRECTION)
     max_counts, scale = cfg.max_counts, cfg.full_scale_g
 
-    def raw_counts(ticks: slice, visits: slice) -> np.ndarray:
-        g = rest + direction * swing[ticks] + noise[visits]
+    def raw_counts(tick: int, count: int, stride: int, visit: int) -> np.ndarray:
+        """Raw samples at ``count`` ticks from ``tick`` on, ``stride`` apart,
+        taking noise rows from ``visit`` on."""
+        ticks = np.arange(tick, tick + count * stride, stride)
+        g = rest + direction * swing.at(ticks)[:, None] + noise_rows(visit, visit + count)
         return np.clip(_round_half_away(g * max_counts / scale), -max_counts, max_counts)
 
     threshold = cfg.change_threshold_counts
@@ -280,9 +324,7 @@ def _run_position(
     while tick < n_ticks:
         # asleep: find the first sample whose change gate opens
         m = min(_SLEEP_CHUNK, -(-(n_ticks - tick) // sleep_ticks))
-        counts = raw_counts(
-            slice(tick, tick + m * sleep_ticks, sleep_ticks), slice(visit, visit + m)
-        )
+        counts = raw_counts(tick, m, sleep_ticks, visit)
         woke = np.flatnonzero((np.abs(counts - last_sent) >= threshold).any(axis=1))
         if not woke.size:
             tick += m * sleep_ticks
@@ -304,7 +346,7 @@ def _run_position(
                 break  # the line's end time falls inside this window
             k = int(ends[nw - 1])
             sums = np.add.reduceat(
-                raw_counts(slice(tick, tick + k), slice(visit, visit + k)),
+                raw_counts(tick, k, 1, visit),
                 np.concatenate(([0], ends[: nw - 1])),
             )
             averaged = _round_half_away(sums / chunk_lengths[:nw, None]).tolist()

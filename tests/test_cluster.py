@@ -25,8 +25,10 @@ from quickroutes.cluster import (
     rand_index,
     repeated_kmeans,
     silhouette,
+    sweep_feature_count,
 )
 from quickroutes.errors import ValidationError
+from quickroutes.preprocess import FeatureScore, select_k_best
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -512,6 +514,55 @@ class TestBatchedRandIndex:
 
 
 # ---------------------------------------------------------------------------
+# Feature-count sweep
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def restart_spy():
+    """Record the points and assignments of every ``kmeans_restarts`` call."""
+    calls = []
+    real = cluster.kmeans_restarts
+
+    def spy(points, *args, **kwargs):
+        results = real(points, *args, **kwargs)
+        calls.append((points, [r.assignments.tolist() for r in results]))
+        return results
+
+    with mock.patch.object(cluster, "kmeans_restarts", spy):
+        yield calls
+
+
+class TestSweepFeatureCount:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans())
+    def test_entries_and_assignments_equal_per_prefix_runs(self, seed, limit, tied):
+        rng = np.random.default_rng(seed)
+        names = [f"c{i}" for i in range(9)]
+        truth = ["A", "B", "C"] * 6
+        values = rng.standard_normal((18, 9)) + np.repeat(np.eye(3), 6, axis=0) @ rng.normal(0, 3, (3, 9))
+        f = rng.integers(0, 3, size=9) if tied else rng.random(9)
+        scores = [FeatureScore(name, float(v)) for name, v in zip(names, f)]
+        with restart_spy() as calls:
+            curve = sweep_feature_count(values, names, truth, scores, restarts=4, max_features=limit)
+        ranking = select_k_best(scores, len(names))
+        col_idx = [names.index(name) for name in ranking]
+        with restart_spy() as reference_calls:
+            expected = [
+                repeated_kmeans(values[:, col_idx[:k]], truth, 3, restarts=4)
+                for k in range(1, limit + 1)
+            ]
+        assert [e.columns for e in curve.entries] == [tuple(ranking[:k]) for k in range(1, limit + 1)]
+        assert [e.stats for e in curve.entries] == expected
+        assert [a for _, a in calls] == [a for _, a in reference_calls]
+        # every prefix is a view of one ranked block: one copy per prefix, in the engine
+        assert all(np.shares_memory(points, calls[0][0]) for points, _ in calls)
+        assert curve.chosen_k == min(
+            e.n_features for e in curve.entries
+            if e.stats.minimum == max(x.stats.minimum for x in curve.entries)
+        )
+
+
+# ---------------------------------------------------------------------------
 # Silhouette
 # ---------------------------------------------------------------------------
 
@@ -598,7 +649,6 @@ class TestCountMisassigned:
         truth = rng.integers(0, 12, size=600).tolist()
         predicted = [(t + 5) % 12 if rng.random() < 0.9 else int(rng.integers(12))
                      for t in truth]
-        count_misassigned(truth[:2], predicted[:2])  # import the solver first
         t0 = time.perf_counter()
         wrong = count_misassigned(truth, predicted)
         assert time.perf_counter() - t0 < 0.5
@@ -607,6 +657,15 @@ class TestCountMisassigned:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             count_misassigned(["A", "B"], [0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_matching_total_equals_linear_sum_assignment(self, rows, cols, high, seed):
+        from scipy.optimize import linear_sum_assignment
+
+        weights = np.random.default_rng(seed).integers(0, high, size=(rows, cols))
+        r, c = linear_sum_assignment(weights, maximize=True)
+        assert cluster._max_matching_total(weights) == int(weights[r, c].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +732,35 @@ class TestPca:
 # ---------------------------------------------------------------------------
 
 class TestGmm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_forward_substitution_equals_solve_triangular(self, d, n, seed):
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((d + 3, d)) * rng.uniform(0.01, 10.0, size=d)
+        chol = np.linalg.cholesky(A.T @ A / (d + 3) + 1e-6 * np.eye(d))
+        b = rng.standard_normal((d, n)) * rng.uniform(0.1, 100.0)
+        want = solve_triangular(chol, b, lower=True)
+        got = cluster._forward_substitution(chol, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_converged_only_when_the_last_change_is_within_tol(self):
+        # two tight blobs fitted with three components: the reg-inexact
+        # M-step makes the last step lose up to ~1e-2 on many seeds
+        tol = cluster.DEFAULT_GMM_TOL
+        lost = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            X = np.concatenate([rng.normal(c, 0.01, size=(15, 2)) for c in ([0, 0], [1, 1])])
+            result = gmm_em(X, 3, seed=seed)
+            gains = np.diff(result.ll_history)
+            assert result.iterations < cluster.DEFAULT_MAX_ITER
+            assert (gains[:-1] >= tol).all() and gains[-1] < tol  # the stopping rule
+            assert result.converged == (gains[-1] >= -tol)
+            lost += not result.converged
+        assert lost > 0
+
     def test_log_likelihood_rises_until_the_last_step(self):
         centers = np.eye(5)[:3] * 4.0
         for seed in range(40):

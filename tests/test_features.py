@@ -21,11 +21,11 @@ from quickroutes.errors import MissingClipError, ValidationError
 from quickroutes.features import (
     STAT_NAMES,
     assemble,
+    axis_sets,
     build_feature_matrix,
     count_peaks,
     cross_correlations,
     feature_names,
-    magnitude,
     read_feature_matrix,
     stat_features,
     temporal_features,
@@ -137,14 +137,21 @@ def close(a, b, rel=1e-9, abs_=1e-12):
 # ---------------------------------------------------------------------------
 
 class TestMagnitude:
+    """The g series of ``axis_sets``, at one g per count."""
+
+    @staticmethod
+    def g_of(x, y, z):
+        cfg = SensorConfig(full_scale_g=127.0)  # max_counts 127
+        return axis_sets([SampleEvent(3, 0.0, x, y, z)], cfg).g[0]
+
     def test_pythagorean_triple(self):
-        assert magnitude(3, 4, 0) == 5.0
+        assert self.g_of(3, 4, 0) == 5.0
 
     def test_zero(self):
-        assert magnitude(0, 0, 0) == 0.0
+        assert self.g_of(0, 0, 0) == 0.0
 
     def test_unit_diagonal(self):
-        assert magnitude(1, 1, 1) == pytest.approx(math.sqrt(3))
+        assert self.g_of(1, 1, 1) == pytest.approx(math.sqrt(3))
 
 
 class TestStatFeatures:

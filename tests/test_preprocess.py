@@ -19,6 +19,7 @@ from quickroutes.preprocess import (
     QuantileScaler,
     anova_f,
     fit_quantile,
+    ndtri as ported_ndtri,
     score_features,
     select_k_best,
 )
@@ -219,6 +220,77 @@ class TestSelectKBest:
         )
         scores = {s.name: s.f for s in score_features(m)}
         assert scores["flat"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Cephes ndtri port against scipy.special.ndtri, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_ndtri_matches_scipy(p):
+    p = np.asarray(p, dtype=float)
+    got, want = ported_ndtri(p), ndtri(p)
+    assert got.shape == want.shape
+    assert (np.isnan(got) == np.isnan(want)).all()
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def neighbours(x, count=200):
+    """``count`` consecutive doubles on each side of ``x``, and ``x``."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+class TestNdtri:
+    def test_every_mid_rank_level_up_to_2000_rows(self):
+        # the levels (a + b) / (2 n_fit) that the ECDF of n_fit rows can take
+        assert_ndtri_matches_scipy(np.concatenate([
+            np.arange(1, 2 * n) / (2.0 * n) for n in range(2, 2001)
+        ]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=50))
+    def test_draws_inside_the_unit_interval(self, p):
+        assert_ndtri_matches_scipy(p)
+
+    def test_ends_nan_and_subnormals(self):
+        tiny = float(np.finfo(float).smallest_subnormal)
+        p = [0.0, -0.0, 1.0, math.nan, tiny, 2 * tiny, 1e-310, 2.2e-308, 1e-300]
+        assert_ndtri_matches_scipy(p)
+        got = ported_ndtri(p)
+        assert got[0] == got[1] == -math.inf and got[2] == math.inf and math.isnan(got[3])
+
+    @pytest.mark.parametrize("edge", [math.exp(-2), 1 - math.exp(-2), 0.13533528323661269189,
+                                      math.exp(-32), 1 - math.exp(-32)],
+                             ids=["exp(-2)", "1-exp(-2)", "cephes exp(-2)", "exp(-32)", "1-exp(-32)"])
+    def test_both_sides_of_each_branch_point(self, edge):
+        assert_ndtri_matches_scipy(neighbours(edge))
+
+    def test_tails_near_the_x_equals_8_switch(self):
+        # x = sqrt(-2 log p) crosses 8 at p = exp(-32)
+        p = math.exp(-32) * np.exp(np.linspace(-1e-3, 1e-3, 4001))
+        x = np.sqrt(-2.0 * np.log(p))
+        assert (x < 8.0).any() and (x >= 8.0).any()
+        assert_ndtri_matches_scipy(p)
+
+    def test_random_uniform_tiny_and_near_one(self):
+        rng = np.random.default_rng(2)
+        assert_ndtri_matches_scipy(np.concatenate([
+            rng.random(20_000), np.exp(-rng.uniform(0.0, 745.0, 20_000)),
+            1.0 - rng.random(20_000) * 1e-9,
+        ]))
+
+    def test_outside_the_unit_interval_is_nan(self):
+        assert np.isnan(ported_ndtri([-0.5, 1.5, -math.inf, math.inf])).all()
+
+    def test_keeps_the_input_shape(self):
+        p = np.linspace(0.01, 0.99, 24).reshape(2, 3, 4)
+        assert ported_ndtri(p).shape == (2, 3, 4)
+        assert ported_ndtri(0.5).shape == ()
 
 
 # ---------------------------------------------------------------------------

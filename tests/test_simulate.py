@@ -23,8 +23,10 @@ from quickroutes.simulate import (
     BURST_DIRECTION,
     RouteProfile,
     RouteSpec,
+    _Burst,
     _plan_bursts,
-    _swing,
+    _Swing,
+    _ticks_before,
     simulate_line,
 )
 
@@ -186,18 +188,51 @@ class TestKernelMatchesStep:
             start_s=2.0, clip_jitter_s=2.0,
         )
         _, bursts = _plan_bursts(LINE5, profile, np.random.default_rng([5, 0]))
+        n_ticks = _ticks_before(30.0, 50.0, inclusive=True)
+        assert n_ticks == 1501  # every tick up to and including t = 30 s
         for blist in bursts.values():
-            got = _swing(blist, 30.0, 50.0)
-            assert len(got) == 1501  # every tick up to and including t = 30 s
             first, want = 0, []
-            for tick in range(len(got)):
+            for tick in range(n_ticks):
                 swing, first = reference_swing(blist, tick / 50.0, first)
                 want.append(swing)
-            assert got.tolist() == want
+            swing = _Swing(blist, 50.0)
+            assert swing.at(np.arange(n_ticks)).tolist() == want
+            # any ascending subset, as the kernel visits them chunk by chunk
+            for start, stride in ((0, 7), (333, 1), (901, 13), (1500, 1)):
+                ticks = np.arange(start, n_ticks, stride)
+                assert swing.at(ticks).tolist() == [want[t] for t in ticks.tolist()]
+
+    def test_swing_at_burst_edges_on_ticks(self):
+        # starts and ends exactly on ticks, a burst of one tick, one between
+        # two ticks, and one inside another that ends before it
+        bursts = [
+            _Burst(t0=1.0, amp=0.5, tau=0.4, freq=2.3, t_end=2.0),
+            _Burst(t0=1.5, amp=0.3, tau=0.2, freq=3.0, t_end=1.8),
+            _Burst(t0=2.0, amp=0.7, tau=0.5, freq=2.0, t_end=2.02),
+            _Burst(t0=2.49, amp=0.7, tau=0.5, freq=2.0, t_end=2.5),
+            _Burst(t0=3.001, amp=0.9, tau=0.5, freq=2.0, t_end=3.009),
+            _Burst(t0=3.5, amp=0.2, tau=0.3, freq=1.0, t_end=4.0),
+        ]
+        first, want = 0, []
+        for tick in range(250):
+            swing, first = reference_swing(bursts, tick / 50.0, first)
+            want.append(swing)
+        assert want[100] != 0.0 and want[125] != 0.0  # t = 2.0 and the one-tick burst
+        assert _Swing(bursts, 50.0).at(np.arange(250)).tolist() == want
+
+    @pytest.mark.parametrize("rate", [50.0, 100.0, 3.0, 0.7])
+    def test_ticks_before_equals_searchsorted(self, rate):
+        t = np.arange(4000) / rate
+        rng = np.random.default_rng(int(rate * 10))
+        probes = np.concatenate((t[:200], np.nextafter(t[:200], -1.0), np.nextafter(t[:200], 9e9),
+                                 rng.uniform(-1.0, t[-1] - 10.0, size=200)))
+        for probe in probes.tolist():
+            assert _ticks_before(probe, rate) == np.searchsorted(t, probe)
+            assert _ticks_before(probe, rate, inclusive=True) == np.searchsorted(t, probe, "right")
 
     def test_noise_beyond_one_draw_block(self):
         # a long quiet start: more than 4096 samples, so the reference
-        # draws its noise in several blocks and the kernel in one
+        # draws its noise in several blocks, and the kernel in others
         profile = RouteProfile(routes=ROUTES, climbs=["a"], start_s=450.0)
         assert_matches_reference(LINE5, profile, 3, SensorConfig(), positions=[1, 5])
 

@@ -13,16 +13,19 @@ still running from one GEMM against all their centers, and a restart
 leaves the batch once it converges. Each restart's result is bit for bit
 that of running it alone: assignments are certified against the
 difference form, and sums keep the rounding of the one-restart code.
-Restarts run in chunks sized by memory: one chunk's (restarts, points,
-dimensions) block holds at most 8 MB, or one restart's when that alone is
-larger.
+A round skips the work no result reads: only clusters whose members
+changed get a new mean (any other center already is that mean), and
+inertia is computed once per restart, from its final centers and
+assignment. Restarts run in chunks sized by memory: one chunk's
+(restarts, points, dimensions) block holds at most 8 MB, or one
+restart's when that alone is larger.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,12 +48,14 @@ _CHUNK_FLOATS = 2**20
 
 @dataclass
 class KMeansResult:
+    """One restart's final assignment and centers. ``inertia`` is computed
+    once, from those centers and that assignment, not per round."""
+
     assignments: np.ndarray  # cluster id per point
     centers: np.ndarray      # (k, d)
     inertia: float           # sum of squared distances to assigned centers
     iterations: int
     seed: int
-    inertia_history: list[float] = field(default_factory=list)
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -145,26 +150,28 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarra
     return np.einsum("and,and->an", diff, diff).sum(axis=1)
 
 
-def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mean of each cluster's members, per restart; an empty cluster keeps
-    its center. ``keys`` as for ``_inertias``.
+def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """Mean of each changed cluster's members, per restart; every other
+    cluster, and an empty one, keeps its center. ``keys`` as for
+    ``_inertias``; ``changed`` flags each of the A*k clusters.
 
-    One stable sort gathers each cluster's members as a C-ordered block in
-    row order, the very block ``X[assign[a] == j]`` is, so each sum rounds
-    as that one does, numpy's pairwise sum at d = 1 included.
+    One stable sort gathers each changed cluster's members as a C-ordered
+    block in row order, the very block ``X[assign[a] == j]`` is, so each
+    sum rounds as that one does, numpy's pairwise sum at d = 1 included.
     ``np.add.reduceat`` over the sorted rows would round differently.
     """
     A, k, d = centers.shape
-    members = X[np.argsort(keys, axis=None, kind="stable") % len(X)]
-    sizes = np.bincount(keys.ravel(), minlength=A * k)
+    flat_keys = keys.ravel()
+    picked = np.flatnonzero(changed[flat_keys])
+    picked_keys = flat_keys[picked]
+    members = X[picked[np.argsort(picked_keys, kind="stable")] % len(X)]
+    sizes = np.bincount(picked_keys, minlength=A * k)
+    ends = sizes.cumsum()
     new = centers.copy()
     flat = new.reshape(A * k, d)
-    start = 0
-    for group, end in enumerate(sizes.cumsum().tolist()):
-        if end > start:
-            np.add.reduce(members[start:end], axis=0, out=flat[group])
-        start = end
-    filled = sizes > 0
+    filled = np.flatnonzero(sizes)
+    for group, end, size in zip(filled.tolist(), ends[filled].tolist(), sizes[filled].tolist()):
+        np.add.reduce(members[end - size:end], axis=0, out=flat[group])
     # the arithmetic of members.mean(axis=0), without its overhead
     flat[filled] /= sizes[filled, None]
     return new
@@ -189,8 +196,11 @@ def kmeans_restarts(
     The restarts advance together: every Lloyd round assigns the points of
     all restarts still running from one GEMM, and a restart leaves the
     batch when it converges. Batching changes no result: each one is bit
-    for bit the run of its seed alone. Restarts run in chunks whose
-    (restarts, n, d) blocks hold at most ``_CHUNK_FLOATS`` floats.
+    for bit the run of its seed alone. A cluster whose members did not
+    change in a round keeps its center, the mean of those same rows, and
+    each restart's inertia is computed once, at the end. Restarts run in
+    chunks whose (restarts, n, d) blocks hold at most ``_CHUNK_FLOATS``
+    floats.
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
@@ -209,14 +219,20 @@ def kmeans_restarts(
 
 
 def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) -> list[KMeansResult]:
-    """Lloyd rounds of one chunk of restarts, all advancing together."""
+    """Lloyd rounds of one chunk of restarts, all advancing together.
+
+    A round computes new means only for the clusters whose members changed:
+    a row entered or left, or ``_repair`` ran in that restart. Any other
+    cluster's center is already the mean of its members, summed over the
+    same rows in the same order. Inertia is computed once, at the end.
+    """
     n = len(X)
     centers = X[np.array([_initial_rows(n, k, seed) for seed in seeds])]
     last = list(centers)  # each restart's centers when it stopped
-    histories: list[list[float]] = [[] for _ in seeds]
+    final: list[Optional[np.ndarray]] = [None] * len(seeds)  # assignment, if known
     rounds = [0] * len(seeds)
-    results: list[Optional[KMeansResult]] = [None] * len(seeds)
     live = list(range(len(seeds)))
+    previous = None  # the live restarts' assignments in the last round
     for it in range(1, max_iter + 1):
         assign = _assign(X, xx, xnorm, centers)
         offsets = np.arange(0, len(live) * k, k)[:, None]
@@ -227,42 +243,47 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
             for a in empty:
                 assign[a] = _repair(X, centers[a], assign[a])
             keys = offsets + assign
-        for slot, inertia in zip(live, _inertias(X, centers, keys).tolist()):
-            histories[slot].append(inertia)
-            rounds[slot] = it
-        new_centers = _means(X, centers, keys)
+        if previous is None:
+            changed = np.ones(len(live) * k, dtype=bool)
+        else:
+            moved = assign != previous
+            changed = np.zeros(len(live) * k, dtype=bool)
+            changed[keys[moved]] = True
+            changed[(offsets + previous)[moved]] = True
+            for a in empty:
+                changed[a * k:(a + 1) * k] = True
+        new_centers = _means(X, centers, keys, changed)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
         unchanged = (new_centers == centers).all(axis=(1, 2))
         centers = new_centers
+        previous = assign
         stop = (shift < tol) | (it == max_iter)
         if stop.any():
             for a in np.flatnonzero(stop).tolist():
                 slot = live[a]
-                # a copy: a view would keep the whole block of this round alive
+                # copies: a view would keep the whole block of this round alive
                 last[slot] = centers[a].copy()
+                rounds[slot] = it
                 if unchanged[a]:
-                    # assignment and inertia are functions of the centers, which did not move
-                    results[slot] = KMeansResult(
-                        assign[a].copy(), last[slot], histories[slot][-1], it, seeds[slot],
-                        histories[slot],
-                    )
+                    # the assignment is a function of the centers, which did not move
+                    final[slot] = assign[a].copy()
             live = [slot for slot, halt in zip(live, stop.tolist()) if not halt]
             if not live:
                 break
             centers = centers[~stop]
+            previous = assign[~stop]
 
     # restarts whose centers moved in their last round get one more assignment
-    moved = [slot for slot, result in enumerate(results) if result is None]
-    if moved:
-        final = np.stack([last[slot] for slot in moved])
-        assign = _assign(X, xx, xnorm, final)
-        keys = np.arange(0, len(moved) * k, k)[:, None] + assign
-        for m, inertia in enumerate(_inertias(X, final, keys).tolist()):
-            slot = moved[m]
-            results[slot] = KMeansResult(
-                assign[m], final[m], inertia, rounds[slot], seeds[slot], histories[slot]
-            )
-    return results
+    pending = [slot for slot, assign in enumerate(final) if assign is None]
+    if pending:
+        for slot, assign in zip(pending, _assign(X, xx, xnorm, np.stack([last[s] for s in pending]))):
+            final[slot] = assign
+    keys = np.arange(0, len(seeds) * k, k)[:, None] + np.stack(final)
+    inertias = _inertias(X, np.stack(last), keys).tolist()
+    return [
+        KMeansResult(final[i], last[i], inertias[i], rounds[i], seed)
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def kmeans(
@@ -276,8 +297,10 @@ def kmeans(
 
     Assignment ties break toward the lowest cluster index. If a cluster
     empties, the point currently farthest from its center becomes that
-    cluster's new singleton center. Stops when no center moves more than
-    ``tol`` or after ``max_iter`` rounds.
+    cluster's new singleton center. A cluster whose members did not change
+    keeps its center, which already is their mean. Stops when no center
+    moves more than ``tol`` or after ``max_iter`` rounds; the inertia is
+    that of the final centers and assignment.
 
     k clusters are not guaranteed to stay populated. With fewer than k
     distinct points, the farthest point already sits on a center, its
@@ -483,16 +506,15 @@ class PcaModel:
 
 
 def pca_fit(points, dims: int) -> PcaModel:
-    """Top eigenvectors of the sample covariance of centered data."""
+    """Top principal axes of the centered data, from its thin SVD: the
+    eigenvectors of the sample covariance without forming it (d x d)."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = X.shape
     if not 1 <= dims <= min(n - 1, d):
         raise ValidationError(f"dims={dims} outside 1..min(n-1, d)={min(n - 1, d)}")
     mean = X.mean(axis=0)
-    cov = np.cov(X - mean, rowvar=False, ddof=1).reshape(d, d)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:dims]
-    components = eigvecs[:, order].T.copy()
+    _, singular, vt = np.linalg.svd(X - mean, full_matrices=False)
+    components = vt[:dims].copy()
     # deterministic sign: largest-magnitude coefficient is positive
     for row in components:
         pivot = np.argmax(np.abs(row))
@@ -501,7 +523,7 @@ def pca_fit(points, dims: int) -> PcaModel:
     return PcaModel(
         mean=mean,
         components=components,
-        explained_variance=eigvals[order].copy(),
+        explained_variance=singular[:dims] ** 2 / (n - 1),
     )
 
 

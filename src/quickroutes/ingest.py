@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -86,12 +87,14 @@ class ClimbRecord:
         return events
 
 
-def _parse_line(lineno: int, line: str) -> SampleEvent:
+def _parse_line(line: str) -> SampleEvent:
     parts = line.split("\t")
     if len(parts) != 5:
         raise ValueError("expected 5 tab-separated fields")
     position = int(parts[0])
     t = float(parts[1])
+    if not math.isfinite(t):
+        raise ValueError(f"timestamp {parts[1]!r} is not finite")
     x, y, z = int(parts[2]), int(parts[3]), int(parts[4])
     if position < 1:
         raise ValueError("position must be >= 1")
@@ -119,7 +122,7 @@ def parse_events(
         if not text:
             continue
         try:
-            event = _parse_line(lineno, text)
+            event = _parse_line(text)
         except ValueError as exc:
             bad.append(f"line {lineno}: {exc}")
             continue

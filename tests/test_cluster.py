@@ -43,18 +43,20 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
     """Lloyd's algorithm on the full (n, k, d) difference tensor.
 
     The reference the kernel must match bit for bit on C-ordered input:
-    (assignments, centers, inertia, iterations, inertia_history).
+    (assignments, centers, inertia, iterations). The fifth value lists
+    each round's assignment and whether it went through a repair.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     centers = X[rng.choice(n, size=k, replace=False)].astype(float).copy()
 
-    history = []
+    rounds = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         d2 = reference_squared_distances(X, centers)
         assign = np.argmin(d2, axis=1)
+        repaired = False
         for _ in range(k):
             sizes = np.bincount(assign, minlength=k)
             empties = np.flatnonzero(sizes == 0)
@@ -66,8 +68,9 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
             centers[j] = X[farthest]
             d2 = reference_squared_distances(X, centers)
             assign = np.argmin(d2, axis=1)
+            repaired = True
 
-        history.append(float(d2[np.arange(n), assign].sum()))
+        rounds.append((assign, repaired))
         new_centers = centers.copy()
         for j in range(k):
             members = X[assign == j]
@@ -81,18 +84,17 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
     d2 = reference_squared_distances(X, centers)
     assign = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assign].sum())
-    return assign, centers, inertia, iterations, history
+    return assign, centers, inertia, iterations, rounds
 
 
 def assert_matches_reference(result, X, k, seed, max_iter=cluster.DEFAULT_MAX_ITER,
                              tol=cluster.DEFAULT_TOL):
-    assign, centers, inertia, iterations, history = reference_kmeans(X, k, seed, max_iter, tol)
+    assign, centers, inertia, iterations, _ = reference_kmeans(X, k, seed, max_iter, tol)
     assert result.assignments.dtype == assign.dtype
     np.testing.assert_array_equal(result.assignments, assign)
     assert result.iterations == iterations
     assert result.centers.tobytes() == centers.tobytes()
     assert result.inertia == inertia
-    assert result.inertia_history == history
 
 
 def assert_restarts_match_reference(results, X, k, seeds, max_iter=cluster.DEFAULT_MAX_ITER,
@@ -245,7 +247,6 @@ class TestKMeansContract:
         assert result.centers.shape == (k, d)
         assert result.seed == seed
         assert 1 <= result.iterations <= cluster.DEFAULT_MAX_ITER
-        assert len(result.inertia_history) == result.iterations
         d2 = reference_squared_distances(X, result.centers)
         # every point sits at its nearest center, ties at the lowest index
         np.testing.assert_array_equal(result.assignments, np.argmin(d2, axis=1))
@@ -347,6 +348,46 @@ class TestKMeansRestarts:
             results = kmeans_restarts(X, 3, seeds)
         assert 0 < spy.call_count < len(seeds)
         assert_restarts_match_reference(results, X, 3, seeds)
+
+    def test_cluster_that_keeps_its_rows_keeps_its_center(self):
+        # the far blob keeps its rows from round 1 while the line's clusters trade rows
+        X = np.concatenate([[[30.0, 0.0], [30.0, 1.0], [31.0, 0.0], [31.0, 1.0]],
+                            np.c_[np.arange(10.0), np.zeros(10)]])
+        seeds = list(range(8))
+
+        def keeps_one_and_moves_another(rounds):
+            for (before, _), (after, repaired) in zip(rounds, rounds[1:]):
+                kept = [np.array_equal(before == j, after == j) for j in range(3)]
+                if not repaired and any(kept) and not all(kept):
+                    return True
+            return False
+
+        assert any(keeps_one_and_moves_another(reference_kmeans(X, 3, s)[4]) for s in seeds)
+        with mock.patch.object(cluster, "_means", wraps=cluster._means) as spy:
+            results = kmeans_restarts(X, 3, seeds)
+        assert any(not changed.all() for (_, _, _, changed), _ in spy.call_args_list)
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+    def test_repair_after_round_one_in_one_restart_of_a_batch(self):
+        # a cluster of seed 3 empties in a later round; no other restart repairs after round 1
+        X = np.array([[0.18, 0.96], [-0.93, 0.06], [0.3, -1.12], [0.41, -0.98],
+                      [0.18, 0.62], [0.1, -1.19], [0.69, 0.72], [0.16, 0.81]])
+        seeds = list(range(8))
+        late = [s for s in seeds
+                if any(repaired for _, repaired in reference_kmeans(X, 3, s)[4][1:])]
+        assert late == [3]
+        assert_restarts_match_reference(kmeans_restarts(X, 3, seeds), X, 3, seeds)
+
+    def test_repaired_cluster_that_takes_back_its_rows_gets_a_new_mean(self):
+        # two values for three clusters: every round repairs, and the cluster
+        # the repair moves onto a 0.1 row takes back the three rows it held,
+        # whose mean is not 0.1 in floating point
+        X = np.array([0.1] * 3 + [5.0] * 3)[:, None]
+        seeds = list(range(4))
+        assert all(all(repaired for _, repaired in reference_kmeans(X, 3, s, 5, 0.0)[4])
+                   for s in seeds)
+        results = kmeans_restarts(X, 3, seeds, max_iter=5, tol=0.0)
+        assert_restarts_match_reference(results, X, 3, seeds, 5, 0.0)
 
     def test_assign_falls_back_only_in_the_restart_with_a_tie(self):
         X = np.array([[0.0], [1.0], [2.0], [4.0]])
@@ -717,6 +758,25 @@ class TestPca:
         assert projected.shape == (len(X), dims)
         scale = np.abs(X - X.mean(axis=0)).max()
         np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-12 * scale)
+
+    @EXAMPLES
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.integers(1, 8))
+    def test_equals_eigh_of_the_covariance(self, seed, n, d):
+        # singular values 4 down to 1, so each axis is well defined
+        rng = np.random.default_rng(seed)
+        r = min(n - 1, d)
+        # orthonormal columns orthogonal to the ones vector: centered already
+        left = np.linalg.qr(np.c_[np.ones(n), rng.standard_normal((n, r))])[0][:, 1:]
+        right = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        X = (left * np.linspace(4.0, 1.0, r)) @ right.T + rng.normal(0, 5, size=d)
+        dims = int(rng.integers(1, r + 1))
+        eigvals, eigvecs = np.linalg.eigh(np.cov(X, rowvar=False, ddof=1).reshape(d, d))
+        order = np.argsort(eigvals)[::-1][:dims]
+        expected = eigvecs[:, order].T
+        expected *= np.sign(expected[np.arange(dims), np.abs(expected).argmax(axis=1)])[:, None]
+        model = pca_fit(X, dims)
+        np.testing.assert_allclose(model.components, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, eigvals[order], rtol=1e-12)
 
     def test_dims_outside_range_rejected(self):
         X = np.random.default_rng(0).standard_normal((5, 3))

@@ -1,7 +1,8 @@
-"""The tiny runs of the three benchmark workloads at the golden seed give
-the digests stored in ``perfbench/golden.json``: event bytes, feature
-matrix and K-Means assignments. A guard on the bit identity of the whole
-pipeline that takes about a second; the benchmark files are only read."""
+"""The tiny and full-size runs of the three benchmark workloads at the
+golden seed give the digests stored in ``perfbench/golden.json``: event
+bytes, feature matrix and K-Means assignments. A guard on the bit identity
+of the whole pipeline, at the size the benchmark times, that takes a few
+seconds; the benchmark files are only read."""
 
 import importlib.util
 import json
@@ -31,3 +32,12 @@ def test_tiny_run_matches_golden_digests(workload, tmp_path):
     outcome = workloads.RUNS[workload](inputs)
     assert outcome.problems == []
     assert outcome.digests == GOLDEN["digests"][workload]["tiny"]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN["digests"]))
+def test_full_run_matches_golden_digests(workload, tmp_path):
+    inputs = workloads.prepare(workload, GOLDEN["seed"], "full", tmp_path)
+    outcome = workloads.RUNS[workload](inputs)
+    assert outcome.problems == []
+    assert outcome.ari >= GOLDEN["ari_floor"][workload]
+    assert outcome.digests == GOLDEN["digests"][workload]["full"]

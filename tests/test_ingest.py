@@ -39,6 +39,15 @@ class TestParse:
         assert "line 2" in str(err.value)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+    def test_non_finite_timestamps_reported_with_numbers(self, stamp):
+        lines = [f"{p}\t{10.0 + p:.3f}\t20\t0\t63" for p in range(1, 9)]
+        lines[3] = f"4\t{stamp}\t20\t0\t63"
+        with pytest.raises(ValidationError) as err:
+            parse_events("\n".join(lines) + "\n", ie=8)
+        assert "malformed event lines: line 4: timestamp" in str(err.value)
+        assert "line 3" not in str(err.value)
+
     def test_out_of_order_resorted_with_warning(self, caplog):
         text = "1\t2.000\t20\t0\t63\n1\t1.000\t40\t0\t63\n"
         with caplog.at_level(logging.WARNING):

@@ -225,6 +225,9 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
     a row entered or left, or ``_repair`` ran in that restart. Any other
     cluster's center is already the mean of its members, summed over the
     same rows in the same order. Inertia is computed once, at the end.
+    A repaired restart also stops on a fixed point: its assignment equals
+    last round's and its new means equal the centers it started the round
+    from. ``_repair`` moved those centers, so the shift cannot see it.
     """
     n = len(X)
     centers = X[np.array([_initial_rows(n, k, seed) for seed in seeds])]
@@ -240,6 +243,7 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
         sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
         empty = np.flatnonzero(sizes.min(axis=1) == 0).tolist()
         if empty:
+            started = centers[empty]  # a copy: _repair moves centers in place
             for a in empty:
                 assign[a] = _repair(X, centers[a], assign[a])
             keys = offsets + assign
@@ -255,9 +259,12 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
         new_centers = _means(X, centers, keys, changed)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
         unchanged = (new_centers == centers).all(axis=(1, 2))
+        stop = (shift < tol) | (it == max_iter)
+        if empty and previous is not None:
+            stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
+                new_centers[empty] == started).all(axis=(1, 2))
         centers = new_centers
         previous = assign
-        stop = (shift < tol) | (it == max_iter)
         if stop.any():
             for a in np.flatnonzero(stop).tolist():
                 slot = live[a]
@@ -299,8 +306,11 @@ def kmeans(
     empties, the point currently farthest from its center becomes that
     cluster's new singleton center. A cluster whose members did not change
     keeps its center, which already is their mean. Stops when no center
-    moves more than ``tol`` or after ``max_iter`` rounds; the inertia is
-    that of the final centers and assignment.
+    moves more than ``tol``, when a round that repaired a cluster ends on
+    last round's assignment and on the centers it started from (a fixed
+    point that the repair's moved centers would hide from ``tol``), or
+    after ``max_iter`` rounds; the inertia is that of the final centers
+    and assignment.
 
     k clusters are not guaranteed to stay populated. With fewer than k
     distinct points, the farthest point already sits on a center, its

@@ -17,7 +17,7 @@ one route share a label.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -162,7 +162,7 @@ def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
     explicit_labels = (
         _strings(line_sec["labels"]) if "labels" in line_sec else None
     )
-    line = LineConfig(ie=ie, route_labels=tuple(explicit_labels) if explicit_labels else None)
+    line = LineConfig(ie=ie)
 
     sensor_kwargs = {}
     if "sensor" in parser:

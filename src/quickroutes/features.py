@@ -18,17 +18,17 @@ The first and the last quickdraws are excluded from the assembled vector:
 the bottom sensor mostly measures the belayer, the top one the lowering.
 
 Layout of the computation: :func:`build_feature_matrix` converts the
-events of every window of every climb in one :func:`axis_sets` call, then
-groups the windows by length. Each length becomes an (m, L) block per
-series, and one kernel per statistic family runs on all its rows at once:
+events of every window of every climb in one :func:`axis_sets` call, a
+(4, n) array of the x, y, z and g series back to back, then groups the
+windows by length. Each length becomes an (m, L) block per series, and
+one kernel per statistic family runs on all its rows at once:
 ``_stat_rows`` (the 13 statistics, with ``_peak_counts`` for the peaks)
 over the x, y, z and g blocks together, and ``_cross_rows`` for the
 correlations. The kernels reduce along axis 1 of C-ordered blocks, which
 rounds exactly as the same reduction of one series does, so the matrix
-is bit for bit what a per-series loop gives. :func:`stat_features`,
-:func:`count_peaks`, :func:`cross_correlations` and :func:`assemble` are
-the one-row calls of the same kernels. The temporal block is computed
-per climb.
+is bit for bit what a per-series loop gives. ``_temporal_rows`` computes
+the temporal block of all climbs from one (climbs, ie-2) array of clip
+times. These kernels are the only implementation of each statistic.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +95,10 @@ def _peak_bases(
 
 
 def _peak_counts(S: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Per row of the 2-D ``S``: strict local maxima with enough prominence."""
+    """Per row of the 2-D ``S``: strict local maxima (s[k-1] < s[k] > s[k+1])
+    whose prominence, the height above the higher of the two lowest points
+    separating the peak from higher terrain or the series edge, reaches
+    ``min_prominence``."""
     m, n = S.shape
     if n < 3:
         return np.zeros(m)
@@ -106,16 +109,6 @@ def _peak_counts(S: np.ndarray, min_prominence: float) -> np.ndarray:
     left, right = _peak_bases(S, rows, cols, height)
     keep = height - np.maximum(left, right) >= min_prominence
     return np.bincount(rows[keep], minlength=m).astype(float)
-
-
-def count_peaks(series: Sequence[float], min_prominence: float = 0.0) -> int:
-    """Strict local maxima (s[k-1] < s[k] > s[k+1]) with enough prominence.
-
-    Prominence of a peak is its height above the higher of the two lowest
-    points separating it from higher terrain (or the series edge).
-    """
-    s = np.asarray(series, dtype=float).reshape(1, -1)
-    return int(_peak_counts(s, min_prominence)[0])
 
 
 def _stat_rows(S: np.ndarray, peak_prominence: float) -> np.ndarray:
@@ -153,11 +146,9 @@ def _stat_rows(S: np.ndarray, peak_prominence: float) -> np.ndarray:
 def stat_features(
     series: Sequence[float], peak_prominence: float = DEFAULT_PEAK_PROMINENCE_G
 ) -> dict[str, float]:
-    """The 13 named statistics of one series, in STAT_NAMES order.
-
-    Population variance, Fisher-Pearson skew and Fisher excess kurtosis
-    (both 0 for a constant series), linearly interpolated percentiles, and
-    the strict peaks of :func:`count_peaks` at ``peak_prominence``.
+    """The 13 named statistics of one series, in STAT_NAMES order: one row
+    of ``_stat_rows`` at ``peak_prominence``. :func:`build_feature_matrix`
+    does not call it; the benchmark's traced mode wraps it by name.
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
@@ -181,68 +172,44 @@ def _cross_rows(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross_correlations(
-    x: Sequence[float], y: Sequence[float], z: Sequence[float]
-) -> tuple[float, float, float]:
-    """Pearson correlations (r_xy, r_xz, r_yz); 0 when a series is constant."""
-    ax, ay, az = (np.asarray(v, dtype=float) for v in (x, y, z))
-    if not (ax.size == ay.size == az.size):
-        raise ValidationError("correlation series must have equal lengths")
-    if ax.size < 2:
-        raise ValidationError("correlations need at least 2 samples")
-    r = _cross_rows(ax.reshape(1, -1), ay.reshape(1, -1), az.reshape(1, -1))[0]
-    return tuple(r.tolist())
-
-
-@dataclass(frozen=True)
-class AxisSets:
-    """The four series (x, y, z accelerations and magnitudes) of a run of events, in g."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    g: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.x.size)
-
-
 _EVENT_COUNTS = attrgetter("x_counts", "y_counts", "z_counts")
 
 
-def axis_sets(window, cfg: SensorConfig) -> AxisSets:
-    """Convert transmitted events to acceleration series in g.
+def axis_sets(window, cfg: SensorConfig) -> np.ndarray:
+    """Transmitted events as a (4, n) array of x, y, z and g series, in g.
 
-    ``window`` is one window, or several back to back. Counts beyond the
-    output range raise the ``ValueError`` of :func:`counts_to_g`.
+    ``window`` is one window, or several back to back; column i is event
+    i. Row 3 is each sample's magnitude. Counts beyond the output range
+    raise the ``ValueError`` of :func:`counts_to_g`.
     """
     if not window:
         raise ValidationError("empty sample window")
     flat = chain.from_iterable(map(_EVENT_COUNTS, window))
-    counts = np.fromiter(flat, dtype=np.int64, count=3 * len(window))
-    counts = np.ascontiguousarray(counts.reshape(-1, 3).T)
+    counts = np.fromiter(flat, dtype=np.int64, count=3 * len(window)).reshape(-1, 3).T
     out_of_range = np.abs(counts) > cfg.max_counts
     if out_of_range.any():
         counts_to_g(int(counts[out_of_range][0]), cfg)  # raises
+    series = np.empty((4, len(window)))
     # the arithmetic of counts_to_g, on arrays
-    x, y, z = counts * cfg.full_scale_g / cfg.max_counts
-    g = np.sqrt(x * x + y * y + z * z)
-    return AxisSets(x=x, y=y, z=z, g=g)
+    np.multiply(counts, cfg.full_scale_g, out=series[:3])
+    series[:3] /= cfg.max_counts
+    x, y, z = series[:3]
+    np.sqrt(x * x + y * y + z * z, out=series[3])
+    return series
 
 
 PER_POSITION = len(AXIS_SOURCES) * len(STAT_NAMES) + 3
 
 
-def _window_features(sets: AxisSets, lengths: np.ndarray, prominence: float) -> np.ndarray:
+def _window_features(series: np.ndarray, lengths: np.ndarray, prominence: float) -> np.ndarray:
     """The 55 per-position entries of every window, one row per window.
 
-    ``sets`` holds the windows' samples back to back, in the order of
-    ``lengths``. Windows of one length are stacked into (m, L) blocks, so
-    each kernel runs once per distinct length.
+    ``series`` is the (4, n) array of :func:`axis_sets` over the windows'
+    samples back to back, in the order of ``lengths``. Windows of one
+    length are stacked into (m, L) blocks, so each kernel runs once per
+    distinct length.
     """
     starts = np.cumsum(lengths) - lengths
-    series = np.stack([sets.x, sets.y, sets.z, sets.g])
     out = np.empty((lengths.size, PER_POSITION))
     for n in np.unique(lengths):
         which = np.flatnonzero(lengths == n)
@@ -253,65 +220,18 @@ def _window_features(sets: AxisSets, lengths: np.ndarray, prominence: float) -> 
     return out
 
 
-@dataclass(frozen=True)
-class TemporalSet:
-    """Clip-time deltas of one climb.
+def _temporal_rows(clips: np.ndarray) -> np.ndarray:
+    """The temporal block of every climb, one row per climb.
 
-    ``short`` pairs positions (i, i+1) for i = 2..ie-2; ``long`` runs from
-    position 2 to j for j = 4..ie-2; ``duration`` is clip(ie-1) - clip(2).
+    ``clips`` holds the clip times of positions 2..ie-1, one row per climb.
+    A row is the short deltas clip(i+1) - clip(i) for i = 2..ie-2, the long
+    deltas clip(j) - clip(2) for j = 4..ie-2, the duration clip(ie-1) -
+    clip(2), and the min, max, mean and population std of the short deltas.
     """
-
-    short: tuple[float, ...]
-    short_pairs: tuple[tuple[int, int], ...]
-    long: tuple[float, ...]
-    long_targets: tuple[int, ...]
-    duration: float
-    short_stats: dict[str, float]
-
-
-def temporal_features(
-    clips: Union[ClimbRecord, Mapping[int, float]], ie: int
-) -> TemporalSet:
-    """Temporal deltas from clip times; needs positions 2..ie-1 clipped."""
-    if isinstance(clips, ClimbRecord):
-        clip_times = clips.clip_times
-        climb_id = clips.climb_id
-    else:
-        clip_times = clips
-        climb_id = -1
-    for position in range(2, ie):
-        if position not in clip_times:
-            raise MissingClipError(climb_id, position)
-
-    short_pairs = tuple((i, i + 1) for i in range(2, ie - 1))
-    short = tuple(clip_times[i + 1] - clip_times[i] for i, _ in short_pairs)
-    long_targets = tuple(range(4, ie - 1))
-    long = tuple(clip_times[j] - clip_times[2] for j in long_targets)
-    duration = clip_times[ie - 1] - clip_times[2]
-
-    s = np.asarray(short)
-    stats = {
-        "min": float(s.min()),
-        "max": float(s.max()),
-        "mean": float(s.mean()),
-        "std": float(s.std()),  # population, as everywhere
-    }
-    return TemporalSet(
-        short=short,
-        short_pairs=short_pairs,
-        long=long,
-        long_targets=long_targets,
-        duration=duration,
-        short_stats=stats,
-    )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    climb_id: int
-    names: tuple[str, ...]
-    values: np.ndarray
-    label: Optional[str] = None
+    short = np.diff(clips, axis=1)
+    start = clips[:, :1]
+    stats = [reduce(short, axis=1) for reduce in (np.min, np.max, np.mean, np.std)]
+    return np.column_stack([short, clips[:, 2:-1] - start, clips[:, -1:] - start, *stats])
 
 
 def feature_names(ie: int) -> tuple[str, ...]:
@@ -332,21 +252,6 @@ def feature_names(ie: int) -> tuple[str, ...]:
     for stat in ("min", "max", "mean", "std"):
         names.append(f"t.dts.{stat}")
     return tuple(names)
-
-
-def assemble(
-    climb: ClimbRecord,
-    line: LineConfig,
-    cfg: Optional[SensorConfig] = None,
-) -> FeatureVector:
-    """The full feature vector of one climb (positions 2..ie-1, then time)."""
-    matrix = build_feature_matrix([climb], line, cfg)
-    return FeatureVector(
-        climb_id=climb.climb_id,
-        names=matrix.names,
-        values=matrix.values[0],
-        label=climb.ground_truth_route,
-    )
 
 
 @dataclass
@@ -388,17 +293,19 @@ def build_feature_matrix(
 
     Every climb needs a window of at least 2 samples and a clip time at
     each position 2..ie-1; the first climb and position without them raise
-    (``MissingClipError`` when absent). Counts beyond the output range
-    raise ``ValueError`` once all climbs have passed that check.
+    (``MissingClipError`` when absent), a climb's windows checked before
+    its clip times. Counts beyond the output range raise ``ValueError``
+    once all climbs have passed that check.
     """
     if not records:
         raise ValidationError("no climbs to featurize")
     cfg = cfg or SensorConfig()
+    positions = range(2, line.ie)
     events: list = []
     lengths: list[int] = []
-    temporal: list[list[float]] = []
+    clips: list[list[float]] = []
     for record in records:
-        for position in range(2, line.ie):
+        for position in positions:
             window = record.windows.get(position)
             if not window:
                 raise MissingClipError(record.climb_id, position)
@@ -409,16 +316,18 @@ def build_feature_matrix(
                 )
             events.extend(window)
             lengths.append(len(window))
-        t = temporal_features(record, line.ie)
-        stats = [t.short_stats[s] for s in ("min", "max", "mean", "std")]
-        temporal.append([*t.short, *t.long, t.duration, *stats])
+        for position in positions:
+            if position not in record.clip_times:
+                raise MissingClipError(record.climb_id, position)
+        clips.append([record.clip_times[p] for p in positions])
 
     per_window = _window_features(
         axis_sets(events, cfg), np.asarray(lengths), 2 * cfg.resolution_g
     )
-    values = np.hstack(
-        [per_window.reshape(len(records), -1), np.asarray(temporal, dtype=float)]
-    )
+    values = np.hstack([
+        per_window.reshape(len(records), -1),
+        _temporal_rows(np.asarray(clips, dtype=float)),
+    ])
     labels = tuple(r.ground_truth_route for r in records)
     return FeatureMatrix(
         names=feature_names(line.ie),

@@ -34,7 +34,6 @@ class LineConfig:
     """A fixed sequence of quickdraw positions 1..ie on one wall line."""
 
     ie: int
-    route_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         # positions 2..ie-2 must be non-empty index sets for the temporal features
@@ -66,20 +65,6 @@ class ClimbRecord:
     @property
     def n_samples(self) -> dict[int, int]:
         return {i: len(w) for i, w in self.windows.items()}
-
-    @property
-    def start(self) -> float:
-        return min(self.clip_times.values())
-
-    @property
-    def end(self) -> float:
-        last = max(
-            (w[-1].t for w in self.windows.values() if w),
-            default=self.start,
-        )
-        if self.flagged:
-            last = max(last, max(e.t for e in self.flagged))
-        return last
 
     def all_events(self) -> list[SampleEvent]:
         events = [e for w in self.windows.values() for e in w] + list(self.flagged)

@@ -245,6 +245,9 @@ class FeatureScore:
 def _anova_rows(XT: np.ndarray, labels: Sequence) -> np.ndarray:
     """One-way ANOVA F ratio of every row of ``XT`` (rows = columns of data).
 
+    Zero within-group variance yields the +inf sentinel when group means
+    differ and 0 when they do not.
+
     Sums of squares accumulate group by group, in first-seen label order,
     over C-ordered blocks: a reduction of a gathered block that is not
     C-ordered skips numpy's pairwise summation and rounds differently.
@@ -275,16 +278,6 @@ def _anova_rows(XT: np.ndarray, labels: Sequence) -> np.ndarray:
     spread = ssw != 0.0
     f[spread] = (ssb[spread] / (k - 1)) / (ssw[spread] / (n - k))
     return f
-
-
-def anova_f(column: Sequence[float], labels: Sequence) -> float:
-    """One-way ANOVA F ratio of between- to within-group mean squares.
-
-    Zero within-group variance yields the +inf sentinel when group means
-    differ and 0 when they do not.
-    """
-    x = np.asarray(column, dtype=float).reshape(1, -1)
-    return float(_anova_rows(x, list(labels))[0])
 
 
 def score_features(matrix: FeatureMatrix, labels: Optional[Sequence] = None) -> list[FeatureScore]:

@@ -44,7 +44,9 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
 
     The reference the kernel must match bit for bit on C-ordered input:
     (assignments, centers, inertia, iterations). The fifth value lists
-    each round's assignment and whether it went through a repair.
+    each round's assignment and whether it went through a repair. A round
+    that repaired stops the run when it ends on last round's assignment and
+    on the centers it started from, since every later round would repeat it.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n = X.shape[0]
@@ -54,6 +56,7 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
     rounds = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        started = centers.copy()
         d2 = reference_squared_distances(X, centers)
         assign = np.argmin(d2, axis=1)
         repaired = False
@@ -79,6 +82,9 @@ def reference_kmeans(points, k, seed=0, max_iter=cluster.DEFAULT_MAX_ITER,
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if shift < tol:
+            break
+        if repaired and len(rounds) > 1 and np.array_equal(assign, rounds[-2][0]) \
+                and np.array_equal(centers, started):
             break
 
     d2 = reference_squared_distances(X, centers)
@@ -381,13 +387,28 @@ class TestKMeansRestarts:
     def test_repaired_cluster_that_takes_back_its_rows_gets_a_new_mean(self):
         # two values for three clusters: every round repairs, and the cluster
         # the repair moves onto a 0.1 row takes back the three rows it held,
-        # whose mean is not 0.1 in floating point
+        # whose mean is not 0.1 in floating point; round 2 repeats round 1
         X = np.array([0.1] * 3 + [5.0] * 3)[:, None]
         seeds = list(range(4))
         assert all(all(repaired for _, repaired in reference_kmeans(X, 3, s, 5, 0.0)[4])
                    for s in seeds)
         results = kmeans_restarts(X, 3, seeds, max_iter=5, tol=0.0)
+        assert [result.iterations for result in results] == [2] * len(seeds)
         assert_restarts_match_reference(results, X, 3, seeds, 5, 0.0)
+
+    def test_repair_fixed_point_stops_after_two_rounds(self):
+        # a mean of three copies of 1e11 + 0.1 is not that value: the shift
+        # against the repaired centers never falls below tol, but from round
+        # 2 on every round repeats the one before
+        X = np.array([1e11 + 0.1] * 3 + [5.0] * 3)[:, None]
+        seeds = list(range(8))
+        results = kmeans_restarts(X, 3, seeds)
+        assert [result.iterations for result in results] == [2] * len(seeds)
+        # the assignments of 300 rounds without the fixed-point stop
+        expected = [[2, 2, 2, 0, 0, 0]] + [[1, 1, 1, 2, 2, 2]] * 3 + [
+            [2, 2, 2, 1, 1, 1], [2, 2, 2, 0, 0, 0], [2, 2, 2, 1, 1, 1], [2, 2, 2, 0, 0, 0]]
+        assert [result.assignments.tolist() for result in results] == expected
+        assert_restarts_match_reference(results, X, 3, seeds)
 
     def test_assign_falls_back_only_in_the_restart_with_a_tie(self):
         X = np.array([[0.0], [1.0], [2.0], [4.0]])

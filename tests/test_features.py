@@ -2,9 +2,11 @@
 
 The oracle functions below deliberately avoid numpy and share no code
 with the package: plain loops and textbook formulas, so agreement is
-meaningful. The batched kernels are held to a stricter standard at the
-end: bit for bit the per-series numpy code they replaced, kept here as
-the ``reference_*`` functions.
+meaningful. The kernels are the package's only implementation; the
+one-series helpers here (``count_peaks``, ``cross_correlations``,
+``temporal_row``, ``assemble``) call them on one-row inputs. The kernels
+are held to a stricter standard at the end: bit for bit the per-series
+numpy code they replaced, kept here as the ``reference_*`` functions.
 """
 
 import math
@@ -20,15 +22,11 @@ from quickroutes import features
 from quickroutes.errors import MissingClipError, ValidationError
 from quickroutes.features import (
     STAT_NAMES,
-    assemble,
     axis_sets,
     build_feature_matrix,
-    count_peaks,
-    cross_correlations,
     feature_names,
     read_feature_matrix,
     stat_features,
-    temporal_features,
     write_feature_matrix,
 )
 from quickroutes.ingest import ClimbRecord, LineConfig, segment_climbs
@@ -133,6 +131,37 @@ def close(a, b, rel=1e-9, abs_=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# one-row calls of the kernels
+# ---------------------------------------------------------------------------
+
+def count_peaks(series, min_prominence=0.0):
+    """Peaks of one series, through ``_peak_counts``."""
+    row = np.asarray(series, dtype=float).reshape(1, -1)
+    return int(features._peak_counts(row, min_prominence)[0])
+
+
+def cross_correlations(x, y, z):
+    """(r_xy, r_xz, r_yz) of one window, through ``_cross_rows``."""
+    rows = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y, z))
+    return tuple(features._cross_rows(*rows)[0].tolist())
+
+
+def temporal_row(clip_times, ie):
+    """(short, long, duration, short_stats) of one climb, through
+    ``_temporal_rows``."""
+    clips = np.array([[clip_times[p] for p in range(2, ie)]], dtype=float)
+    row = features._temporal_rows(clips)[0].tolist()
+    short, rest = row[: ie - 3], row[ie - 3:]
+    long, (duration, *stats) = rest[: ie - 5], rest[ie - 5:]
+    return tuple(short), tuple(long), duration, dict(zip(("min", "max", "mean", "std"), stats))
+
+
+def assemble(record, line, cfg=None):
+    """The feature matrix of one climb: its row 0 is the climb's vector."""
+    return build_feature_matrix([record], line, cfg)
+
+
+# ---------------------------------------------------------------------------
 # magnitude and statistics
 # ---------------------------------------------------------------------------
 
@@ -142,7 +171,7 @@ class TestMagnitude:
     @staticmethod
     def g_of(x, y, z):
         cfg = SensorConfig(full_scale_g=127.0)  # max_counts 127
-        return axis_sets([SampleEvent(3, 0.0, x, y, z)], cfg).g[0]
+        return axis_sets([SampleEvent(3, 0.0, x, y, z)], cfg)[3, 0]
 
     def test_pythagorean_triple(self):
         assert self.g_of(3, 4, 0) == 5.0
@@ -274,10 +303,6 @@ class TestCrossCorrelations:
         assert r_yz == 0.0
         assert -1 <= r_xz <= 1
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ValidationError):
-            cross_correlations([1], [2], [3])
-
     def test_oracle_agreement(self):
         rng = random.Random(77)
         for _ in range(50):
@@ -300,57 +325,56 @@ CLIPS8 = {i + 1: float(t) for i, t in enumerate([0, 10, 25, 45, 70, 100, 140, 19
 
 class TestTemporal:
     def test_worked_example_ie8(self):
-        ts = temporal_features(CLIPS8, ie=8)
-        assert ts.short == (15.0, 20.0, 25.0, 30.0, 40.0)
-        assert ts.short_pairs == ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
-        assert ts.long == (35.0, 60.0, 90.0)
-        assert ts.long_targets == (4, 5, 6)
-        assert ts.duration == 130.0
-        assert ts.short_stats["mean"] == pytest.approx(26.0)
-        assert ts.short_stats["min"] == 15.0
-        assert ts.short_stats["max"] == 40.0
-        assert ts.short_stats["std"] == pytest.approx(math.sqrt(74))
+        short, long, duration, stats = temporal_row(CLIPS8, ie=8)
+        assert short == (15.0, 20.0, 25.0, 30.0, 40.0)
+        assert long == (35.0, 60.0, 90.0)
+        assert duration == 130.0
+        assert stats["mean"] == pytest.approx(26.0)
+        assert stats["min"] == 15.0
+        assert stats["max"] == 40.0
+        assert stats["std"] == pytest.approx(math.sqrt(74))
+        assert feature_names(8)[-13:-5] == (
+            "t.dts.p2_p3", "t.dts.p3_p4", "t.dts.p4_p5", "t.dts.p5_p6", "t.dts.p6_p7",
+            "t.dtl.p2_p4", "t.dtl.p2_p5", "t.dtl.p2_p6",
+        )
 
     def test_smallest_admissible_line(self):
         # i runs 2..ie-2 inclusive, so ie=5 keeps pairs (2,3) and (3,4);
         # the long-segment set is empty and the duration is t4 - t2
         clips = {1: 0.0, 2: 5.0, 3: 11.0, 4: 18.0, 5: 30.0}
-        ts = temporal_features(clips, ie=5)
-        assert ts.short == (6.0, 7.0)
-        assert ts.long == ()
-        assert ts.duration == 13.0
+        short, long, duration, _ = temporal_row(clips, ie=5)
+        assert short == (6.0, 7.0)
+        assert long == ()
+        assert duration == 13.0
 
     def test_missing_clip_named(self):
-        clips = dict(CLIPS8)
-        del clips[4]
+        # the climb's windows are all there; its clip at position 4 is not
+        record = short_record(0, {}, ie=8)
+        del record.clip_times[4]
         with pytest.raises(MissingClipError) as err:
-            temporal_features(clips, ie=8)
-        assert err.value.position == 4
+            build_feature_matrix([record], LineConfig(ie=8))
+        assert (err.value.climb_id, err.value.position) == (0, 4)
 
     def test_chaining_is_exact_on_integer_clips(self):
-        ts = temporal_features(CLIPS8, ie=8)
-        for target, long_delta in zip(ts.long_targets, ts.long):
-            chain = sum(
-                delta for (i, _), delta in zip(ts.short_pairs, ts.short) if i < target
-            )
-            assert chain == long_delta
+        short, long, _, _ = temporal_row(CLIPS8, ie=8)
+        # the long delta to position j chains the short deltas of pairs (i, i+1), i < j
+        for target, long_delta in zip(range(4, 7), long):
+            assert sum(short[: target - 2]) == long_delta
 
     def test_all_deltas_positive(self, small_records):
         for rec in small_records:
-            ts = temporal_features(rec, ie=8)
-            assert all(d > 0 for d in ts.short)
-            assert all(d > 0 for d in ts.long)
-            assert ts.duration > 0
+            short, long, duration, _ = temporal_row(rec.clip_times, ie=8)
+            assert all(d > 0 for d in short)
+            assert all(d > 0 for d in long)
+            assert duration > 0
 
     def test_simulated_deltas_match_generator_truth(self, small_sim, small_records):
         for rec, truth in zip(small_records, small_sim.truth):
-            ours = temporal_features(rec, ie=8)
-            reference = temporal_features(
-                {p: t for p, t in truth.clip_times.items() if t is not None}, ie=8
-            )
-            for a, b in zip(ours.short, reference.short):
+            ours = temporal_row(rec.clip_times, ie=8)
+            reference = temporal_row(truth.clip_times, ie=8)
+            for a, b in zip(ours[0], reference[0]):
                 assert a == pytest.approx(b, abs=0.02)
-            assert ours.duration == pytest.approx(reference.duration, abs=0.02)
+            assert ours[2] == pytest.approx(reference[2], abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +385,7 @@ class TestAssemble:
     def test_vector_length_343_for_ie8(self, small_records, small_line):
         vec = assemble(small_records[0], small_line)
         assert len(vec.names) == 6 * 55 + (5 + 3 + 1 + 4) == 343
-        assert len(vec.values) == 343
+        assert vec.values.shape == (1, 343)
 
     def test_first_and_last_positions_excluded(self, small_line):
         names = feature_names(small_line.ie)
@@ -398,7 +422,7 @@ class TestAssemble:
 
     def test_norm_domination(self, small_records, small_line):
         vec = assemble(small_records[0], small_line)
-        by_name = dict(zip(vec.names, vec.values))
+        by_name = dict(zip(vec.names, vec.values[0]))
         for position in range(2, small_line.ie):
             g_max = by_name[f"p{position}.g.max"]
             for axis in ("x", "y", "z"):
@@ -489,6 +513,17 @@ def reference_cross_correlations(x, y, z):
     return (reference_pearson(ax, ay), reference_pearson(ax, az), reference_pearson(ay, az))
 
 
+def reference_temporal(clip_times, ie):
+    """The per-climb temporal block: short deltas, long deltas, duration,
+    then min, max, mean and std of the short deltas."""
+    short = [clip_times[i + 1] - clip_times[i] for i in range(2, ie - 1)]
+    long = [clip_times[j] - clip_times[2] for j in range(4, ie - 1)]
+    duration = clip_times[ie - 1] - clip_times[2]
+    s = np.asarray(short)
+    stats = [float(s.min()), float(s.max()), float(s.mean()), float(s.std())]
+    return [*short, *long, duration, *stats]
+
+
 def reference_assemble(climb, line, cfg):
     """The per-climb, per-series vector the batched matrix must reproduce."""
     prominence = 2 * cfg.resolution_g
@@ -503,11 +538,7 @@ def reference_assemble(climb, line, cfg):
             stats = reference_stat_features(series, prominence)
             values.extend(stats[name] for name in STAT_NAMES)
         values.extend(reference_cross_correlations(x, y, z))
-    t = temporal_features(climb, line.ie)
-    values.extend(t.short)
-    values.extend(t.long)
-    values.append(t.duration)
-    values.extend(t.short_stats[s] for s in ("min", "max", "mean", "std"))
+    values.extend(reference_temporal(climb.clip_times, line.ie))
     return np.asarray(values, dtype=float)
 
 
@@ -590,7 +621,7 @@ class TestCrossKernel:
         ours = features._cross_rows(X, np.asfortranarray(Y), Z)
         for row, x, y, z in zip(ours, X, Y, Z):
             assert same_bits(row, reference_cross_correlations(x, y, z))
-            assert same_bits(cross_correlations(x, y, z), row)
+            assert same_bits(cross_correlations(x, y, z), row)  # a one-row block
 
 
 def short_record(climb_id, windows, ie=5, label=None):
@@ -638,7 +669,7 @@ class TestBatchedMatrix:
         assert same_bits(matrix.values, np.vstack([reference_assemble(r, line, cfg) for r in records]))
         assert matrix.names == feature_names(line.ie)
         for row, record in zip(matrix.values, records):
-            assert same_bits(assemble(record, line, cfg).values, row)
+            assert same_bits(assemble(record, line, cfg).values[0], row)
 
     def test_simulated_records_match_reference(self, small_records, small_line):
         matrix = build_feature_matrix(small_records, small_line)

@@ -17,7 +17,6 @@ from quickroutes.preprocess import (
     SCALER_FORMAT,
     FeatureScore,
     QuantileScaler,
-    anova_f,
     fit_quantile,
     ndtri as ported_ndtri,
     score_features,
@@ -143,6 +142,12 @@ def naive_anova_f(groups):
     if ssw == 0:
         return math.inf if ssb > 0 else 0.0
     return (ssb / (k - 1)) / (ssw / (n - k))
+
+
+def anova_f(column, labels):
+    """F ratio of one column, through ``_anova_rows``."""
+    row = np.asarray(column, dtype=float).reshape(1, -1)
+    return float(preprocess._anova_rows(row, list(labels))[0])
 
 
 class TestAnovaF:

@@ -1,23 +1,32 @@
 """One human-editable INI file drives simulation and the pipeline.
 
-Sections::
+Sections and the keys each accepts::
 
-    [line]      ie, gap_s, labels (optional per-climb ground truth)
-    [sensor]    firmware constant overrides (all optional)
-    [simulate]  seed, schedule and jitter levels, climbs = route names
-    [route:X]   per-route tables: clip_times, amplitudes, durations, ...
-    [pipeline]  restarts, seed0, rand, n_clusters, max_features, pca_dims
+    [line]      ie (required), gap_s, labels (per-climb ground truth)
+    [sensor]    full_scale_g, sleep_rate_hz, active_rate_hz, output_bits,
+                change_threshold_counts, averaging_window, inactive_grace_s,
+                sleep_after_s, group_size (firmware constants)
+    [simulate]  seed, climbs (required), climb_spacing_s, start_s,
+                clip_jitter_s, amp_jitter, noise_g, rest_g (3 numbers)
+    [pipeline]  restarts, seed0, rand (adjusted or unadjusted), n_clusters,
+                max_features, pca_dims
+    [route:X]   clip_times, amplitudes, durations (required), freq_hz, label,
+                amp_fatigue, dt_fatigue, base, dt_scale, amp_scale
 
-A ``[route:X.variant]`` section may set ``base = X`` to inherit another
-route's tables and rescale them (amp_scale, dt_scale); its ground-truth
-label defaults to the name before the first dot, so session variants of
-one route share a label.
+With ``base = Y`` a route starts from route Y's tables and label; its own
+keys override them, then dt_scale and amp_scale rescale clip_times and
+amplitudes. Without a base the label defaults to the name before the
+first dot, so session variants ``[route:X.v1]`` of one route share it.
+
+Any other section or key, a key under ``[DEFAULT]``, an unparsable value
+and a non-finite number raise ``ConfigError`` naming file, section and key.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -31,7 +40,7 @@ ROUTE_PREFIX = "route:"
 
 @dataclass
 class PipelineConfig:
-    """Knobs of the end-to-end run; CLI flags override file values."""
+    """Knobs of the end-to-end run: ``[line] gap_s`` and ``[pipeline]``."""
 
     gap_s: float = DEFAULT_GAP_S
     restarts: int = 100
@@ -41,7 +50,7 @@ class PipelineConfig:
     max_features: Optional[int] = None
     pca_dims: int = 2
 
-    def validate(self):
+    def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.n_clusters < 1:
@@ -69,78 +78,91 @@ class ProjectConfig:
         return self.profile
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}") from exc
+    return tuple(_float(v.strip()) for v in raw.split(",") if v.strip())
 
 
 def _strings(raw: str) -> list[str]:
     return [v.strip() for v in raw.split(",") if v.strip()]
 
 
-def _resolve_route(
-    name: str,
-    raw_sections: dict[str, dict[str, str]],
-    resolving: set[str],
-) -> RouteSpec:
+def _rest_g(raw: str) -> tuple[float, ...]:
+    rest = _floats(raw)
+    if len(rest) != 3:
+        raise ValueError("needs exactly 3 components")
+    return rest
+
+
+def _rand_adjusted(raw: str) -> bool:
+    variant = raw.strip().lower()
+    if variant not in ("adjusted", "unadjusted"):
+        raise ValueError("must be adjusted or unadjusted")
+    return variant == "adjusted"
+
+
+# the keys each section accepts, and the parser of each key's value
+SECTIONS = {
+    "line": {"ie": int, "gap_s": _float, "labels": _strings},
+    "sensor": {f.name: {float: _float, int: int}[type(f.default)] for f in fields(SensorConfig)},
+    "simulate": {
+        "seed": int, "climbs": _strings, "climb_spacing_s": _float, "start_s": _float,
+        "clip_jitter_s": _float, "amp_jitter": _float, "noise_g": _float, "rest_g": _rest_g,
+    },
+    "pipeline": {
+        "restarts": int, "seed0": int, "rand": _rand_adjusted, "n_clusters": int,
+        "max_features": int, "pca_dims": int,
+    },
+    ROUTE_PREFIX: {
+        "clip_times": _floats, "amplitudes": _floats, "durations": _floats,
+        "freq_hz": _float, "label": str, "amp_fatigue": _float, "dt_fatigue": _float,
+        "base": str, "dt_scale": _float, "amp_scale": _float,
+    },
+}
+
+
+def _read(parser: configparser.ConfigParser, section: str, table: dict, origin: str) -> dict:
+    """The parsed values of one section's keys; {} if the section is absent."""
+    if section not in parser:
+        return {}
+    values = {}
+    for key, raw in parser[section].items():
+        where = f"{origin}: [{section}] {key}"
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key (accepted: {', '.join(table)})")
+        try:
+            values[key] = table[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return values
+
+
+def _resolve_route(name: str, tables: dict, origin: str, resolving=frozenset()) -> RouteSpec:
     if name in resolving:
-        raise ConfigError(f"route {name}: circular base reference")
-    section = raw_sections.get(name)
-    if section is None:
-        raise ConfigError(f"route {name} referenced but not defined")
-
-    if "base" in section:
-        base = _resolve_route(section["base"], raw_sections, resolving | {name})
-        clip_times = list(base.clip_times)
-        amplitudes = list(base.amplitudes)
-        durations = list(base.durations)
-        freq_hz = base.freq_hz
-        label = base.route_label
-        amp_fatigue = base.amp_fatigue
-        dt_fatigue = base.dt_fatigue
+        raise ConfigError(f"{origin}: route {name}: circular base reference")
+    if name not in tables:
+        raise ConfigError(f"{origin}: route {name} referenced but not defined")
+    own = dict(tables[name])
+    base, dt_scale, amp_scale = (own.pop(k, None) for k in ("base", "dt_scale", "amp_scale"))
+    if base is None:
+        spec = {"label": name.split(".")[0]}
     else:
-        clip_times = amplitudes = durations = None
-        freq_hz = 2.0
-        label = None
-        amp_fatigue = dt_fatigue = 0.0
-
-    if "clip_times" in section:
-        clip_times = list(_floats(section["clip_times"]))
-    if "amplitudes" in section:
-        amplitudes = list(_floats(section["amplitudes"]))
-    if "durations" in section:
-        durations = list(_floats(section["durations"]))
-    if clip_times is None or amplitudes is None or durations is None:
-        raise ConfigError(
-            f"route {name}: clip_times, amplitudes and durations are required"
-        )
-    if "freq_hz" in section:
-        freq_hz = float(section["freq_hz"])
-    if "label" in section:
-        label = section["label"]
-    if "amp_fatigue" in section:
-        amp_fatigue = float(section["amp_fatigue"])
-    if "dt_fatigue" in section:
-        dt_fatigue = float(section["dt_fatigue"])
-    if "dt_scale" in section:
-        clip_times = [t * float(section["dt_scale"]) for t in clip_times]
-    if "amp_scale" in section:
-        amplitudes = [a * float(section["amp_scale"]) for a in amplitudes]
-
-    if label is None:
-        label = name.split(".")[0]
-    return RouteSpec(
-        name=name,
-        clip_times=tuple(clip_times),
-        amplitudes=tuple(amplitudes),
-        durations=tuple(durations),
-        freq_hz=freq_hz,
-        label=label,
-        amp_fatigue=amp_fatigue,
-        dt_fatigue=dt_fatigue,
-    )
+        inherited = _resolve_route(base, tables, origin, resolving | {name})
+        spec = {f.name: getattr(inherited, f.name) for f in fields(RouteSpec)}
+    spec.update(own, name=name)
+    if not {"clip_times", "amplitudes", "durations"} <= spec.keys():
+        raise ConfigError(f"{origin}: route {name} needs clip_times, amplitudes and durations")
+    if dt_scale is not None:
+        spec["clip_times"] = tuple(t * dt_scale for t in spec["clip_times"])
+    if amp_scale is not None:
+        spec["amplitudes"] = tuple(a * amp_scale for a in spec["amplitudes"])
+    return RouteSpec(**spec)
 
 
 def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
@@ -149,104 +171,45 @@ def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-
+    if parser.defaults():
+        raise ConfigError(f"{origin}: [DEFAULT] {', '.join(parser.defaults())}: needs a section")
+    for section in parser.sections():
+        if section not in SECTIONS and not section.startswith(ROUTE_PREFIX):
+            raise ConfigError(f"{origin}: unknown section [{section}]")
     if "line" not in parser:
         raise ConfigError(f"{origin}: missing [line] section")
-    line_sec = parser["line"]
-    try:
-        ie = line_sec.getint("ie")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin}: [line] ie must be an integer") from exc
-    if ie is None:
+
+    line = _read(parser, "line", SECTIONS["line"], origin)
+    if "ie" not in line:
         raise ConfigError(f"{origin}: [line] needs ie")
-    explicit_labels = (
-        _strings(line_sec["labels"]) if "labels" in line_sec else None
-    )
-    line = LineConfig(ie=ie)
-
-    sensor_kwargs = {}
-    if "sensor" in parser:
-        sec = parser["sensor"]
-        for key, cast in (
-            ("full_scale_g", float),
-            ("sleep_rate_hz", float),
-            ("active_rate_hz", float),
-            ("output_bits", int),
-            ("change_threshold_counts", int),
-            ("averaging_window", int),
-            ("inactive_grace_s", float),
-            ("sleep_after_s", float),
-            ("group_size", int),
-        ):
-            if key in sec:
-                sensor_kwargs[key] = cast(sec[key])
-    sensor = SensorConfig(**sensor_kwargs)
-
-    pipeline = PipelineConfig()
-    if "line" in parser and "gap_s" in parser["line"]:
-        pipeline.gap_s = float(parser["line"]["gap_s"])
-    if "pipeline" in parser:
-        sec = parser["pipeline"]
-        if "restarts" in sec:
-            pipeline.restarts = int(sec["restarts"])
-        if "seed0" in sec:
-            pipeline.seed0 = int(sec["seed0"])
-        if "rand" in sec:
-            variant = sec["rand"].strip().lower()
-            if variant not in ("adjusted", "unadjusted"):
-                raise ConfigError(f"{origin}: rand must be adjusted or unadjusted")
-            pipeline.rand_adjusted = variant == "adjusted"
-        if "n_clusters" in sec:
-            pipeline.n_clusters = int(sec["n_clusters"])
-        if "max_features" in sec:
-            pipeline.max_features = int(sec["max_features"])
-        if "pca_dims" in sec:
-            pipeline.pca_dims = int(sec["pca_dims"])
-    pipeline.validate()
-
-    raw_routes = {
-        section[len(ROUTE_PREFIX):]: dict(parser[section])
-        for section in parser.sections()
-        if section.startswith(ROUTE_PREFIX)
+    pipeline = _read(parser, "pipeline", SECTIONS["pipeline"], origin)
+    if "rand" in pipeline:
+        pipeline["rand_adjusted"] = pipeline.pop("rand")
+    if "gap_s" in line:
+        pipeline["gap_s"] = line["gap_s"]
+    route_tables = {
+        section[len(ROUTE_PREFIX):]: _read(parser, section, SECTIONS[ROUTE_PREFIX], origin)
+        for section in parser.sections() if section.startswith(ROUTE_PREFIX)
     }
+    simulate = _read(parser, "simulate", SECTIONS["simulate"], origin)
+    seed = simulate.pop("seed", 0)
 
     profile = None
-    seed = 0
-    labels = explicit_labels
+    labels = line.get("labels")
     if "simulate" in parser:
-        sec = parser["simulate"]
-        if "climbs" not in sec:
+        if "climbs" not in simulate:
             raise ConfigError(f"{origin}: [simulate] needs a climbs list")
-        climbs = _strings(sec["climbs"])
-        routes = {
-            name: _resolve_route(name, raw_routes, set()) for name in raw_routes
-        }
-        kwargs = {}
-        for key, cast in (
-            ("climb_spacing_s", float),
-            ("start_s", float),
-            ("clip_jitter_s", float),
-            ("amp_jitter", float),
-            ("noise_g", float),
-        ):
-            if key in sec:
-                kwargs[key] = cast(sec[key])
-        if "rest_g" in sec:
-            rest = _floats(sec["rest_g"])
-            if len(rest) != 3:
-                raise ConfigError(f"{origin}: rest_g needs exactly 3 components")
-            kwargs["rest_g"] = rest
-        profile = RouteProfile(routes=routes, climbs=climbs, **kwargs)
-        seed = sec.getint("seed", 0)
+        routes = {name: _resolve_route(name, route_tables, origin) for name in route_tables}
+        profile = RouteProfile(routes=routes, **simulate)
         if labels is None:
             labels = profile.labels()
-    elif raw_routes:
+    elif route_tables:
         raise ConfigError(f"{origin}: route tables present but no [simulate] section")
 
     return ProjectConfig(
-        line=line,
-        sensor=sensor,
-        pipeline=pipeline,
+        line=LineConfig(ie=line["ie"]),
+        sensor=SensorConfig(**_read(parser, "sensor", SECTIONS["sensor"], origin)),
+        pipeline=PipelineConfig(**pipeline),
         profile=profile,
         seed=seed,
         labels=labels,

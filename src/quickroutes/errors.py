@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto exit codes: validation/config problems exit 2,
-numeric failures exit 3.
+``ConfigError`` is a bad INI config or firmware/route/pipeline setting,
+``ValidationError`` malformed input data, ``NumericError`` a numerical
+routine that failed; all derive from ``QuickroutesError``.
 """
 
 

@@ -374,10 +374,13 @@ def read_feature_matrix(source) -> FeatureMatrix:
                 raise ValidationError(
                     f"line {lineno}: {len(parts)} fields, expected {len(header)}"
                 )
-            ids.append(int(parts[0]))
+            try:
+                ids.append(int(parts[0]))
+                rows.append([float(v) for v in parts[first_feature:]])
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from exc
             if has_labels:
                 labels.append(parts[1])
-            rows.append([float(v) for v in parts[first_feature:]])
         if not rows:
             raise ValidationError("feature matrix has no rows")
         return FeatureMatrix(

@@ -140,7 +140,7 @@ def parse_events(
 
 
 def read_events(path, ie: Optional[int] = None) -> dict[int, list[SampleEvent]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, "r") as fh:
         return parse_events(fh, ie=ie)
 
 

@@ -184,20 +184,25 @@ class QuantileScaler:
             head = fh.readline().strip()
             if head != f"# {SCALER_FORMAT}":
                 raise ValidationError(f"not a scaler file (header {head!r})")
-            tag, n_fit = fh.readline().split("\t")
+            tag, _, n_fit = fh.readline().rstrip("\n").partition("\t")
             if tag != "n_fit":
-                raise ValidationError("scaler file missing n_fit")
-            n_fit = int(n_fit)
+                raise ValidationError("line 2: scaler file missing n_fit")
+            try:
+                n_fit = int(n_fit)
+            except ValueError as exc:
+                raise ValidationError(f"line 2: n_fit: {exc}") from exc
             names, refs = [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=3):
                 parts = line.rstrip("\n").split("\t")
-                ref = np.array([float(v) for v in parts[1:]])
+                where = f"line {lineno}: scaler column {parts[0]!r}"
+                try:
+                    ref = np.array([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise ValidationError(f"{where}: {exc}") from exc
                 if len(ref) != n_fit:
-                    raise ValidationError(
-                        f"scaler column {parts[0]!r}: {len(ref)} references, n_fit {n_fit}"
-                    )
+                    raise ValidationError(f"{where}: {len(ref)} references, n_fit {n_fit}")
                 if not _ascending(ref):
-                    raise ValidationError(f"scaler column {parts[0]!r}: references not ascending")
+                    raise ValidationError(f"{where}: references not ascending")
                 names.append(parts[0])
                 refs.append(ref)
             return cls(names=tuple(names), references=refs, n_fit=n_fit)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from quickroutes.ingest import LineConfig, attach_labels, segment_climbs
@@ -40,3 +44,15 @@ def small_sim(small_line, small_profile):
 def small_records(small_sim, small_line):
     records = segment_climbs(small_sim.streams, small_line, gap_s=120.0)
     return attach_labels(records, [t.route for t in small_sim.truth])
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, loaded from its file; the benchmark
+    files are only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

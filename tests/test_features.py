@@ -9,6 +9,7 @@ are held to a stricter standard at the end: bit for bit the per-series
 numpy code they replaced, kept here as the ``reference_*`` functions.
 """
 
+import io
 import math
 import random
 import time
@@ -437,6 +438,14 @@ class TestAssemble:
         assert back.labels == matrix.labels
         assert back.climb_ids == matrix.climb_ids
         assert (back.values == matrix.values).all()
+
+    @pytest.mark.parametrize("row", [
+        "1.5\tA\t0.1\t0.2", "x\tA\t0.1\t0.2", "2\tA\t0.1\tabc",
+    ], ids=["fractional-climb-id", "climb-id-not-a-number", "value-not-a-number"])
+    def test_read_matrix_names_the_line_of_an_unparsable_value(self, row):
+        text = "climb_id\troute\tf1\tf2\n1\tA\t0.3\t0.4\n" + row + "\n"
+        with pytest.raises(ValidationError, match="line 3: "):
+            read_feature_matrix(io.StringIO(text))
 
     def test_matrix_path_round_trip(self, small_records, small_line, tmp_path):
         matrix = build_feature_matrix(small_records, small_line)

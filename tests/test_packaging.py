@@ -1,0 +1,17 @@
+"""The package metadata declares only what exists."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_every_script_target_is_an_importable_callable():
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -487,6 +487,15 @@ class TestScalerKnots:
         with pytest.raises(ValidationError, match="'b'"):
             QuantileScaler.load(io.StringIO(text))
 
+    @pytest.mark.parametrize("body, where", [
+        ("n_fit\tx\na\t1.0\n", "line 2: n_fit"),
+        ("n_fit 3\na\t1.0\t2.0\t3.0\n", "line 2: scaler file missing n_fit"),
+        ("n_fit\t3\na\t1.0\t2.0\t3.0\nb\t1.0\ttwo\t3.0\n", "line 4: scaler column 'b'"),
+    ], ids=["n_fit-not-an-integer", "n_fit-without-tab", "reference-not-a-number"])
+    def test_load_names_the_line_of_an_unparsable_value(self, body, where):
+        with pytest.raises(ValidationError, match=where):
+            QuantileScaler.load(io.StringIO(f"# {SCALER_FORMAT}\n{body}"))
+
     def test_save_load_path_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         scaler = fit_quantile(matrix_of({"a": rng.normal(size=7), "b": [2.0, 1.0] * 3 + [0.0]}))

@@ -329,10 +329,9 @@ def best_kmeans(
     k: int,
     restarts: int = DEFAULT_RESTARTS,
     seed0: int = 0,
-    **kwargs,
 ) -> KMeansResult:
     """Lowest-inertia run over consecutive seeds; ties keep the lowest seed."""
-    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts), **kwargs)
+    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts))
     return min(results, key=lambda result: result.inertia)
 
 
@@ -416,14 +415,13 @@ def repeated_kmeans(
     restarts: int = DEFAULT_RESTARTS,
     seed0: int = 0,
     adjusted: bool = True,
-    **kwargs,
 ) -> RandStats:
     """Rand-index statistics of ``restarts`` independent K-Means runs.
 
     Seeds are seed0..seed0+restarts-1, so the whole sweep is reproducible
     from a single integer.
     """
-    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts), **kwargs)
+    results = kmeans_restarts(points, k, range(seed0, seed0 + restarts))
     values = _rand_indices(truth, np.stack([r.assignments for r in results]), adjusted)
     arr = np.asarray(values)
     return RandStats(
@@ -558,94 +556,83 @@ class GmmResult:
     converged: bool
 
 
-def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``lower @ y = b`` for a lower-triangular ``lower`` (d, d) and
-    ``b`` (d, n), one row of ``y`` at a time."""
-    y = np.empty_like(b)
-    for i in range(len(lower)):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    return y
-
-
 def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for j in range(k):
-        try:
-            chol = np.linalg.cholesky(covs[j])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"component {j}: covariance singular beyond regularization "
-                f"(min diagonal {covs[j].diagonal().min():.3e})"
-            ) from exc
-        y = _forward_substitution(chol, (X - means[j]).T)
-        maha = np.einsum("dn,dn->n", y, y)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
-    return out
+    """(n, k) log densities from one Cholesky of the (k, d, d) stack; a
+    failure names the first component that is not positive definite."""
+    d = X.shape[1]
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        for j, cov in enumerate(covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise NumericError(
+                    f"component {j}: covariance singular beyond regularization "
+                    f"(min diagonal {cov.diagonal().min():.3e})"
+                ) from exc
+        raise
+    y = np.linalg.solve(chol, (X[None, :, :] - means[:, None, :]).transpose(0, 2, 1))
+    maha = np.einsum("kdn,kdn->nk", y, y)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
-def gmm_em(
-    points,
-    k: int,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_GMM_TOL,
-    reg: float = DEFAULT_GMM_REG,
-) -> GmmResult:
+def _covariances(X: np.ndarray, means: np.ndarray, resp: np.ndarray, nk: np.ndarray) -> np.ndarray:
+    """(k, d, d) scatter about each mean, weighted by a column of ``resp``
+    and divided by ``nk``, plus ``DEFAULT_GMM_REG`` on the diagonal."""
+    diff = X[None, :, :] - means[:, None, :]
+    covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
+    covs += DEFAULT_GMM_REG * np.eye(X.shape[1])
+    return 0.5 * (covs + covs.transpose(0, 2, 1))
+
+
+def gmm_em(points, k: int, seed: int = 0) -> GmmResult:
     """Full-covariance Gaussian mixture fitted by EM.
 
     Initialized from a K-Means run with the same seed (means = centers,
-    weights = cluster fractions, covariances = within-cluster scatter plus
-    ``reg`` on the diagonal). EM stops at the first iteration whose
-    log-likelihood gain is below ``tol``, so every earlier iteration gained
-    at least ``tol``. That last change can be negative: the ``reg`` added to
-    each covariance makes the M-step inexact. On unit-variance data the
-    loss stays below about 1e-9 (drops up to 1.5e-10 in 9 of 40 seeds of
-    three blobs in 5-D); it grows as component variances approach ``reg``
-    (up to 1.5e-2 on two 2-D blobs at sd 0.01 fitted with three
-    components). ``converged`` is True only when EM stopped on a change in
-    ``[-tol, tol)``; a run that stopped on a larger loss, or at
-    ``max_iter``, reports False.
+    weights = cluster fractions, covariances = within-cluster scatter about
+    the centers plus ``DEFAULT_GMM_REG`` on the diagonal; an empty cluster
+    starts at that diagonal). EM stops at the first iteration whose
+    log-likelihood gain is below ``DEFAULT_GMM_TOL``, so every earlier
+    iteration gained at least that much, or after ``DEFAULT_MAX_ITER``
+    iterations. That last change can be negative: the ``DEFAULT_GMM_REG``
+    added to each covariance makes the M-step inexact. On unit-variance
+    data the loss stays below about 1e-9 (drops up to 1.5e-10 in 9 of 40
+    seeds of three blobs in 5-D); it grows as component variances approach
+    the regularization (up to 1.5e-2 on two 2-D blobs at sd 0.01 fitted
+    with three components). ``converged`` is True only when EM stopped on
+    a change in ``[-DEFAULT_GMM_TOL, DEFAULT_GMM_TOL)``; a run that stopped
+    on a larger loss, or at ``DEFAULT_MAX_ITER``, reports False.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = X.shape
+    n = len(X)
     if n <= k:
         raise ValidationError(f"need more than k={k} points, got {n}")
 
     init = kmeans(X, k, seed=seed)
-    weights = np.bincount(init.assignments, minlength=k).astype(float) / n
-    means = init.centers.copy()
-    covs = np.empty((k, d, d))
-    for j in range(k):
-        members = X[init.assignments == j]
-        centered = members - members.mean(axis=0)
-        covs[j] = centered.T @ centered / max(len(members), 1) + reg * np.eye(d)
+    counts = np.bincount(init.assignments, minlength=k)
+    weights = counts / n
+    means = init.centers
+    covs = _covariances(X, means, np.eye(k)[init.assignments], np.maximum(counts, 1.0))
 
     history: list[float] = []
-    resp = np.full((n, k), 1.0 / k)
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         log_prob = _log_gaussians(X, means, covs) + np.log(weights)[None, :]
         log_norm = _logsumexp_rows(log_prob)
         ll = float(log_norm.sum())
         resp = np.exp(log_prob - log_norm[:, None])
 
         history.append(ll)
-        if len(history) >= 2 and ll - history[-2] < tol:
-            converged = ll - history[-2] >= -tol
+        if len(history) >= 2 and ll - history[-2] < DEFAULT_GMM_TOL:
+            converged = ll - history[-2] >= -DEFAULT_GMM_TOL
             break
 
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 10 * np.finfo(float).eps)
+        nk = np.maximum(resp.sum(axis=0), 10 * np.finfo(float).eps)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j] + reg * np.eye(d)
-            covs[j] = 0.5 * (covs[j] + covs[j].T)
+        covs = _covariances(X, means, resp, nk)
 
     return GmmResult(
         weights=weights,
@@ -686,25 +673,23 @@ def silhouette(points, assignments) -> SilhouetteResult:
     labels = np.asarray(assignments)
     if labels.shape[0] != X.shape[0]:
         raise ValidationError("assignments must match points")
-    clusters = np.unique(labels)
+    clusters, codes = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise ValidationError("silhouette needs at least 2 clusters")
 
-    n = X.shape[0]
-    scores = np.zeros(n)
+    sizes = np.bincount(codes)
+    scores = np.zeros(len(X))
     diff = np.empty_like(X)  # one row of the distance matrix at a time: O(n*d) memory
-    for i in range(n):
-        own = labels[i]
-        same = (labels == own)
-        own_size = int(same.sum())
-        if own_size <= 1:
+    for i, own in enumerate(codes.tolist()):
+        if sizes[own] <= 1:
             continue
         np.subtract(X[i], X, out=diff)
         dist = np.sqrt(np.einsum("md,md->m", diff, diff))
-        a = dist[same].sum() / (own_size - 1)
-        b = min(
-            dist[labels == other].mean() for other in clusters if other != own
-        )
+        sums = np.bincount(codes, weights=dist, minlength=clusters.size)
+        a = sums[own] / (sizes[own] - 1)
+        sums /= sizes
+        sums[own] = np.inf
+        b = sums.min()
         top = max(a, b)
         scores[i] = 0.0 if top == 0.0 else (b - a) / top
 
@@ -773,11 +758,9 @@ def count_misassigned(truth: Sequence, predicted: Sequence) -> int:
     The best total agreement is unique even when several matchings reach
     it, so the count does not depend on which one the solver finds.
     """
-    if len(truth) != len(predicted):
+    t, p = _label_codes(truth), _label_codes(predicted)
+    if len(t) != len(p):
         raise ValidationError("labelings must have equal length")
-    truth_ids = {label: i for i, label in enumerate(dict.fromkeys(truth))}
-    pred_ids = {label: i for i, label in enumerate(dict.fromkeys(predicted))}
-    agree = np.zeros((len(pred_ids), len(truth_ids)), dtype=int)
-    for lt, lp in zip(truth, predicted):
-        agree[pred_ids[lp], truth_ids[lt]] += 1
-    return len(truth) - _max_matching_total(agree)
+    n_truth, n_pred = int(t.max(initial=-1)) + 1, int(p.max(initial=-1)) + 1
+    agree = np.bincount(p * n_truth + t, minlength=n_pred * n_truth).reshape(n_pred, n_truth)
+    return len(t) - _max_matching_total(agree)

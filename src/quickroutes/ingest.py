@@ -19,6 +19,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 from .errors import ConfigError, MissingClipError, ValidationError
@@ -27,6 +28,7 @@ from .sensor import SampleEvent
 log = logging.getLogger(__name__)
 
 DEFAULT_GAP_S = 120.0
+wire_order = attrgetter("t", "position")  # sort key: timestamp, then position
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class ClimbRecord:
 
     def all_events(self) -> list[SampleEvent]:
         events = [e for w in self.windows.values() for e in w] + list(self.flagged)
-        events.sort(key=lambda e: (e.t, e.position))
+        events.sort(key=wire_order)
         return events
 
 
@@ -157,7 +159,7 @@ def open_text(target: Union[TextIO, str, os.PathLike], mode: str) -> Iterator[Te
 
 def write_events(target: Union[TextIO, str, os.PathLike], events: Iterable[SampleEvent]) -> None:
     """Write events in timestamp order in the wire format above."""
-    ordered = sorted(events, key=lambda e: (e.t, e.position))
+    ordered = sorted(events, key=wire_order)
     with open_text(target, "w") as fh:
         for e in ordered:
             fh.write(f"{e.position}\t{e.t:.3f}\t{e.x_counts}\t{e.y_counts}\t{e.z_counts}\n")
@@ -168,7 +170,7 @@ def _flatten(events) -> list[SampleEvent]:
         flat = [e for group in events.values() for e in group]
     else:
         flat = list(events)
-    flat.sort(key=lambda e: (e.t, e.position))
+    flat.sort(key=wire_order)
     return flat
 
 

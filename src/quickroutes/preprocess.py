@@ -5,8 +5,8 @@ normal, which spreads frequent values and caps the leverage of outliers;
 without it the long-segment time deltas would dominate every Euclidean
 distance. Selection scores each scaled column with a one-way ANOVA
 F-ratio against the ground-truth route labels and keeps the top k.
-Selection is supervised while the downstream clustering is not; pipelines
-record that labels were consumed here so reports can disclose it.
+Selection is supervised while the downstream clustering is not; no code
+records yet that labels were consumed here, so no report discloses it.
 
 The standard normal quantile function is :func:`ndtri`, a numpy port of
 Moshier's Cephes ``ndtri`` (the algorithm behind ``scipy.special.ndtri``):

@@ -60,8 +60,13 @@ class SensorConfig:
     def __post_init__(self):
         if self.full_scale_g <= 0:
             raise ConfigError("full_scale_g must be positive")
+        if self.sleep_rate_hz <= 0:
+            raise ConfigError("sleep_rate_hz must be positive")
         if self.sleep_rate_hz >= self.active_rate_hz:
             raise ConfigError("sleep rate must be below active rate")
+        for name in ("inactive_grace_s", "sleep_after_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.averaging_window < 1:
             raise ConfigError("averaging_window must be >= 1")
         if self.group_size < 1:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SequencingError
-from .ingest import LineConfig
+from .ingest import LineConfig, wire_order
 from .sensor import SampleEvent, SensorConfig, change_gate, g_to_counts
 # the spec _run_position matches, kept bound here for tools that wrap simulate.step
 from .sensor import step  # noqa: F401
@@ -84,6 +84,9 @@ class RouteProfile:
     def __post_init__(self):
         if self.climb_spacing_s <= 0:
             raise ConfigError("climb_spacing_s must be positive")
+        for name in ("clip_jitter_s", "amp_jitter", "noise_g"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         unknown = sorted(set(self.climbs) - set(self.routes))
         if unknown:
             raise ConfigError(f"climbs reference undefined routes: {unknown}")
@@ -127,7 +130,7 @@ class LineSimulation:
 
     def all_events(self) -> list[SampleEvent]:
         flat = [e for stream in self.streams.values() for e in stream]
-        flat.sort(key=lambda e: (e.t, e.position))
+        flat.sort(key=wire_order)
         return flat
 
 
@@ -305,7 +308,8 @@ def _run_position(
         taking noise rows from ``visit`` on."""
         ticks = np.arange(tick, tick + count * stride, stride)
         g = rest + direction * swing.at(ticks)[:, None] + noise_rows(visit, visit + count)
-        return np.clip(_round_half_away(g * max_counts / scale), -max_counts, max_counts)
+        # clipped before rounding: the int64 cast must not see counts beyond full scale
+        return _round_half_away(np.clip(g * max_counts / scale, -max_counts, max_counts))
 
     threshold = cfg.change_threshold_counts
     window = cfg.averaging_window

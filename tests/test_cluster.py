@@ -27,7 +27,7 @@ from quickroutes.cluster import (
     silhouette,
     sweep_feature_count,
 )
-from quickroutes.errors import ValidationError
+from quickroutes.errors import NumericError, ValidationError
 from quickroutes.preprocess import FeatureScore, select_k_best
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -720,6 +720,9 @@ class TestCountMisassigned:
         with pytest.raises(ValidationError):
             count_misassigned(["A", "B"], [0])
 
+    def test_empty_labelings_have_no_disagreement(self):
+        assert count_misassigned([], []) == 0
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 60), st.integers(0, 2**32 - 1))
     def test_matching_total_equals_linear_sum_assignment(self, rows, cols, high, seed):
@@ -814,17 +817,28 @@ class TestPca:
 
 class TestGmm:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_forward_substitution_equals_solve_triangular(self, d, n, seed):
-        from scipy.linalg import solve_triangular
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_log_gaussians_equal_cholesky_and_solve_triangular(self, d, n, k, seed):
+        from scipy.linalg import cholesky, solve_triangular
 
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((d + 3, d)) * rng.uniform(0.01, 10.0, size=d)
-        chol = np.linalg.cholesky(A.T @ A / (d + 3) + 1e-6 * np.eye(d))
-        b = rng.standard_normal((d, n)) * rng.uniform(0.1, 100.0)
-        want = solve_triangular(chol, b, lower=True)
-        got = cluster._forward_substitution(chol, b)
+        A = rng.standard_normal((k, d + 3, d)) * rng.uniform(0.01, 10.0, size=(k, 1, d))
+        covs = A.transpose(0, 2, 1) @ A / (d + 3) + 1e-6 * np.eye(d)
+        means = rng.standard_normal((k, d))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0)
+        want = np.empty((n, k))
+        for j in range(k):
+            chol = cholesky(covs[j], lower=True)
+            y = solve_triangular(chol, (X - means[j]).T, lower=True)
+            logdet = 2.0 * np.log(np.diag(chol)).sum()
+            want[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + (y * y).sum(axis=0))
+        got = cluster._log_gaussians(X, means, covs)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_covariance_not_positive_definite_names_its_component(self):
+        covs = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.eye(2)])
+        with pytest.raises(NumericError, match="^component 1: "):
+            cluster._log_gaussians(np.zeros((4, 2)), np.zeros((3, 2)), covs)
 
     def test_converged_only_when_the_last_change_is_within_tol(self):
         # two tight blobs fitted with three components: the reg-inexact

@@ -247,6 +247,18 @@ class TestErrors:
         with pytest.raises(ConfigError, match="must be"):
             parse_config(with_line("[line]\nie = 5\n", section, line))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulate", "clip_jitter_s", "-0.1"),
+        ("simulate", "amp_jitter", "-0.1"),
+        ("simulate", "noise_g", "-0.1"),
+        ("sensor", "sleep_rate_hz", "0"),
+        ("sensor", "sleep_after_s", "-1"),
+        ("sensor", "inactive_grace_s", "-0.1"),
+    ])
+    def test_negative_rates_and_spreads_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(with_line(DAY, section, f"{key} = {value}"))
+
     @pytest.mark.parametrize("kwargs", [
         dict(restarts=0), dict(n_clusters=0), dict(pca_dims=0), dict(max_features=0),
         dict(gap_s=0.0),

@@ -1,4 +1,5 @@
-"""The library runs on numpy alone: importing it loads no scipy module."""
+"""The library runs on numpy alone: importing it, matching labels, fitting
+a Gaussian mixture and scoring silhouettes load no scipy module."""
 
 import os
 import subprocess
@@ -9,9 +10,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
 import sys
+import numpy as np
 import quickroutes.cluster, quickroutes.config, quickroutes.features
 import quickroutes.ingest, quickroutes.preprocess, quickroutes.simulate
-assert quickroutes.cluster.count_misassigned("AAB", [1, 1, 0]) == 0
+from quickroutes.cluster import count_misassigned, gmm_em, silhouette
+assert count_misassigned("AAB", [1, 1, 0]) == 0
+X = np.random.default_rng(0).standard_normal((12, 2)) + np.repeat([[0, 0], [5, 5]], 6, axis=0)
+assert gmm_em(X, 2).converged
+assert silhouette(X, [0] * 6 + [1] * 6).mean > 0.5
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -234,3 +234,7 @@ class TestConfig:
             SensorConfig(averaging_window=0)
         with pytest.raises(ConfigError):
             SensorConfig(group_size=0)
+        for kwargs in (dict(sleep_rate_hz=0.0), dict(sleep_rate_hz=-1.0),
+                       dict(sleep_after_s=-1.0), dict(inactive_grace_s=-0.1)):
+            with pytest.raises(ConfigError):
+                SensorConfig(**kwargs)

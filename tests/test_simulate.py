@@ -3,6 +3,7 @@ ground truth, energy proxies and route validation."""
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,8 @@ CONFIGS = [
         averaging_window=5, sleep_after_s=2.0,
     ),
     SensorConfig(output_bits=6, full_scale_g=1.0, averaging_window=3, sleep_after_s=2.5),
+    # every raw reading saturates: counts far beyond the int64 range before clipping
+    SensorConfig(full_scale_g=1e-20, sleep_after_s=2.0),
 ]
 
 
@@ -179,6 +182,12 @@ class TestKernelMatchesStep:
             clip_jitter_s=clip_jitter_s,
         )
         assert_matches_reference(LINE5, profile, seed, cfg)
+
+    def test_saturating_config_without_warning(self):
+        profile = RouteProfile(routes=ROUTES, climbs=["a", "b"], climb_spacing_s=6.0, start_s=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_matches_reference(LINE5, profile, 0, CONFIGS[-1])
 
     def test_swing_bit_equal_to_scalar_walk(self):
         # overlapping, out-of-order bursts; numpy's exp differs from math.exp
@@ -303,3 +312,6 @@ class TestRouteValidation:
             RouteProfile(routes=ROUTES, climbs=["a", "nope"])
         with pytest.raises(ConfigError):
             RouteProfile(routes=ROUTES, climbs=["a"], climb_spacing_s=0.0)
+        for key in ("clip_jitter_s", "amp_jitter", "noise_g"):
+            with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+                RouteProfile(routes=ROUTES, climbs=["a"], **{key: -0.1})

@@ -6,8 +6,9 @@ Everything is Euclidean and deterministic: each stochastic operation is a
 pure function of its inputs and an integer seed, restarts use consecutive
 seeds, and results are merged in seed order.
 
-``kmeans_restarts`` is the one Lloyd loop; ``kmeans``, ``best_kmeans``,
-``repeated_kmeans``, the sweep and the GMM initialization all call it. Its
+``_lloyd`` is the one Lloyd loop. ``kmeans_restarts`` calls it, and
+``kmeans``, ``best_kmeans``, ``repeated_kmeans`` and the GMM
+initialization call that; the feature-count sweep calls both. Its
 restarts are batched: each round assigns the points of every restart
 still running from one GEMM against all their centers, and a restart
 leaves the batch once it converges. Each restart's result is bit for bit
@@ -19,6 +20,16 @@ inertia is computed once per restart, from its final centers and
 assignment. Restarts run in chunks sized by memory: one chunk's
 (restarts, points, dimensions) block holds at most 8 MB, or one
 restart's when that alone is larger.
+
+Each restart may have its own width: the run of its seed on the first w
+columns. The feature-count sweep uses this to cluster every prefix of the
+feature ranking in a few engine calls. A chunk holds consecutive widths,
+runs on the block padded to its widest, and keeps each restart's centers
+zero past its width; every step whose rounding depends on the width is
+taken on the restart's own columns, so its assignments and its centers on
+those columns are bit for bit those of its prefix alone. Width 1 runs on
+its own, because numpy sums a one-column block pairwise. The sweep's padded blocks hold at most 4 MB, and all its
+labelings are scored in one rand-index pass.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +51,9 @@ DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
 # floats in one chunk's (restarts, n, d) block of K-Means restarts: 8 MB
 _CHUNK_FLOATS = 2**20
+# floats in one padded (restarts, n, width) block of the feature-count sweep:
+# 4 MB; at 8 MB the sweep ran no faster and its peak memory grew by about 1 MB
+_SWEEP_FLOATS = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -74,31 +88,34 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarray,
+            widths: np.ndarray) -> np.ndarray:
     """Nearest center per restart and row: ``argmin`` of ``_squared_distances``
     against each restart's centers, ties to the lowest index, without
     forming a difference tensor.
 
     ``centers`` is (A, k, d), the centers of A restarts; the result is
-    (A, n). ``xx`` holds each row's squared norm and ``xnorm`` its square
-    root. One GEMM against all A*k centers gives the expanded
-    ``|x|^2 + |c|^2 - 2 x.c``. It and the difference form each lie within
-    ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared distance, in any
-    summation order, so the width of the GEMM cannot change a decision. A
-    row whose best expanded value beats every other center of its restart
-    by more than twice the sum of both errors (with a factor 2 to spare,
-    plus slack for subnormal rounding) has the same unique argmin in the
-    difference form. Every other row, including ties and rows holding inf
-    or NaN, is decided by ``_squared_distances`` against that restart's
-    centers.
+    (A, n). Restart a works on the prefix ``X[:, :widths[a]]``, and its
+    centers are zero beyond that width. Row a of ``xx`` holds each row's
+    squared norm at that width and row a of ``xnorm`` its square root.
+    One GEMM against all A*k centers gives the expanded
+    ``|x|^2 + |c|^2 - 2 x.c``; the zeros of a narrower restart's centers
+    only add exact zero products. It and the difference form each lie
+    within ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared distance, in
+    any summation order and at any width up to d, so neither the width of
+    the GEMM nor the padding can change a decision. A row whose best
+    expanded value beats every other center of its restart by more than
+    twice the sum of both errors (with a factor 2 to spare, plus slack for
+    subnormal rounding) has the same unique argmin in the difference form.
+    Every other row, including ties and rows holding inf or NaN, is decided
+    by ``_squared_distances`` on the restart's own width.
     """
     A, k, d = centers.shape
     n = X.shape[0]
     if k == 1:
         return np.zeros((A, n), dtype=np.intp)
     cc = np.einsum("akd,akd->ak", centers, centers)
-    d2 = xx[:, None] + cc.reshape(A * k) - 2.0 * (X @ centers.reshape(A * k, d).T)
-    d2 = d2.reshape(n, A, k)
+    d2 = xx.T[:, :, None] + cc - 2.0 * (X @ centers.reshape(A * k, d).T).reshape(n, A, k)
     best = d2.argmin(axis=2)
     # gap to the second-best center; NaN when the argmin found a NaN
     rows, runs = np.arange(n)[:, None], np.arange(A)
@@ -106,7 +123,7 @@ def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarra
     d2[rows, runs, best] = np.inf
     gap += d2.min(axis=2)
     # in place: on tiny inputs the temporaries cost more than the arithmetic
-    bound = xnorm[:, None] + np.sqrt(cc.max(axis=1))
+    bound = xnorm.T + np.sqrt(cc.max(axis=1))
     bound *= bound
     bound *= 8.0 * _gamma(d + 4)
     bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
@@ -115,7 +132,8 @@ def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarra
     if unsure.any():
         for a in np.flatnonzero(unsure.any(axis=0)).tolist():
             redo = np.flatnonzero(unsure[:, a])
-            assign[a, redo] = np.argmin(_squared_distances(X[redo], centers[a]), axis=1)
+            w = widths[a]
+            assign[a, redo] = np.argmin(_squared_distances(X[redo, :w], centers[a, :, :w]), axis=1)
     return assign
 
 
@@ -155,24 +173,26 @@ def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.nda
     cluster, and an empty one, keeps its center. ``keys`` as for
     ``_inertias``; ``changed`` flags each of the A*k clusters.
 
-    One stable sort gathers each changed cluster's members as a C-ordered
-    block in row order, the very block ``X[assign[a] == j]`` is, so each
-    sum rounds as that one does, numpy's pairwise sum at d = 1 included.
-    ``np.add.reduceat`` over the sorted rows would round differently.
+    One stable sort puts each changed cluster's member rows in row order;
+    gathered, they are the very C-ordered block ``X[assign[a] == j]`` is,
+    so each sum rounds as that one does, numpy's pairwise sum at d = 1
+    included. ``np.add.reduceat`` over the sorted rows would round
+    differently. Each cluster's block is gathered on its own: one block
+    of every member would be as large as the chunk's (A, n, d).
     """
     A, k, d = centers.shape
     flat_keys = keys.ravel()
     picked = np.flatnonzero(changed[flat_keys])
     picked_keys = flat_keys[picked]
-    members = X[picked[np.argsort(picked_keys, kind="stable")] % len(X)]
+    rows = picked[np.argsort(picked_keys, kind="stable")] % len(X)
     sizes = np.bincount(picked_keys, minlength=A * k)
     ends = sizes.cumsum()
     new = centers.copy()
     flat = new.reshape(A * k, d)
     filled = np.flatnonzero(sizes)
     for group, end, size in zip(filled.tolist(), ends[filled].tolist(), sizes[filled].tolist()):
-        np.add.reduce(members[end - size:end], axis=0, out=flat[group])
-    # the arithmetic of members.mean(axis=0), without its overhead
+        np.add.reduce(X[rows[end - size:end]], axis=0, out=flat[group])
+    # the arithmetic of each block's mean(axis=0), without its overhead
     flat[filled] /= sizes[filled, None]
     return new
 
@@ -200,7 +220,8 @@ def kmeans_restarts(
     change in a round keeps its center, the mean of those same rows, and
     each restart's inertia is computed once, at the end. Restarts run in
     chunks whose (restarts, n, d) blocks hold at most ``_CHUNK_FLOATS``
-    floats.
+    floats. Every restart here uses all d columns; the feature-count sweep
+    gives each restart of the same engine its own prefix width.
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
@@ -214,30 +235,59 @@ def kmeans_restarts(
     per_chunk = max(1, _CHUNK_FLOATS // max(1, n * d))
     results: list[KMeansResult] = []
     for start in range(0, len(seeds), per_chunk):
-        results += _lloyd(X, xx, xnorm, k, seeds[start:start + per_chunk], max_iter, tol)
+        chunk = seeds[start:start + per_chunk]
+        shape = (len(chunk), n)
+        assigns, centers, rounds = _lloyd(X, np.broadcast_to(xx, shape), np.broadcast_to(xnorm, shape),
+                                          k, chunk, max_iter, tol, np.full(len(chunk), d))
+        keys = np.arange(0, len(chunk) * k, k)[:, None] + np.stack(assigns)
+        inertias = _inertias(X, np.stack(centers), keys).tolist()
+        results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
     return results
 
 
-def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) -> list[KMeansResult]:
-    """Lloyd rounds of one chunk of restarts, all advancing together.
+def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
+           widths: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+    """Lloyd rounds of one chunk of restarts, all advancing together; each
+    restart's final assignment, final centers and number of rounds, in
+    seed order.
+
+    Restart a is the run of its seed on the prefix ``X[:, :widths[a]]``;
+    row a of ``xx`` and ``xnorm`` holds the squared norms and norms of the
+    rows at that width. A restart narrower than X keeps its centers zero
+    beyond its width. Its means sum whole rows of X column by column,
+    which rounds as the prefix does, and lose the columns past its width.
+    At width 1 numpy sums a one-column block pairwise instead, so a
+    width-1 restart may only run in a chunk where X has one column. Every
+    step whose rounding depends on the number of columns is taken on the
+    restart's own slice: the fallback of ``_assign``, ``_repair`` and a
+    shift within a rounding band of ``tol``. A restart's centers come back
+    at the width of X, zero past its own; the inertia is left to the
+    caller, since the sweep reads only the assignments.
 
     A round computes new means only for the clusters whose members changed:
     a row entered or left, or ``_repair`` ran in that restart. Any other
     cluster's center is already the mean of its members, summed over the
-    same rows in the same order. Inertia is computed once, at the end.
+    same rows in the same order.
     A repaired restart also stops on a fixed point: its assignment equals
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
     """
-    n = len(X)
+    n, d = X.shape
+    padded = bool((widths < d).any())
+    columns = np.arange(d)
     centers = X[np.array([_initial_rows(n, k, seed) for seed in seeds])]
+    if padded:
+        np.copyto(centers, 0.0, where=columns >= widths[:, None, None])
+        # the sum of one shift can round differently padded than at its own width
+        band = 4.0 * _gamma(d + 2) * tol
     last = list(centers)  # each restart's centers when it stopped
     final: list[Optional[np.ndarray]] = [None] * len(seeds)  # assignment, if known
     rounds = [0] * len(seeds)
     live = list(range(len(seeds)))
+    live_xx, live_xnorm, live_widths = xx, xnorm, widths
     previous = None  # the live restarts' assignments in the last round
     for it in range(1, max_iter + 1):
-        assign = _assign(X, xx, xnorm, centers)
+        assign = _assign(X, live_xx, live_xnorm, centers, live_widths)
         offsets = np.arange(0, len(live) * k, k)[:, None]
         keys = offsets + assign
         sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
@@ -245,7 +295,8 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
         if empty:
             started = centers[empty]  # a copy: _repair moves centers in place
             for a in empty:
-                assign[a] = _repair(X, centers[a], assign[a])
+                w = live_widths[a]
+                assign[a] = _repair(X[:, :w], centers[a, :, :w], assign[a])
             keys = offsets + assign
         if previous is None:
             changed = np.ones(len(live) * k, dtype=bool)
@@ -257,9 +308,17 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
             for a in empty:
                 changed[a * k:(a + 1) * k] = True
         new_centers = _means(X, centers, keys, changed)
+        if padded:
+            np.copyto(new_centers, 0.0, where=columns >= live_widths[:, None, None])
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
         unchanged = (new_centers == centers).all(axis=(1, 2))
-        stop = (shift < tol) | (it == max_iter)
+        stop = shift < tol
+        if padded:
+            for a in np.flatnonzero((abs(shift - tol) <= band) & (live_widths < d)).tolist():
+                w = live_widths[a]
+                own = ((new_centers[a, :, :w] - centers[a, :, :w]) ** 2).sum(axis=1)
+                stop[a] = np.sqrt(own).max() < tol
+        stop |= it == max_iter
         if empty and previous is not None:
             stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
                 new_centers[empty] == started).all(axis=(1, 2))
@@ -277,20 +336,18 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float) ->
             live = [slot for slot, halt in zip(live, stop.tolist()) if not halt]
             if not live:
                 break
-            centers = centers[~stop]
-            previous = assign[~stop]
+            keep = ~stop
+            centers, previous = centers[keep], assign[keep]
+            live_xx, live_xnorm, live_widths = live_xx[keep], live_xnorm[keep], live_widths[keep]
 
     # restarts whose centers moved in their last round get one more assignment
     pending = [slot for slot, assign in enumerate(final) if assign is None]
     if pending:
-        for slot, assign in zip(pending, _assign(X, xx, xnorm, np.stack([last[s] for s in pending]))):
+        assigns = _assign(X, xx[pending], xnorm[pending], np.stack([last[s] for s in pending]),
+                          widths[pending])
+        for slot, assign in zip(pending, assigns):
             final[slot] = assign
-    keys = np.arange(0, len(seeds) * k, k)[:, None] + np.stack(final)
-    inertias = _inertias(X, np.stack(last), keys).tolist()
-    return [
-        KMeansResult(final[i], last[i], inertias[i], rounds[i], seed)
-        for i, seed in enumerate(seeds)
-    ]
+    return final, last, rounds
 
 
 def kmeans(
@@ -423,6 +480,10 @@ def repeated_kmeans(
     """
     results = kmeans_restarts(points, k, range(seed0, seed0 + restarts))
     values = _rand_indices(truth, np.stack([r.assignments for r in results]), adjusted)
+    return _rand_stats(values, adjusted, seed0)
+
+
+def _rand_stats(values: list[float], adjusted: bool, seed0: int) -> RandStats:
     arr = np.asarray(values)
     return RandStats(
         minimum=float(arr.min()),
@@ -471,10 +532,17 @@ def sweep_feature_count(
 ) -> SweepCurve:
     """Clustering quality as a function of how many top-scored columns stay.
 
-    For each feature count k the top-k columns (by ANOVA F, ties by column
-    order) feed ``repeated_kmeans``; the preferred operating point is the
-    smallest k whose minimum rand index over restarts is maximal — the
-    worst case is what must be good.
+    For each feature count w the top-w columns (by ANOVA F, ties by column
+    order) get ``restarts`` K-Means runs, each bit for bit the run of
+    ``repeated_kmeans`` on those columns, so every entry holds the same
+    ``RandStats``. Width 1 runs through ``kmeans_restarts``, since numpy
+    sums a one-column block pairwise. Every wider count's restarts run in
+    the one engine with their own prefix width, in chunks of consecutive
+    widths whose zero-padded (restarts, n, width) block holds at most
+    ``_SWEEP_FLOATS`` floats (4 MB); see ``_prefix_assignments``. All
+    labelings are then scored in one ``_rand_indices`` call. The
+    preferred operating point is the smallest w whose minimum rand index
+    over restarts is maximal — the worst case is what must be good.
     """
     values = np.asarray(values, dtype=float)
     names = list(names)
@@ -483,23 +551,60 @@ def sweep_feature_count(
     by_name = {s.name: i for i, s in enumerate(scores)}
     if set(by_name) != set(names):
         raise ValidationError("score names do not match matrix columns")
+    if max_features is not None and max_features < 1:
+        raise ValidationError("max_features must be >= 1")
+    if len(truth) != len(values):
+        # checked before any restart runs: the labelings are scored only at the end
+        raise ValidationError("truth must label every row")
     limit = len(names) if max_features is None else min(max_features, len(names))
-    # one ranking serves every k: top-k is a prefix of it
+    # one ranking serves every w: top-w is a prefix of it
     ranking = select_k_best(scores, len(names))
-    # columns in rank order: each prefix is a view, copied once to C order by the engine
     ranked = np.ascontiguousarray(values[:, [names.index(n) for n in ranking[:limit]]])
 
-    entries = []
-    for k in range(1, limit + 1):
-        stats = repeated_kmeans(
-            ranked[:, :k], truth, n_clusters, restarts=restarts, seed0=seed0, adjusted=adjusted
+    seeds = list(range(seed0, seed0 + restarts))
+    # one row per run, filled as the runs come: no list of every run's arrays
+    labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
+    for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds)):
+        labelings[i] = assignments
+    rand = _rand_indices(truth, labelings, adjusted)
+    entries = [
+        SweepEntry(
+            n_features=w,
+            columns=tuple(ranking[:w]),
+            stats=_rand_stats(rand[(w - 1) * restarts:w * restarts], adjusted, seed0),
         )
-        entries.append(
-            SweepEntry(n_features=k, columns=tuple(ranking[:k]), stats=stats)
-        )
+        for w in range(1, limit + 1)
+    ]
     best_min = max(entry.stats.minimum for entry in entries)
     chosen = next(e.n_features for e in entries if e.stats.minimum == best_min)
     return SweepCurve(entries=entries, chosen_k=chosen)
+
+
+def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterator[np.ndarray]:
+    """The assignments of ``kmeans_restarts(ranked[:, :w], k, seeds)`` for
+    w = 1..d in turn, from a few ``_lloyd`` calls. A generator: the caller
+    need not hold every chunk's results at once.
+
+    Width 1 runs on its own, through ``kmeans_restarts``: numpy sums a
+    one-column block pairwise, so its means cannot come from a wider one.
+    The wider prefixes run in chunks of consecutive widths, each padded to
+    its widest. A chunk's padded (restarts, n, width) block holds at most
+    ``_SWEEP_FLOATS`` floats, or one width's restarts when those alone take
+    more. Each restart's squared row norms come from one ``cumsum``.
+    """
+    n, d = ranked.shape
+    yield from (run.assignments for run in kmeans_restarts(ranked[:, :1], k, seeds))
+    cumulative = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
+    first = 2
+    while first <= d:
+        last = first
+        while last < d and (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
+            last += 1
+        widths = np.repeat(np.arange(first, last + 1), len(seeds))
+        xx = cumulative[widths - 1]
+        yield from _lloyd(ranked[:, :last], xx, np.sqrt(xx), k, seeds * (last + 1 - first),
+                          DEFAULT_MAX_ITER, DEFAULT_TOL, widths)[0]
+        first = last + 1
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +724,10 @@ def gmm_em(points, k: int, seed: int = 0) -> GmmResult:
     history: list[float] = []
     converged = False
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        log_prob = _log_gaussians(X, means, covs) + np.log(weights)[None, :]
+        with np.errstate(divide="ignore"):
+            # an empty initial cluster has weight 0: its log is -inf on purpose
+            log_weights = np.log(weights)
+        log_prob = _log_gaussians(X, means, covs) + log_weights[None, :]
         log_norm = _logsumexp_rows(log_prob)
         ll = float(log_norm.sum())
         resp = np.exp(log_prob - log_norm[:, None])

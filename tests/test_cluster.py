@@ -2,15 +2,18 @@
 difference-form reference, rand index, silhouette, label matching, PCA
 and the GMM contract."""
 
+import hashlib
 import itertools
 import math
+import struct
 import time
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quickroutes import cluster
@@ -193,9 +196,9 @@ class TestKMeansKernel:
         X, k, _ = case
         rows = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=k, max_size=k))
         centers = X[rows]
-        xx = np.einsum("nd,nd->n", X, X)
+        xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None])[0]
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None], [X.shape[1]])[0]
         d2 = reference_squared_distances(X, centers)
         np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
         two = np.sort(d2, axis=1)[:, :2]
@@ -204,9 +207,9 @@ class TestKMeansKernel:
 
     def test_equidistant_point_goes_to_lowest_center(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        xx = np.einsum("nd,nd->n", X, X)
+        xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), np.array([[[2.0], [0.0]]]))[0]
+            assign = cluster._assign(X, xx, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1])[0]
         np.testing.assert_array_equal(assign, [1, 0, 0])
         (points, _), _ = spy.call_args
         np.testing.assert_array_equal(points, [[1.0]])
@@ -219,8 +222,8 @@ class TestKMeansKernel:
             k = int(rng.integers(2, n + 1))
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-162, -150)
             centers = X[rng.choice(n, k, replace=False)]
-            xx = np.einsum("nd,nd->n", X, X)
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None])[0]
+            xx = np.einsum("nd,nd->n", X, X)[None]
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None], [d])[0]
             expected = np.argmin(reference_squared_distances(X, centers), axis=1)
             np.testing.assert_array_equal(assign, expected)
 
@@ -412,11 +415,11 @@ class TestKMeansRestarts:
 
     def test_assign_falls_back_only_in_the_restart_with_a_tie(self):
         X = np.array([[0.0], [1.0], [2.0], [4.0]])
-        xx = np.einsum("nd,nd->n", X, X)
+        xx = np.repeat(np.einsum("nd,nd->n", X, X)[None], 2, axis=0)
         centers = np.array([[[0.0], [2.0]],    # row 1.0 is equidistant
                             [[0.5], [3.0]]])   # no ties
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers)
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers, [1, 1])
         (points, restart_centers), _ = spy.call_args
         assert spy.call_count == 1
         np.testing.assert_array_equal(points, [[1.0]])
@@ -576,52 +579,210 @@ class TestBatchedRandIndex:
 
 
 # ---------------------------------------------------------------------------
-# Feature-count sweep
+# Per-restart prefix widths and the feature-count sweep
 # ---------------------------------------------------------------------------
 
+def prefix_lloyd(X, k, seeds, widths, max_iter=cluster.DEFAULT_MAX_ITER, tol=cluster.DEFAULT_TOL):
+    """The engine with restart a on the prefix ``X[:, :widths[a]]``, as the
+    sweep calls it. Each result holds the restart's centers on its own
+    width, whose columns past it must be zero, and the inertia
+    ``kmeans_restarts`` would compute from them on that prefix."""
+    X = np.ascontiguousarray(X, dtype=float)
+    widths = np.asarray(widths)
+    xx = np.cumsum(X * X, axis=1).T[widths - 1]
+    assigns, centers, rounds = cluster._lloyd(X, xx, np.sqrt(xx), k, list(seeds), max_iter, tol,
+                                              widths)
+    results = []
+    for assign, padded, iterations, seed, w in zip(assigns, centers, rounds, seeds, widths.tolist()):
+        assert padded.shape == (k, X.shape[1]) and not padded[:, w:].any()
+        own = padded[:, :w].copy()
+        (inertia,) = cluster._inertias(own_prefix(X, w), own[None], assign[None]).tolist()
+        results.append(cluster.KMeansResult(assign, own, inertia, iterations, seed))
+    return results
+
+
+def own_prefix(X, w):
+    return np.ascontiguousarray(X[:, :w])
+
+
+class TestPerRestartWidths:
+    @EXAMPLES
+    @given(ANY_INPUT, st.data(), st.sampled_from([0, 1, 3, cluster.DEFAULT_MAX_ITER]),
+           st.sampled_from([0.0, cluster.DEFAULT_TOL, 0.5]))
+    def test_each_restart_is_the_run_on_its_own_prefix(self, case, data, max_iter, tol):
+        X, k, _ = case
+        assume(X.shape[1] >= 2)
+        widths = data.draw(st.lists(st.integers(2, X.shape[1]), min_size=1, max_size=8))
+        seeds = data.draw(st.lists(st.integers(0, 999), min_size=len(widths), max_size=len(widths)))
+        results = prefix_lloyd(X, k, seeds, widths, max_iter, tol)
+        assert [result.seed for result in results] == seeds
+        for result, w, seed in zip(results, widths, seeds):
+            assert_matches_reference(result, own_prefix(X, w), k, seed, max_iter, tol)
+
+    def test_shift_near_tol_is_decided_at_the_restarts_own_width(self):
+        # numpy sums 7 columns one by one but 12 in its unrolled pairwise
+        # order, so a zero-padded center can shift by a different last bit;
+        # a tol between the two shifts must stop as the own width does
+        rng = np.random.default_rng(3)
+        k, w, seed = 3, 7, 0
+        for _ in range(100):
+            X = rng.standard_normal((20, 12))
+            start = X[list(cluster._initial_rows(20, k, seed)), :w]
+            moved = reference_kmeans(own_prefix(X, w), k, seed, max_iter=1)[1]
+            own = np.sqrt(((moved - start) ** 2).sum(axis=1)).max()
+            padded = np.sqrt((np.pad(moved - start, ((0, 0), (0, 12 - w))) ** 2).sum(axis=1)).max()
+            if own != padded:
+                break
+        assert own != padded
+        for tol in (own, padded):
+            (result,) = prefix_lloyd(X, k, [seed], [w], tol=tol)
+            assert_matches_reference(result, own_prefix(X, w), k, seed, tol=tol)
+
+    def test_fallback_decides_on_the_restarts_own_width(self):
+        # a near tie at width 2 that center 1 wins; the padded column's
+        # 1e16 would absorb both distances into an exact tie, won by center 0
+        X = np.array([[1.0, 0.0, 1e8]])
+        xx = np.cumsum(X * X, axis=1).T[[1]]
+        centers = np.array([[[0.0, 0.0, 0.0], [1.9999999999999998, 0.0, 0.0]]])
+        with fallback_spy() as spy:
+            assign = cluster._assign(X, xx, np.sqrt(xx), centers, np.array([2]))
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(assign, [[1]])
+
+    def test_repair_runs_on_the_restarts_own_width(self):
+        # seeds that pick two rows of one value start with two equal centers
+        X = np.repeat([[0.0, 0.0, 2.0], [1.0, 3.0, 0.0], [5.0, 1.0, 1.0]], 5, axis=0)
+        seeds, widths = list(range(8)) * 2, [2] * 8 + [3] * 8
+        with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as spy:
+            results = prefix_lloyd(X, 3, seeds, widths)
+        assert any(points.shape[1] == 2 for (points, _, _), _ in spy.call_args_list)
+        for result, w, seed in zip(results, widths, seeds):
+            assert_matches_reference(result, own_prefix(X, w), 3, seed)
+
+    def test_full_width_results_are_unchanged(self):
+        # digests of kmeans_restarts before the engine took per-restart widths
+        rng = np.random.default_rng(2024)
+        cases = {
+            "7ee42dbd0850a5df591c1c88adf08252439b621267737f042f8f2f139286c223":
+                (rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-3, 4, size=6), 4, range(20)),
+            "f5f084f0d3b93d678d83c78ec3809180856880938b8f9ca43f320d3382cfc1d6":
+                (np.repeat([[0.0, 0.0], [1.0, 3.0], [5.0, 1.0]], 5, axis=0), 3, range(8)),
+            "1dbf10c57dfa208a5ad9ad7ab35d505e3023ccb01495882a2177908a62c0a540":
+                (rng.standard_normal((50, 1)) * 1e3, 3, range(10)),
+            "f599d81bbc9f2fd9793e76fd8d641aac1ce2d7eb5134c6d5886f98a782c62331":
+                (rng.standard_normal((200, 30)) + np.repeat(rng.normal(0, 4, (8, 30)), 25, axis=0),
+                 8, range(30)),
+        }
+        for expected, (X, k, seeds) in cases.items():
+            digest = hashlib.sha256()
+            for r in kmeans_restarts(X, k, seeds):
+                digest.update(r.assignments.astype(np.int64).tobytes())
+                digest.update(r.centers.tobytes())
+                digest.update(struct.pack("<dqq", r.inertia, r.iterations, r.seed))
+            assert digest.hexdigest() == expected
+
+
 @contextmanager
-def restart_spy():
-    """Record the points and assignments of every ``kmeans_restarts`` call."""
-    calls = []
-    real = cluster.kmeans_restarts
+def engine_spy():
+    """Record the widths of every ``_lloyd`` call and the labelings of
+    every ``_rand_indices`` call."""
+    widths, labelings = [], []
+    real_lloyd, real_rand = cluster._lloyd, cluster._rand_indices
 
-    def spy(points, *args, **kwargs):
-        results = real(points, *args, **kwargs)
-        calls.append((points, [r.assignments.tolist() for r in results]))
-        return results
+    def lloyd(X, *args):
+        widths.append((X.shape, args[-1].tolist()))
+        return real_lloyd(X, *args)
 
-    with mock.patch.object(cluster, "kmeans_restarts", spy):
-        yield calls
+    def rand(truth, rows, adjusted):
+        labelings.append(rows.copy())
+        return real_rand(truth, rows, adjusted)
+
+    with mock.patch.object(cluster, "_lloyd", lloyd), mock.patch.object(cluster, "_rand_indices", rand):
+        yield widths, labelings
+
+
+@st.composite
+def sweep_inputs(draw):
+    """18 climbs of 3 routes in 9 columns: tied F scores or distinct ones,
+    and often only 4 distinct rows, so restarts repair empty clusters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((18, 9)) + np.repeat(np.eye(3), 6, axis=0) @ rng.normal(0, 3, (3, 9))
+    if draw(st.booleans()):
+        values = values[rng.integers(0, 4, size=18)]
+    f = rng.integers(0, 3, size=9) if draw(st.booleans()) else rng.random(9)
+    names = [f"c{i}" for i in range(9)]
+    return values, names, [FeatureScore(name, float(v)) for name, v in zip(names, f)]
 
 
 class TestSweepFeatureCount:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans())
-    def test_entries_and_assignments_equal_per_prefix_runs(self, seed, limit, tied):
-        rng = np.random.default_rng(seed)
-        names = [f"c{i}" for i in range(9)]
-        truth = ["A", "B", "C"] * 6
-        values = rng.standard_normal((18, 9)) + np.repeat(np.eye(3), 6, axis=0) @ rng.normal(0, 3, (3, 9))
-        f = rng.integers(0, 3, size=9) if tied else rng.random(9)
-        scores = [FeatureScore(name, float(v)) for name, v in zip(names, f)]
-        with restart_spy() as calls:
-            curve = sweep_feature_count(values, names, truth, scores, restarts=4, max_features=limit)
+    TRUTH = ["A", "B", "C"] * 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_inputs(), st.integers(1, 9), st.integers(1, 4 * 18 * 9 * 6))
+    def test_entries_and_assignments_equal_per_prefix_runs(self, case, limit, budget):
+        values, names, scores = case
+        # a small budget splits the widths into several batches, some mid-range
+        with mock.patch.object(cluster, "_SWEEP_FLOATS", budget), engine_spy() as (batches, labelings):
+            curve = sweep_feature_count(values, names, self.TRUTH, scores, restarts=4,
+                                        max_features=limit)
         ranking = select_k_best(scores, len(names))
         col_idx = [names.index(name) for name in ranking]
-        with restart_spy() as reference_calls:
-            expected = [
-                repeated_kmeans(values[:, col_idx[:k]], truth, 3, restarts=4)
-                for k in range(1, limit + 1)
-            ]
-        assert [e.columns for e in curve.entries] == [tuple(ranking[:k]) for k in range(1, limit + 1)]
+        prefixes = [values[:, col_idx[:w]] for w in range(1, limit + 1)]
+        expected = [repeated_kmeans(X, self.TRUTH, 3, restarts=4) for X in prefixes]
+        assert [e.columns for e in curve.entries] == [tuple(ranking[:w]) for w in range(1, limit + 1)]
         assert [e.stats for e in curve.entries] == expected
-        assert [a for _, a in calls] == [a for _, a in reference_calls]
-        # every prefix is a view of one ranked block: one copy per prefix, in the engine
-        assert all(np.shares_memory(points, calls[0][0]) for points, _ in calls)
+        # one scoring pass over every restart's assignment, each its prefix's own run
+        (scored,) = labelings
+        runs = [r.assignments for X in prefixes for r in kmeans_restarts(X, 3, range(4))]
+        np.testing.assert_array_equal(scored, np.stack(runs))
         assert curve.chosen_k == min(
             e.n_features for e in curve.entries
             if e.stats.minimum == max(x.stats.minimum for x in curve.entries)
         )
+        # width 1 alone on one column; then consecutive widths, each block
+        # within the budget unless it holds a single width
+        assert batches[0] == ((18, 1), [1] * 4)
+        covered = [1]
+        for (n, padded), widths in batches[1:]:
+            distinct = sorted(set(widths))
+            assert widths == [w for w in distinct for _ in range(4)]
+            assert distinct == list(range(covered[-1] + 1, covered[-1] + 1 + len(distinct)))
+            assert padded == distinct[-1]
+            assert len(distinct) == 1 or len(widths) * n * padded <= budget
+            covered += distinct
+        assert covered == list(range(1, limit + 1))
+
+    def test_width_one_sums_pairwise_like_its_own_run(self):
+        # at d = 1 numpy sums a cluster's members pairwise, not row by row
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((60, 3)) * 1e3
+        names = ["a", "b", "c"]
+        scores = [FeatureScore(name, f) for name, f in zip(names, (1.0, 3.0, 2.0))]
+        truth = ["A", "B", "C"] * 20
+        curve = sweep_feature_count(values, names, truth, scores, restarts=10, max_features=1)
+        assert [e.n_features for e in curve.entries] == [1]
+        assert curve.entries[0].stats == repeated_kmeans(values[:, [1]], truth, 3, restarts=10)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_rejected(self, restarts):
+        scores = [FeatureScore(name, 1.0) for name in ("a", "b")]
+        with pytest.raises(ValidationError, match="at least one seed"):
+            sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 3, scores,
+                                restarts=restarts)
+
+    def test_truth_of_another_length_rejected_before_clustering(self):
+        scores = [FeatureScore(name, 1.0) for name in ("a", "b")]
+        with mock.patch.object(cluster, "_lloyd", wraps=cluster._lloyd) as engine, \
+                pytest.raises(ValidationError, match="truth must label every row"):
+            sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 2, scores, restarts=2)
+        assert engine.call_count == 0
+
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_max_features_below_one_rejected(self, max_features):
+        scores = [FeatureScore(name, 1.0) for name in ("a", "b")]
+        with pytest.raises(ValidationError, match="max_features must be >= 1"):
+            sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 3, scores,
+                                max_features=max_features)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +1016,18 @@ class TestGmm:
             assert result.converged == (gains[-1] >= -tol)
             lost += not result.converged
         assert lost > 0
+
+    def test_empty_initial_cluster_fits_without_warnings(self):
+        # K-Means leaves one of three clusters empty on two values, so that
+        # component starts at weight 0 and log weight -inf
+        X = np.array([0.0] * 5 + [1.0] * 5)[:, None]
+        assert sorted(np.bincount(kmeans(X, 3).assignments, minlength=3).tolist()) == [0, 5, 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = gmm_em(X, 3)
+        assert np.isfinite(result.log_likelihood)
+        assert result.weights.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(result.responsibilities.sum(axis=1), 1.0)
 
     def test_log_likelihood_rises_until_the_last_step(self):
         centers = np.eye(5)[:3] * 4.0

@@ -17,8 +17,11 @@ resolution to ignore one-count chatter.
 The first and the last quickdraws are excluded from the assembled vector:
 the bottom sensor mostly measures the belayer, the top one the lowering.
 
-Layout of the computation: :func:`build_feature_matrix` converts the
-events of every window of every climb in one :func:`axis_sets` call, a
+Layout of the computation: windows arrive as column slices
+(``ingest.EventColumns``), so no event object is made on this path.
+:func:`build_feature_matrix` gathers the (n, 3) int64 count columns of
+every inner window of every climb into one array, in climb and then
+position order, and converts it in one :func:`axis_sets` call into a
 (4, n) array of the x, y, z and g series back to back, then groups the
 windows by length. Each length becomes an (m, L) block per series, and
 one kernel per statistic family runs on all its rows at once:
@@ -34,8 +37,6 @@ times. These kernels are the only implementation of each statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,24 +173,21 @@ def _cross_rows(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-_EVENT_COUNTS = attrgetter("x_counts", "y_counts", "z_counts")
+def axis_sets(counts: np.ndarray, cfg: SensorConfig) -> np.ndarray:
+    """Transmitted counts as a (4, n) array of x, y, z and g series, in g.
 
-
-def axis_sets(window, cfg: SensorConfig) -> np.ndarray:
-    """Transmitted events as a (4, n) array of x, y, z and g series, in g.
-
-    ``window`` is one window, or several back to back; column i is event
-    i. Row 3 is each sample's magnitude. Counts beyond the output range
-    raise the ``ValueError`` of :func:`counts_to_g`.
+    ``counts`` is the (n, 3) int64 x, y, z count array of one window, or of
+    several back to back; column i of the result is event i. Row 3 is each
+    sample's magnitude. Counts beyond the output range raise the
+    ``ValueError`` of :func:`counts_to_g`, for the first in x, y, z order.
     """
-    if not window:
+    if not len(counts):
         raise ValidationError("empty sample window")
-    flat = chain.from_iterable(map(_EVENT_COUNTS, window))
-    counts = np.fromiter(flat, dtype=np.int64, count=3 * len(window)).reshape(-1, 3).T
-    out_of_range = np.abs(counts) > cfg.max_counts
+    counts = counts.T
+    out_of_range = (counts > cfg.max_counts) | (counts < -cfg.max_counts)
     if out_of_range.any():
         counts_to_g(int(counts[out_of_range][0]), cfg)  # raises
-    series = np.empty((4, len(window)))
+    series = np.empty((4, counts.shape[1]))
     # the arithmetic of counts_to_g, on arrays
     np.multiply(counts, cfg.full_scale_g, out=series[:3])
     series[:3] /= cfg.max_counts
@@ -301,7 +299,7 @@ def build_feature_matrix(
         raise ValidationError("no climbs to featurize")
     cfg = cfg or SensorConfig()
     positions = range(2, line.ie)
-    events: list = []
+    counts: list[np.ndarray] = []
     lengths: list[int] = []
     clips: list[list[float]] = []
     for record in records:
@@ -314,7 +312,7 @@ def build_feature_matrix(
                     f"climb {record.climb_id}: position {position} has 1 sample; "
                     "correlations need at least 2 samples"
                 )
-            events.extend(window)
+            counts.append(window.counts)
             lengths.append(len(window))
         for position in positions:
             if position not in record.clip_times:
@@ -322,7 +320,7 @@ def build_feature_matrix(
         clips.append([record.clip_times[p] for p in positions])
 
     per_window = _window_features(
-        axis_sets(events, cfg), np.asarray(lengths), 2 * cfg.resolution_g
+        axis_sets(np.concatenate(counts), cfg), np.asarray(lengths), 2 * cfg.resolution_g
     )
     values = np.hstack([
         per_window.reshape(len(records), -1),

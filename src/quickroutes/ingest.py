@@ -1,4 +1,4 @@
-"""Sample-event files and their segmentation into climbs.
+"""Sample-event files and their segmentation into climbs, as columns.
 
 The wire format between the sensor line, base-station exports and this
 pipeline is line-delimited UTF-8 text, one transmitted sample per line::
@@ -6,9 +6,32 @@ pipeline is line-delimited UTF-8 text, one transmitted sample per line::
     position<TAB>t_seconds<TAB>x_counts<TAB>y_counts<TAB>z_counts
 
 ``#`` starts a comment, blank lines are ignored, timestamps are decimal
-seconds with at least millisecond precision. Batching means events may be
-written out of arrival order; everything here orders by the embedded
-timestamp instead.
+seconds with at least millisecond precision. Positions and counts are
+integers that fit in int64; a wider one makes its line malformed, as a
+non-finite timestamp does. Batching means events may be written out of
+arrival order; everything here orders by the embedded timestamp instead.
+
+Events travel from the file to the feature kernels as
+:class:`EventColumns`: a position array, a timestamp array and an (n, 3)
+int64 count array, aligned by index. ``SampleEvent`` objects, the
+firmware's output type, are made only where a caller asks for one, by
+indexing or iterating the columns; object inputs become columns through
+:meth:`EventColumns.from_events`.
+
+Parsing: :func:`parse_events` hands a seekable stream to numpy's C
+parser (``np.loadtxt``). It accepts a strict subset of what Python's
+``int``/``float`` accept (not ``1_0``, non-ASCII digits or integers beyond
+int64) and gives the same values on that subset, the same bits for
+timestamps. When it raises, or a row fails a check (a non-finite
+timestamp, a position below 1), the stream is parsed again from where it
+started, line by line with ``int``/``float``. That pass is the reference:
+it alone words the errors and numbers the lines.
+
+Segmentation: :func:`segment_climbs` sorts once on the wire key
+(:data:`wire_order`: timestamp, then position), splits climbs where
+consecutive timestamps are ``gap_s`` apart, and groups each climb's events
+by position with a second stable sort, which keeps them in time order. A
+climb's windows are slices of those grouped columns.
 """
 
 from __future__ import annotations
@@ -17,10 +40,15 @@ import io
 import logging
 import math
 import os
+import warnings
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
+
+import numpy as np
 
 from .errors import ConfigError, MissingClipError, ValidationError
 from .sensor import SampleEvent
@@ -29,6 +57,81 @@ log = logging.getLogger(__name__)
 
 DEFAULT_GAP_S = 120.0
 wire_order = attrgetter("t", "position")  # sort key: timestamp, then position
+
+_POSITION = attrgetter("position")
+_TIME = attrgetter("t")
+_COUNTS = attrgetter("x_counts", "y_counts", "z_counts")
+_WIRE_ROW = np.dtype([("position", "i8"), ("t", "f8"), ("counts", "i8", (3,))])
+_INT64 = range(-(2**63), 2**63)
+
+
+class EventColumns(Sequence):
+    """Events as aligned columns: ``position`` (n,) int64, ``t`` (n,)
+    float64 and ``counts`` (n, 3) int64 x, y, z.
+
+    A sequence of ``SampleEvent``: an integer index or iteration makes the
+    objects on request; a slice or an index array gives columns again,
+    views for a slice.
+    """
+
+    __slots__ = ("position", "t", "counts")
+
+    def __init__(self, position: np.ndarray, t: np.ndarray, counts: np.ndarray):
+        self.position = position
+        self.t = t
+        self.counts = counts
+
+    @classmethod
+    def from_events(cls, events: Iterable[SampleEvent]) -> "EventColumns":
+        """The columns of ``events``, in their order."""
+        events = list(events)
+        n = len(events)
+        counts = np.fromiter(chain.from_iterable(map(_COUNTS, events)), np.int64, 3 * n)
+        return cls(
+            np.fromiter(map(_POSITION, events), np.int64, n),
+            np.fromiter(map(_TIME, events), np.float64, n),
+            counts.reshape(n, 3),
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if not isinstance(index, (int, np.integer)):
+            return EventColumns(self.position[index], self.t[index], self.counts[index])
+        return SampleEvent(
+            int(self.position[index]), float(self.t[index]), *self.counts[index].tolist()
+        )
+
+    def __iter__(self) -> Iterator[SampleEvent]:
+        return map(SampleEvent, self.position.tolist(), self.t.tolist(), *self.counts.T.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return (
+            np.array_equal(self.position, other.position)
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    __hash__ = None
+
+
+def _concat(parts: Sequence[EventColumns]) -> EventColumns:
+    if not parts:
+        return EventColumns.from_events(())
+    return EventColumns(
+        np.concatenate([c.position for c in parts]),
+        np.concatenate([c.t for c in parts]),
+        np.concatenate([c.counts for c in parts]),
+    )
+
+
+def _wire_permutation(events: EventColumns) -> np.ndarray:
+    """The permutation that sorts ``events`` stably on the wire key, as
+    ``sorted(key=wire_order)`` does."""
+    return np.lexsort((events.position, events.t))
 
 
 @dataclass(frozen=True)
@@ -60,18 +163,18 @@ class ClimbRecord:
 
     climb_id: int
     clip_times: dict[int, float]
-    windows: dict[int, list[SampleEvent]]
-    flagged: list[SampleEvent] = field(default_factory=list)
+    windows: dict[int, EventColumns]
+    flagged: EventColumns = field(default_factory=lambda: EventColumns.from_events(()))
     ground_truth_route: Optional[str] = None
 
     @property
     def n_samples(self) -> dict[int, int]:
         return {i: len(w) for i, w in self.windows.items()}
 
-    def all_events(self) -> list[SampleEvent]:
-        events = [e for w in self.windows.values() for e in w] + list(self.flagged)
-        events.sort(key=wire_order)
-        return events
+    def all_events(self) -> EventColumns:
+        """Windows and flagged samples together, in wire order."""
+        events = _concat([*self.windows.values(), self.flagged])
+        return events[_wire_permutation(events)]
 
 
 def _parse_line(line: str) -> SampleEvent:
@@ -85,63 +188,118 @@ def _parse_line(line: str) -> SampleEvent:
     x, y, z = int(parts[2]), int(parts[3]), int(parts[4])
     if position < 1:
         raise ValueError("position must be >= 1")
+    for name, value in zip(("position", "x", "y", "z"), (position, x, y, z)):
+        if value not in _INT64:
+            raise ValueError(f"{name} {value} does not fit in int64")
     return SampleEvent(position, t, x, y, z)
 
 
-def parse_events(
-    source: Union[TextIO, Iterable[str], str], ie: Optional[int] = None
-) -> dict[int, list[SampleEvent]]:
-    """Parse a sample-event stream, grouped by position and sorted by time.
-
-    ``source`` is an open text file, an iterable of lines, or the file
-    content itself. Malformed lines are collected and reported together
-    with their line numbers; out-of-order events are re-sorted with a
-    warning; duplicate (position, timestamp) pairs and positions beyond
-    ``ie`` are validation errors.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
-    by_pos: dict[int, list[SampleEvent]] = {}
+def _parse_lines(lines: Iterable[str]) -> EventColumns:
+    """The reference parse: :func:`_parse_line` on each line, every
+    malformed line reported with its number."""
+    events: list[SampleEvent] = []
     bad: list[str] = []
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
-            event = _parse_line(text)
+            events.append(_parse_line(text))
         except ValueError as exc:
             bad.append(f"line {lineno}: {exc}")
-            continue
-        by_pos.setdefault(event.position, []).append(event)
-
     if bad:
         shown = "; ".join(bad[:10])
         more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
         raise ValidationError(f"malformed event lines: {shown}{more}")
+    return EventColumns.from_events(events)
+
+
+def _parse_stream(stream: TextIO) -> Optional[EventColumns]:
+    """The columns of ``stream`` from numpy's parser, or None where the
+    reference parse must decide: the parser raised or a row fails its checks.
+
+    A deprecation warning is an error here: older numpy versions still read
+    ``1.0`` as an integer with one, where ``int`` refuses it.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(stream, dtype=_WIRE_ROW, delimiter="\t", comments="#", ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+    if not (np.isfinite(rows["t"]).all() and (rows["position"] >= 1).all()):
+        return None
+    return EventColumns(rows["position"], rows["t"], rows["counts"])
+
+
+def parse_events(
+    source: Union[TextIO, Iterable[str], str], ie: Optional[int] = None
+) -> dict[int, EventColumns]:
+    """Parse a sample-event stream, grouped by position and sorted by time.
+
+    ``source`` is an open text file, an iterable of lines, or the file
+    content itself. A seekable stream (an open file, or the content in a
+    ``StringIO``) goes to numpy's parser first, and back to where it stood
+    for the line-by-line pass when that pass must decide; other iterables
+    of lines go line by line. Malformed lines are collected and reported together
+    with their line numbers; out-of-order events are re-sorted with a
+    warning; duplicate (position, timestamp) pairs and positions beyond
+    ``ie`` are validation errors. Each position's events are a slice of
+    one set of columns.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    events = None
+    if hasattr(source, "seekable") and source.seekable():
+        try:
+            start = source.tell()
+        except OSError:  # a text file that is being iterated cannot tell
+            pass
+        else:
+            events = _parse_stream(source)
+            if events is None:
+                source.seek(start)
+    if events is None:
+        events = _parse_lines(source)
 
     if ie is not None:
-        unknown = sorted(p for p in by_pos if p > ie)
+        unknown = np.unique(events.position[events.position > ie]).tolist()
         if unknown:
             raise ValidationError(
                 f"events from positions {unknown} but the line ends at ie={ie}"
             )
+    if not len(events):
+        return {}
 
-    for position, events in by_pos.items():
-        times = [e.t for e in events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            log.warning("position %d: events out of order, re-sorting", position)
-            events.sort(key=lambda e: e.t)
-            times = [e.t for e in events]
-        dup = next((b for a, b in zip(times, times[1:]) if a == b), None)
-        if dup is not None:
+    order = np.argsort(events.position, kind="stable")
+    position, t = events.position[order], events.t[order]
+    starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
+    first_seen = order[starts]
+    same = position[1:] == position[:-1]
+    unsorted = set(position[1:][same & (t[1:] < t[:-1])].tolist())
+    if unsorted:
+        order = np.lexsort((events.t, events.position))
+        t = events.t[order]
+    duplicates: dict[int, float] = {}
+    for k in np.flatnonzero(same & (t[1:] == t[:-1])).tolist():
+        duplicates.setdefault(int(position[k]), float(t[k + 1]))
+    for p in position[starts[np.argsort(first_seen)]].tolist():
+        if p in unsorted:
+            log.warning("position %d: events out of order, re-sorting", p)
+        if p in duplicates:
             raise ValidationError(
-                f"position {position}: duplicate event timestamp t={dup}"
+                f"position {p}: duplicate event timestamp t={duplicates[p]}"
             )
-    return dict(sorted(by_pos.items()))
+
+    grouped = events[order]
+    bounds = np.r_[starts, len(grouped)].tolist()
+    return {
+        p: grouped[a:b] for p, a, b in zip(position[starts].tolist(), bounds, bounds[1:])
+    }
 
 
-def read_events(path, ie: Optional[int] = None) -> dict[int, list[SampleEvent]]:
+def read_events(path, ie: Optional[int] = None) -> dict[int, EventColumns]:
     with open_text(path, "r") as fh:
         return parse_events(fh, ie=ie)
 
@@ -165,13 +323,13 @@ def write_events(target: Union[TextIO, str, os.PathLike], events: Iterable[Sampl
             fh.write(f"{e.position}\t{e.t:.3f}\t{e.x_counts}\t{e.y_counts}\t{e.z_counts}\n")
 
 
-def _flatten(events) -> list[SampleEvent]:
-    if isinstance(events, Mapping):
-        flat = [e for group in events.values() for e in group]
-    else:
-        flat = list(events)
-    flat.sort(key=wire_order)
-    return flat
+def _as_columns(events) -> EventColumns:
+    """One set of columns from a mapping of position -> events, or from
+    events; each group is columns or ``SampleEvent`` objects."""
+    groups = events.values() if isinstance(events, Mapping) else [events]
+    return _concat([
+        g if isinstance(g, EventColumns) else EventColumns.from_events(g) for g in groups
+    ])
 
 
 def segment_climbs(
@@ -183,60 +341,77 @@ def segment_climbs(
     for at least ``gap_s``. Within a climb the clip time of position i is
     the timestamp of its first event, and clip times must increase with
     position (a climber cannot clip i+1 before i). Positions 2..ie-1 must
-    all be present; 1 and ie may be missing.
+    all be present; 1 and ie may be missing. The first climb that breaks
+    a rule raises, a missing position before a clip order.
+
+    ``events`` is what :func:`parse_events` returns, or any mapping of
+    position -> events, or one sequence of events; ``SampleEvent`` objects
+    are converted to columns on entry.
     """
     if gap_s <= 0:
         raise ConfigError("gap_s must be positive")
-    flat = _flatten(events)
-    for e in flat:
-        if e.position > line.ie:
-            raise ValidationError(
-                f"event from position {e.position} but the line ends at ie={line.ie}"
-            )
-    if not flat:
+    events = _as_columns(events)
+    order = _wire_permutation(events)
+    position = events.position[order]
+    beyond = np.flatnonzero(position > line.ie)
+    if beyond.size:
+        raise ValidationError(
+            f"event from position {int(position[beyond[0]])} but the line ends at ie={line.ie}"
+        )
+    if not len(events):
         return []
 
-    blocks: list[list[SampleEvent]] = [[flat[0]]]
-    for prev, cur in zip(flat, flat[1:]):
-        if cur.t - prev.t >= gap_s:
-            blocks.append([cur])
-        else:
-            blocks[-1].append(cur)
+    # group by (climb, position); the stable sort keeps time order inside a group
+    climb = np.r_[0, np.cumsum(np.diff(events.t[order]) >= gap_s)]
+    by_group = np.lexsort((position, climb))
+    events, climb = events[order[by_group]], climb[by_group]
+    starts = np.flatnonzero(
+        np.r_[True, (climb[1:] != climb[:-1]) | (events.position[1:] != events.position[:-1])]
+    )
+    g_climb, g_pos, g_clip = climb[starts], events.position[starts], events.t[starts]
+    n_climbs = int(climb[-1]) + 1
 
+    inner = (g_pos >= 2) & (g_pos < line.ie)
+    short = np.flatnonzero(np.bincount(g_climb[inner], minlength=n_climbs) < line.ie - 2)
+    next_in_climb = g_climb[1:] == g_climb[:-1]
+    misordered = np.flatnonzero(next_in_climb & ~(g_clip[:-1] < g_clip[1:]))
+    first_short = short[0] if short.size else n_climbs
+    if misordered.size and g_climb[misordered[0]] < first_short:
+        k = misordered[0]
+        a, b = g_pos[k : k + 2].tolist()
+        ta, tb = g_clip[k : k + 2].tolist()
+        raise ValidationError(
+            f"climb {int(g_climb[k])}: position {b} clipped at t={tb} "
+            f"not after position {a} at t={ta}"
+        )
+    if short.size:
+        present = set(g_pos[g_climb == first_short].tolist())
+        missing = next(p for p in range(2, line.ie) if p not in present)
+        raise MissingClipError(int(first_short), missing)
+
+    # a position's events at or after the next present position's clip are late
+    cutoff = np.r_[np.where(next_in_climb, g_clip[1:], np.inf), np.inf]
+    has_next = np.r_[next_in_climb, False]
+    sizes = np.diff(np.r_[starts, len(events)])
+    late = np.repeat(has_next, sizes) & ~(events.t < np.repeat(cutoff, sizes))
+    kept = sizes - np.add.reduceat(late, starts, dtype=np.intp)
+    late_at = np.flatnonzero(late)
+    late_bounds = np.searchsorted(climb[late_at], np.arange(n_climbs + 1)).tolist()
+    group_bounds = np.searchsorted(g_climb, np.arange(n_climbs + 1)).tolist()
+
+    positions, clips = g_pos.tolist(), g_clip.tolist()
+    starts, kept = starts.tolist(), kept.tolist()
     records = []
-    for climb_id, block in enumerate(blocks):
-        by_pos: dict[int, list[SampleEvent]] = {}
-        for e in block:
-            by_pos.setdefault(e.position, []).append(e)
-
-        for position in range(2, line.ie):
-            if position not in by_pos:
-                raise MissingClipError(climb_id, position)
-
-        present = sorted(by_pos)
-        clips = {p: by_pos[p][0].t for p in present}
-        for a, b in zip(present, present[1:]):
-            if not clips[a] < clips[b]:
-                raise ValidationError(
-                    f"climb {climb_id}: position {b} clipped at t={clips[b]} "
-                    f"not after position {a} at t={clips[a]}"
-                )
-
-        windows: dict[int, list[SampleEvent]] = {}
-        flagged: list[SampleEvent] = []
-        for idx, p in enumerate(present):
-            cutoff = clips[present[idx + 1]] if idx + 1 < len(present) else None
-            keep, late = [], []
-            for e in by_pos[p]:
-                if cutoff is None or e.t < cutoff:
-                    keep.append(e)
-                else:
-                    late.append(e)
-            windows[p] = keep
-            flagged.extend(late)
+    for climb_id in range(n_climbs):
+        groups = range(group_bounds[climb_id], group_bounds[climb_id + 1])
         records.append(
             ClimbRecord(
-                climb_id=climb_id, clip_times=clips, windows=windows, flagged=flagged
+                climb_id=climb_id,
+                clip_times={positions[g]: clips[g] for g in groups},
+                windows={
+                    positions[g]: events[starts[g] : starts[g] + kept[g]] for g in groups
+                },
+                flagged=events[late_at[late_bounds[climb_id] : late_bounds[climb_id + 1]]],
             )
         )
     return records

@@ -30,7 +30,7 @@ from quickroutes.features import (
     stat_features,
     write_feature_matrix,
 )
-from quickroutes.ingest import ClimbRecord, LineConfig, segment_climbs
+from quickroutes.ingest import ClimbRecord, EventColumns, LineConfig, segment_climbs
 from quickroutes.sensor import SampleEvent, SensorConfig, counts_to_g
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ class TestMagnitude:
     @staticmethod
     def g_of(x, y, z):
         cfg = SensorConfig(full_scale_g=127.0)  # max_counts 127
-        return axis_sets([SampleEvent(3, 0.0, x, y, z)], cfg)[3, 0]
+        return axis_sets(EventColumns.from_events([SampleEvent(3, 0.0, x, y, z)]).counts, cfg)[3, 0]
 
     def test_pythagorean_triple(self):
         assert self.g_of(3, 4, 0) == 5.0
@@ -638,10 +638,10 @@ def short_record(climb_id, windows, ie=5, label=None):
     get a 3-sample window of their own."""
     full = {}
     for position in range(2, ie):
-        full[position] = windows.get(
+        full[position] = EventColumns.from_events(windows.get(
             position,
             [SampleEvent(position, position + 0.1 * i, 10 * i, -5 * i, 60 - i) for i in range(3)],
-        )
+        ))
     clips = {p: float(10 * p) for p in range(1, ie + 1)}
     return ClimbRecord(
         climb_id=climb_id, clip_times=clips, windows=full, ground_truth_route=label
@@ -659,10 +659,10 @@ def mixed_length_climbs(draw):
         for position in range(2, ie):
             n = int(rng.integers(2, 40))
             counts = rng.integers(-top, top + 1, size=(n, 3))
-            windows[position] = [
+            windows[position] = EventColumns.from_events(
                 SampleEvent(position, position + 0.01 * i, *map(int, c))
                 for i, c in enumerate(counts)
-            ]
+            )
         clips = dict(enumerate(np.cumsum(rng.uniform(1, 30, size=ie)).tolist(), start=1))
         records.append(ClimbRecord(climb_id, clips, windows, ground_truth_route=f"r{climb_id % 2}"))
     return records, LineConfig(ie=ie)
@@ -689,7 +689,7 @@ class TestBatchedMatrix:
         good = short_record(0, {})
         first_gap = short_record(1, {})
         del first_gap.windows[3]
-        first_gap.windows[4] = []
+        first_gap.windows[4] = EventColumns.from_events([])
         later_gap = short_record(2, {})
         del later_gap.windows[2]
         with pytest.raises(MissingClipError) as err:
@@ -704,4 +704,11 @@ class TestBatchedMatrix:
     def test_out_of_range_count_rejected(self):
         record = short_record(0, {3: [SampleEvent(3, 30.0, 1, 2, 3), SampleEvent(3, 30.1, 1, -128, 3)]})
         with pytest.raises(ValueError, match="counts -128 outside"):
+            build_feature_matrix([record], LineConfig(ie=5))
+
+    @pytest.mark.parametrize("count", [-(2**63), 2**63 - 1])
+    def test_int64_extreme_count_rejected(self, count):
+        # -2**63 has no int64 absolute value, so the range check is two-sided
+        record = short_record(0, {3: [SampleEvent(3, 30.0, 1, 2, 3), SampleEvent(3, 30.1, count, 0, 3)]})
+        with pytest.raises(ValueError, match=f"counts {count} outside"):
             build_feature_matrix([record], LineConfig(ie=5))

@@ -1,17 +1,30 @@
-"""Event file parsing and climb segmentation."""
+"""Event file parsing and climb segmentation.
+
+The column code is held to the object code it replaced, kept here as the
+``reference_*`` functions: the same events, the same bits for every
+timestamp, or the same exception text, on generated lines and on a
+simulated line with one injected fault.
+"""
 
 import io
 import logging
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quickroutes.errors import MissingClipError, ValidationError
+from quickroutes import ingest
+from quickroutes.errors import ConfigError, MissingClipError, ValidationError
 from quickroutes.ingest import (
     ClimbRecord,
+    EventColumns,
     LineConfig,
     parse_events,
     read_events,
     segment_climbs,
+    wire_order,
     write_events,
 )
 from quickroutes.sensor import SampleEvent
@@ -30,7 +43,9 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         text = "# header\n\n1\t0.100\t10\t-5\t63\n  # another\n"
         events = parse_events(text)
-        assert events == {1: [SampleEvent(1, 0.1, 10, -5, 63)]}
+        assert {p: list(group) for p, group in events.items()} == {
+            1: [SampleEvent(1, 0.1, 10, -5, 63)]
+        }
 
     def test_malformed_lines_reported_with_numbers(self):
         text = "1\t0.1\t1\t2\t3\nnot-an-event\n2\t0.2\t1\t2\n"
@@ -72,7 +87,7 @@ class TestParse:
         parsed = parse_events(buf.getvalue())
         for position, stream in small_sim.streams.items():
             assert [e.counts for e in parsed[position]] == [e.counts for e in stream]
-            assert parsed[position] == [
+            assert list(parsed[position]) == [
                 SampleEvent(e.position, round(e.t, 3), *e.counts) for e in stream
             ]
 
@@ -112,7 +127,7 @@ class TestSegment:
             cutoff = clips[position]  # next position's clip
             assert all(e.t < cutoff for e in rec.windows[position])
         assert all(e.t >= 190 for e in rec.windows[8])
-        assert rec.flagged == []
+        assert list(rec.flagged) == []
 
     def test_two_climbs_split_on_silence(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
@@ -150,6 +165,23 @@ class TestSegment:
             segment_climbs(climb_events(clips, samples_per_position=1), LINE8, gap_s=120)
         assert "position 3" in str(err.value)
 
+    def test_missing_position_reported_before_clip_order(self):
+        clips = [0, 10, 25, 45, 40, 100, 140, 190]  # position 5 before 4
+        events = [e for e in climb_events(clips, samples_per_position=1) if e.position != 3]
+        with pytest.raises(MissingClipError) as err:
+            segment_climbs(events, LINE8, gap_s=120)
+        assert (err.value.climb_id, err.value.position) == (0, 3)
+
+    def test_equal_timestamps_keep_wire_order(self):
+        clips = [0, 10, 25, 45, 70, 100, 140, 190]
+        # position 2's straggler shares its timestamp with position 3's clip
+        events = [ev(2, 25.0)] + climb_events(clips)
+        record = segment_climbs(events, LINE8, gap_s=120)[0]
+        assert list(record.all_events()) == sorted(events, key=wire_order)
+        beyond = [ev(10, 5.0), ev(9, 5.0)]
+        with pytest.raises(ValidationError, match="event from position 9 but"):
+            segment_climbs(events + beyond, LINE8, gap_s=120)
+
     def test_late_events_flagged_not_dropped(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         events = climb_events(clips)
@@ -186,7 +218,373 @@ class TestSegment:
         assert segment_climbs([], LINE8) == []
 
     def test_line_too_short_rejected(self):
-        from quickroutes.errors import ConfigError
-
         with pytest.raises(ConfigError):
             LineConfig(ie=4)
+
+
+class TestColumns:
+    def test_events_round_trip_through_columns(self, small_sim):
+        events = small_sim.all_events()
+        columns = EventColumns.from_events(events)
+        assert len(columns) == len(events)
+        assert columns.counts.shape == (len(events), 3)
+        assert list(columns) == events
+        assert columns[5] == events[5]
+        assert [type(v) for v in vars(columns[5]).values()] == [int, float, int, int, int]
+
+    def test_slices_are_views(self, small_sim):
+        columns = EventColumns.from_events(small_sim.all_events())
+        part = columns[10:20]
+        assert isinstance(part, EventColumns) and len(part) == 10
+        assert np.shares_memory(part.counts, columns.counts)
+        assert part == EventColumns.from_events(small_sim.all_events()[10:20])
+
+    def test_no_events(self):
+        empty = EventColumns.from_events([])
+        assert len(empty) == 0 and not empty
+        assert empty.counts.shape == (0, 3)
+        assert list(empty) == []
+
+
+# ---------------------------------------------------------------------------
+# parsing: the numpy parse against the per-line reference
+# ---------------------------------------------------------------------------
+
+def reference_parse_events(text, ie, warned):
+    """The object parse ``parse_events`` replaced: ``_parse_line`` on each
+    line, grouped by position in lists of ``SampleEvent``. Warnings go to
+    ``warned``, in order."""
+    by_pos, bad = {}, []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        try:
+            event = ingest._parse_line(body)
+        except ValueError as exc:
+            bad.append(f"line {lineno}: {exc}")
+            continue
+        by_pos.setdefault(event.position, []).append(event)
+    if bad:
+        shown = "; ".join(bad[:10])
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        raise ValidationError(f"malformed event lines: {shown}{more}")
+    if ie is not None:
+        unknown = sorted(p for p in by_pos if p > ie)
+        if unknown:
+            raise ValidationError(f"events from positions {unknown} but the line ends at ie={ie}")
+    for position, events in by_pos.items():
+        times = [e.t for e in events]
+        if any(b < a for a, b in zip(times, times[1:])):
+            warned.append(f"position {position}: events out of order, re-sorting")
+            events.sort(key=lambda e: e.t)
+            times = [e.t for e in events]
+        dup = next((b for a, b in zip(times, times[1:]) if a == b), None)
+        if dup is not None:
+            raise ValidationError(f"position {position}: duplicate event timestamp t={dup}")
+    return dict(sorted(by_pos.items()))
+
+
+def rows(events):
+    """Events as comparable tuples, timestamps by their bits."""
+    return [(e.position, e.t.hex(), e.x_counts, e.y_counts, e.z_counts) for e in events]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@contextmanager
+def ingest_warnings():
+    logger = logging.getLogger(ingest.__name__)
+    handler = _Messages()
+    logger.addHandler(handler)
+    try:
+        yield handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def parse_outcome(text, ie):
+    with ingest_warnings() as warned:
+        try:
+            groups = parse_events(text, ie=ie)
+        except ValidationError as exc:
+            return str(exc), warned
+    return {p: rows(g) for p, g in groups.items()}, warned
+
+
+def reference_outcome(text, ie):
+    warned = []
+    try:
+        groups = reference_parse_events(text, ie, warned)
+    except ValidationError as exc:
+        return str(exc), warned
+    return {p: rows(g) for p, g in groups.items()}, warned
+
+
+INT64_EDGES = [-(2**63), 2**63 - 1]
+BEYOND_INT64 = [2**63, -(2**63) - 1, 2**70]
+COUNTS = st.one_of(st.integers(-127, 127), st.sampled_from(INT64_EDGES))
+# a few positions and a coarse time grid, so duplicates and disorder happen
+POSITIONS = st.integers(1, 4)
+TIMES = st.integers(0, 400).map(lambda ms: ms / 100)
+
+
+@st.composite
+def wire_lines(draw):
+    """A valid line as ``write_events`` prints it."""
+    x, y, z = draw(COUNTS), draw(COUNTS), draw(COUNTS)
+    return f"{draw(POSITIONS)}\t{draw(TIMES):.3f}\t{x}\t{y}\t{z}"
+
+
+@st.composite
+def float_lines(draw):
+    """A valid line whose timestamp is any finite double, or a spelling
+    ``float`` and numpy both read."""
+    f = draw(st.floats(allow_nan=False, allow_infinity=False))
+    stamp = draw(st.sampled_from([
+        repr(f), f"{f:.17g}", f"{f:.3f}", "+3", " 3 ", ".5", "5.", "-0.0", "1E-5", "0003.250",
+    ]))
+    return f"{draw(POSITIONS)}\t{stamp}\t1\t2\t3"
+
+
+def with_field(line, index, text):
+    fields = line.split("\t")
+    fields[index] = text
+    return "\t".join(fields)
+
+
+@st.composite
+def odd_lines(draw):
+    """Comments, blank and whitespace lines, non-finite stamps, wrong field
+    counts, integers numpy does not read, and positions below 1."""
+    base = draw(wire_lines())
+    kind = draw(st.sampled_from(
+        ["comment", "blank", "stamp", "fields", "integer", "position", "int_spelling"]
+    ))
+    if kind == "comment":
+        return draw(st.sampled_from(["# header", "#\t1\t2", "  # indented", base + " # c", base + "#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t", " \t ", "\t\t\t\t"]))
+    if kind == "stamp":
+        stamp = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "Infinity", "-NaN", "1e400", "-1e400", "nan(1)", "1_0.5", "٣.5", ""]
+        ))
+        return with_field(base, 1, stamp)
+    if kind == "fields":
+        fields = base.split("\t")
+        return "\t".join(fields[:4] if draw(st.booleans()) else fields + ["7"])
+    if kind == "integer":
+        text = draw(st.sampled_from(["1_0", "٣", "３", "1.0", "1e2", ""] + [str(v) for v in BEYOND_INT64]))
+        return with_field(base, draw(st.sampled_from([0, 2, 3, 4])), text)
+    if kind == "position":
+        return with_field(base, 0, draw(st.sampled_from(["0", "-1", "-0"])))
+    return with_field(base, draw(st.sampled_from([0, 2, 3, 4])), draw(st.sampled_from(["+3", " 3 ", "007", "-0"])))
+
+
+@st.composite
+def event_texts(draw, lines):
+    body = draw(st.lists(lines, max_size=25))
+    if draw(st.booleans()):
+        body = [line + "\r" for line in body]
+    return "\n".join(body) + draw(st.sampled_from(["", "\n"]))
+
+
+ANY_LINE = st.one_of(wire_lines(), float_lines(), odd_lines())
+PARSE_EXAMPLES = settings(max_examples=300, deadline=None)
+
+
+class TestParseEquivalence:
+    @PARSE_EXAMPLES
+    @given(event_texts(ANY_LINE), st.sampled_from([None, 3, 4]))
+    def test_same_events_or_same_error_as_the_per_line_reference(self, text, ie):
+        assert parse_outcome(text, ie) == reference_outcome(text, ie)
+
+    @PARSE_EXAMPLES
+    @given(event_texts(ANY_LINE))
+    def test_numpy_parse_agrees_with_the_line_pass_wherever_it_answers(self, text):
+        fast = ingest._parse_stream(io.StringIO(text))
+        if fast is not None:
+            assert rows(fast) == rows(ingest._parse_lines(io.StringIO(text)))
+
+    @PARSE_EXAMPLES
+    @given(event_texts(st.one_of(wire_lines(), float_lines())))
+    def test_numpy_parse_answers_on_valid_wire_lines(self, text):
+        fast = ingest._parse_stream(io.StringIO(text))
+        assert fast is not None
+        assert rows(fast) == rows(ingest._parse_lines(io.StringIO(text)))
+
+    @pytest.mark.parametrize("value", BEYOND_INT64)
+    def test_count_beyond_int64_is_a_malformed_line(self, value):
+        text = f"1\t0.100\t1\t2\t3\n2\t0.200\t1\t{value}\t3\n"
+        with pytest.raises(ValidationError) as err:
+            parse_events(text)
+        assert str(err.value) == f"malformed event lines: line 2: y {value} does not fit in int64"
+
+    def test_open_file_parsed_from_where_it_stands(self, tmp_path):
+        path = tmp_path / "crlf.events"
+        path.write_bytes(b"# c\r\n1\t0.100\t1\t2\t3\r\n2\t0.200\t1\t2\t3\r\n")
+        with open(path, encoding="utf-8") as fh:
+            assert {p: rows(g) for p, g in parse_events(fh).items()} == {
+                1: rows([SampleEvent(1, 0.1, 1, 2, 3)]),
+                2: rows([SampleEvent(2, 0.2, 1, 2, 3)]),
+            }
+        path.write_bytes(b"# c\n1\t0.100\t1\t2\t3\n1\t0.2\tx\t2\t3\n")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(ValidationError, match="lines: line 3: invalid literal"):
+                parse_events(fh)
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # an iterated text file cannot tell where it stands
+            with pytest.raises(ValidationError, match="lines: line 2: invalid literal"):
+                parse_events(fh)
+
+    def test_iterable_of_lines_parsed_line_by_line(self):
+        lines = ["1\t0.100\t1\t2\t3", "# c", "1\t0.050\t4\t5\t6"]
+        parsed = parse_events(lines)
+        assert rows(parsed[1]) == rows([SampleEvent(1, 0.05, 4, 5, 6), SampleEvent(1, 0.1, 1, 2, 3)])
+
+
+# ---------------------------------------------------------------------------
+# segmentation: the column code against the object code, under faults
+# ---------------------------------------------------------------------------
+
+def reference_segment(events, line, gap_s=ingest.DEFAULT_GAP_S):
+    """The object segmentation ``segment_climbs`` replaced."""
+    if gap_s <= 0:
+        raise ConfigError("gap_s must be positive")
+    if isinstance(events, dict):
+        flat = [e for group in events.values() for e in group]
+    else:
+        flat = list(events)
+    flat.sort(key=wire_order)
+    for e in flat:
+        if e.position > line.ie:
+            raise ValidationError(
+                f"event from position {e.position} but the line ends at ie={line.ie}"
+            )
+    if not flat:
+        return []
+
+    blocks = [[flat[0]]]
+    for prev, cur in zip(flat, flat[1:]):
+        if cur.t - prev.t >= gap_s:
+            blocks.append([cur])
+        else:
+            blocks[-1].append(cur)
+
+    records = []
+    for climb_id, block in enumerate(blocks):
+        by_pos = {}
+        for e in block:
+            by_pos.setdefault(e.position, []).append(e)
+        for position in range(2, line.ie):
+            if position not in by_pos:
+                raise MissingClipError(climb_id, position)
+        present = sorted(by_pos)
+        clips = {p: by_pos[p][0].t for p in present}
+        for a, b in zip(present, present[1:]):
+            if not clips[a] < clips[b]:
+                raise ValidationError(
+                    f"climb {climb_id}: position {b} clipped at t={clips[b]} "
+                    f"not after position {a} at t={clips[a]}"
+                )
+        windows, flagged = {}, []
+        for idx, p in enumerate(present):
+            cutoff = clips[present[idx + 1]] if idx + 1 < len(present) else None
+            windows[p] = [e for e in by_pos[p] if cutoff is None or e.t < cutoff]
+            flagged.extend(e for e in by_pos[p] if cutoff is not None and e.t >= cutoff)
+        records.append(ClimbRecord(climb_id, clips, windows, flagged))
+    return records
+
+
+def segment_outcome(segment, events, line):
+    try:
+        records = segment(events, line, 120.0)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [
+        (
+            r.climb_id,
+            [(p, t.hex()) for p, t in r.clip_times.items()],
+            [(p, rows(w)) for p, w in r.windows.items()],
+            rows(r.flagged),
+        )
+        for r in records
+    ]
+
+
+FAULTS = ["drop_first", "dead_sensor", "clock_shift", "duplicate_batch", "reorder_batch", "straggler"]
+
+
+def inject(sim, line, data):
+    """``sim``'s events with one fault in one climb at one position."""
+    events = sim.all_events()
+    climbs = reference_segment(sim.streams, line, 120.0)
+    climb = climbs[data.draw(st.integers(0, len(climbs) - 1), label="climb")]
+    position = data.draw(st.integers(1, line.ie), label="position")
+    fault = data.draw(st.sampled_from(FAULTS), label="fault")
+    mine = climb.windows[position]
+    at = [i for i, e in enumerate(events) if any(e is m for m in mine)]
+    if fault == "drop_first":
+        del events[at[0]]
+    elif fault == "dead_sensor":
+        dead = set(at)
+        events = [e for i, e in enumerate(events) if i not in dead]
+    elif fault == "clock_shift":
+        shift = data.draw(st.sampled_from([-200.0, -30.0, -2.5, -0.5, 0.5, 2.5, 30.0, 200.0]))
+        for i in at:
+            e = events[i]
+            events[i] = SampleEvent(e.position, e.t + shift, *e.counts)
+    elif fault in ("duplicate_batch", "reorder_batch"):
+        start = data.draw(st.integers(0, len(at) - 1))
+        batch = at[start : start + data.draw(st.integers(1, 4))]
+        if fault == "duplicate_batch":
+            events[batch[-1] + 1 : batch[-1] + 1] = [events[i] for i in batch]
+        else:
+            picked = [events[i] for i in batch]
+            for i, e in zip(batch, reversed(picked)):
+                events[i] = e
+    else:
+        end = max(e.t for w in climb.windows.values() for e in w)
+        t = data.draw(st.one_of(
+            st.sampled_from(list(climb.clip_times.values())),  # exactly at a clip
+            st.floats(climb.clip_times[position], end + 150.0),
+        ))
+        events.append(SampleEvent(position, t, 20, -3, 63))
+    if data.draw(st.booleans(), label="as mapping"):
+        grouped = {}
+        for e in events:
+            grouped.setdefault(e.position, []).append(e)
+        return grouped
+    return events
+
+
+class TestSegmentFaults:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_records_or_same_error_as_the_object_reference(self, small_sim, small_line, data):
+        events = inject(small_sim, small_line, data)
+        assert segment_outcome(segment_climbs, events, small_line) == segment_outcome(
+            reference_segment, events, small_line
+        )
+
+    def test_clean_simulation_matches_the_object_reference(self, small_sim, small_line):
+        for events in (small_sim.streams, small_sim.all_events()):
+            assert segment_outcome(segment_climbs, events, small_line) == segment_outcome(
+                reference_segment, events, small_line
+            )
+
+    def test_parsed_stream_matches_the_object_reference(self, small_sim, small_line):
+        buf = io.StringIO()
+        write_events(buf, small_sim.all_events())
+        parsed = parse_events(buf.getvalue(), ie=small_line.ie)
+        objects = {p: list(group) for p, group in parsed.items()}
+        assert segment_outcome(segment_climbs, parsed, small_line) == segment_outcome(
+            reference_segment, objects, small_line
+        )

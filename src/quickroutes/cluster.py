@@ -28,8 +28,9 @@ runs on the block padded to its widest, and keeps each restart's centers
 zero past its width; every step whose rounding depends on the width is
 taken on the restart's own columns, so its assignments and its centers on
 those columns are bit for bit those of its prefix alone. Width 1 runs on
-its own, because numpy sums a one-column block pairwise. The sweep's padded blocks hold at most 4 MB, and all its
-labelings are scored in one rand-index pass.
+its own, because numpy sums a one-column block pairwise. The sweep's
+padded blocks hold at most 4 MB, and all its labelings are scored in one
+rand-index pass.
 """
 
 from __future__ import annotations
@@ -455,14 +456,13 @@ def _rand_indices(truth: Sequence, labelings: np.ndarray, adjusted: bool) -> lis
 
 @dataclass
 class RandStats:
-    """Min/mean/max of the rand index over repeated clustering restarts."""
+    """Min/mean/max of the rand index over repeated clustering restarts,
+    and each restart's value in seed order."""
 
     minimum: float
     mean: float
     maximum: float
     values: tuple[float, ...]
-    adjusted: bool
-    seed0: int
 
 
 def repeated_kmeans(
@@ -480,18 +480,16 @@ def repeated_kmeans(
     """
     results = kmeans_restarts(points, k, range(seed0, seed0 + restarts))
     values = _rand_indices(truth, np.stack([r.assignments for r in results]), adjusted)
-    return _rand_stats(values, adjusted, seed0)
+    return _rand_stats(values)
 
 
-def _rand_stats(values: list[float], adjusted: bool, seed0: int) -> RandStats:
+def _rand_stats(values: list[float]) -> RandStats:
     arr = np.asarray(values)
     return RandStats(
         minimum=float(arr.min()),
         mean=float(arr.mean()),
         maximum=float(arr.max()),
         values=tuple(values),
-        adjusted=adjusted,
-        seed0=seed0,
     )
 
 
@@ -571,7 +569,7 @@ def sweep_feature_count(
         SweepEntry(
             n_features=w,
             columns=tuple(ranking[:w]),
-            stats=_rand_stats(rand[(w - 1) * restarts:w * restarts], adjusted, seed0),
+            stats=_rand_stats(rand[(w - 1) * restarts:w * restarts]),
         )
         for w in range(1, limit + 1)
     ]

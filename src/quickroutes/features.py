@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MissingClipError, ValidationError
-from .ingest import ClimbRecord, LineConfig, open_text
+from .ingest import ClimbRecord, LineConfig
 from .sensor import SensorConfig, counts_to_g
 
 STAT_NAMES = (
@@ -269,9 +269,6 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
     def select(self, names: Sequence[str]) -> "FeatureMatrix":
         idx = [self.names.index(n) for n in names]
         return FeatureMatrix(
@@ -333,57 +330,3 @@ def build_feature_matrix(
         climb_ids=tuple(r.climb_id for r in records),
         labels=labels if all(l is not None for l in labels) else None,
     )
-
-
-def write_feature_matrix(target, matrix: FeatureMatrix) -> None:
-    """Delimited export: header of feature names, one row per climb.
-
-    A ``route`` sidecar column carries the ground-truth label when known.
-    Floats are written with shortest exact repr so a read-back round-trips.
-    """
-    with open_text(target, "w") as fh:
-        head = ["climb_id"]
-        if matrix.labels is not None:
-            head.append("route")
-        head.extend(matrix.names)
-        fh.write("\t".join(head) + "\n")
-        for row_idx in range(matrix.n_climbs):
-            row = [str(matrix.climb_ids[row_idx])]
-            if matrix.labels is not None:
-                row.append(matrix.labels[row_idx])
-            row.extend(repr(float(v)) for v in matrix.values[row_idx])
-            fh.write("\t".join(row) + "\n")
-
-
-def read_feature_matrix(source) -> FeatureMatrix:
-    with open_text(source, "r") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if not header or header[0] != "climb_id":
-            raise ValidationError("feature matrix must start with a climb_id column")
-        has_labels = len(header) > 1 and header[1] == "route"
-        first_feature = 2 if has_labels else 1
-        names = tuple(header[first_feature:])
-        ids, labels, rows = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise ValidationError(
-                    f"line {lineno}: {len(parts)} fields, expected {len(header)}"
-                )
-            try:
-                ids.append(int(parts[0]))
-                rows.append([float(v) for v in parts[first_feature:]])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            if has_labels:
-                labels.append(parts[1])
-        if not rows:
-            raise ValidationError("feature matrix has no rows")
-        return FeatureMatrix(
-            names=names,
-            values=np.asarray(rows, dtype=float),
-            climb_ids=tuple(ids),
-            labels=tuple(labels) if has_labels else None,
-        )

@@ -8,8 +8,10 @@ pipeline is line-delimited UTF-8 text, one transmitted sample per line::
 ``#`` starts a comment, blank lines are ignored, timestamps are decimal
 seconds with at least millisecond precision. Positions and counts are
 integers that fit in int64; a wider one makes its line malformed, as a
-non-finite timestamp does. Batching means events may be written out of
-arrival order; everything here orders by the embedded timestamp instead.
+non-finite timestamp does, and an event object that carries one raises a
+``ValidationError`` when it becomes columns. Batching means events may be
+written out of arrival order; everything here orders by the embedded
+timestamp instead.
 
 Events travel from the file to the feature kernels as
 :class:`EventColumns`: a position array, a timestamp array and an (n, 3)
@@ -86,9 +88,13 @@ class EventColumns(Sequence):
         """The columns of ``events``, in their order."""
         events = list(events)
         n = len(events)
-        counts = np.fromiter(chain.from_iterable(map(_COUNTS, events)), np.int64, 3 * n)
+        try:
+            position = np.fromiter(map(_POSITION, events), np.int64, n)
+            counts = np.fromiter(chain.from_iterable(map(_COUNTS, events)), np.int64, 3 * n)
+        except OverflowError as exc:
+            raise ValidationError("an event position or count does not fit in int64") from exc
         return cls(
-            np.fromiter(map(_POSITION, events), np.int64, n),
+            position,
             np.fromiter(map(_TIME, events), np.float64, n),
             counts.reshape(n, 3),
         )
@@ -166,10 +172,6 @@ class ClimbRecord:
     windows: dict[int, EventColumns]
     flagged: EventColumns = field(default_factory=lambda: EventColumns.from_events(()))
     ground_truth_route: Optional[str] = None
-
-    @property
-    def n_samples(self) -> dict[int, int]:
-        return {i: len(w) for i, w in self.windows.items()}
 
     def all_events(self) -> EventColumns:
         """Windows and flagged samples together, in wire order."""
@@ -306,7 +308,8 @@ def read_events(path, ie: Optional[int] = None) -> dict[int, EventColumns]:
 
 @contextmanager
 def open_text(target: Union[TextIO, str, os.PathLike], mode: str) -> Iterator[TextIO]:
-    """A path (``str`` or ``os.PathLike``) opened as UTF-8 text in ``mode``
+    """The event file behind :func:`read_events` and :func:`write_events`:
+    a path (``str`` or ``os.PathLike``) opened as UTF-8 text in ``mode``
     and closed on exit; an open file passes through and stays open."""
     if isinstance(target, (str, os.PathLike)):
         with open(target, mode, encoding="utf-8") as fh:
@@ -341,8 +344,9 @@ def segment_climbs(
     for at least ``gap_s``. Within a climb the clip time of position i is
     the timestamp of its first event, and clip times must increase with
     position (a climber cannot clip i+1 before i). Positions 2..ie-1 must
-    all be present; 1 and ie may be missing. The first climb that breaks
-    a rule raises, a missing position before a clip order.
+    all be present; 1 and ie may be missing. An event from a position
+    outside 1..ie raises first. Then the first climb that breaks a rule
+    raises, a missing position before a clip order.
 
     ``events`` is what :func:`parse_events` returns, or any mapping of
     position -> events, or one sequence of events; ``SampleEvent`` objects
@@ -353,11 +357,11 @@ def segment_climbs(
     events = _as_columns(events)
     order = _wire_permutation(events)
     position = events.position[order]
-    beyond = np.flatnonzero(position > line.ie)
-    if beyond.size:
-        raise ValidationError(
-            f"event from position {int(position[beyond[0]])} but the line ends at ie={line.ie}"
-        )
+    outside = np.flatnonzero((position > line.ie) | (position < 1))
+    if outside.size:
+        p = int(position[outside[0]])  # the first in wire order
+        end = "positions start at 1" if p < 1 else f"the line ends at ie={line.ie}"
+        raise ValidationError(f"event from position {p} but {end}")
     if not len(events):
         return []
 

@@ -21,18 +21,13 @@ in the last bit on some inputs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .features import FeatureMatrix
-from .ingest import open_text
-
-SCALER_FORMAT = "quickroutes-scaler v1"
-
 
 # Cephes ndtri coefficients, highest power first; the Q tables omit the
 # leading 1 that p1evl supplies.
@@ -122,7 +117,7 @@ class QuantileScaler:
     1 by half a rank) and then through the standard normal quantile
     function. Monotone non-decreasing per column; constant columns are
     flagged and always map to 0. The ECDF knots are derived from
-    ``references`` once, when the scaler is built.
+    ``references`` once, when :func:`fit_quantile` builds the scaler.
     """
 
     names: tuple[str, ...]
@@ -171,42 +166,6 @@ class QuantileScaler:
         out[:, [self.is_constant(col) for col in range(len(self.names))]] = 0.0
         return out
 
-    def save(self, target: Union[TextIO, str, os.PathLike]) -> None:
-        with open_text(target, "w") as fh:
-            fh.write(f"# {SCALER_FORMAT}\n")
-            fh.write(f"n_fit\t{self.n_fit}\n")
-            for name, ref in zip(self.names, self.references):
-                fh.write(name + "\t" + "\t".join(repr(float(v)) for v in ref) + "\n")
-
-    @classmethod
-    def load(cls, source: Union[TextIO, str, os.PathLike]) -> "QuantileScaler":
-        with open_text(source, "r") as fh:
-            head = fh.readline().strip()
-            if head != f"# {SCALER_FORMAT}":
-                raise ValidationError(f"not a scaler file (header {head!r})")
-            tag, _, n_fit = fh.readline().rstrip("\n").partition("\t")
-            if tag != "n_fit":
-                raise ValidationError("line 2: scaler file missing n_fit")
-            try:
-                n_fit = int(n_fit)
-            except ValueError as exc:
-                raise ValidationError(f"line 2: n_fit: {exc}") from exc
-            names, refs = [], []
-            for lineno, line in enumerate(fh, start=3):
-                parts = line.rstrip("\n").split("\t")
-                where = f"line {lineno}: scaler column {parts[0]!r}"
-                try:
-                    ref = np.array([float(v) for v in parts[1:]])
-                except ValueError as exc:
-                    raise ValidationError(f"{where}: {exc}") from exc
-                if len(ref) != n_fit:
-                    raise ValidationError(f"{where}: {len(ref)} references, n_fit {n_fit}")
-                if not _ascending(ref):
-                    raise ValidationError(f"{where}: references not ascending")
-                names.append(parts[0])
-                refs.append(ref)
-            return cls(names=tuple(names), references=refs, n_fit=n_fit)
-
 
 def _ecdf_knots(ref: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of an ascending, non-empty reference and their
@@ -223,12 +182,6 @@ def _ecdf_knots(ref: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray]:
     ))
     bounds = np.append(starts, ref.size)
     return ref[starts], (bounds[:-1] + bounds[1:]) / (2.0 * n_fit)
-
-
-def _ascending(ref: np.ndarray) -> bool:
-    """Sorted as ``np.sort`` sorts: numbers non-decreasing, then NaNs."""
-    nan = np.isnan(ref)
-    return not ((ref[1:] < ref[:-1]).any() or (nan[:-1] & ~nan[1:]).any())
 
 
 def fit_quantile(matrix: FeatureMatrix) -> QuantileScaler:

@@ -26,9 +26,7 @@ from quickroutes.features import (
     axis_sets,
     build_feature_matrix,
     feature_names,
-    read_feature_matrix,
     stat_features,
-    write_feature_matrix,
 )
 from quickroutes.ingest import ClimbRecord, EventColumns, LineConfig, segment_climbs
 from quickroutes.sensor import SampleEvent, SensorConfig, counts_to_g
@@ -429,34 +427,6 @@ class TestAssemble:
             for axis in ("x", "y", "z"):
                 assert g_max >= abs(by_name[f"p{position}.{axis}.max"]) - 1e-12
 
-    def test_matrix_round_trip(self, small_records, small_line, tmp_path):
-        matrix = build_feature_matrix(small_records, small_line)
-        path = tmp_path / "features.tsv"
-        write_feature_matrix(str(path), matrix)
-        back = read_feature_matrix(str(path))
-        assert back.names == matrix.names
-        assert back.labels == matrix.labels
-        assert back.climb_ids == matrix.climb_ids
-        assert (back.values == matrix.values).all()
-
-    @pytest.mark.parametrize("row", [
-        "1.5\tA\t0.1\t0.2", "x\tA\t0.1\t0.2", "2\tA\t0.1\tabc",
-    ], ids=["fractional-climb-id", "climb-id-not-a-number", "value-not-a-number"])
-    def test_read_matrix_names_the_line_of_an_unparsable_value(self, row):
-        text = "climb_id\troute\tf1\tf2\n1\tA\t0.3\t0.4\n" + row + "\n"
-        with pytest.raises(ValidationError, match="line 3: "):
-            read_feature_matrix(io.StringIO(text))
-
-    def test_matrix_path_round_trip(self, small_records, small_line, tmp_path):
-        matrix = build_feature_matrix(small_records, small_line)
-        as_str, as_path = tmp_path / "str.tsv", tmp_path / "path.tsv"
-        write_feature_matrix(str(as_str), matrix)
-        write_feature_matrix(as_path, matrix)
-        assert as_path.read_bytes() == as_str.read_bytes()
-        back = read_feature_matrix(as_path)
-        assert back.climb_ids == matrix.climb_ids
-        assert (back.values == matrix.values).all()
-
 
 # ---------------------------------------------------------------------------
 # batched kernels against the per-series reference, bit for bit
@@ -615,7 +585,7 @@ class TestStatKernel:
         started = time.perf_counter()
         matrix = build_feature_matrix([record], LineConfig(ie=5))
         assert time.perf_counter() - started < 1.0
-        assert matrix.column("p3.x.n_peaks")[0] == 1.0
+        assert matrix.values[0, matrix.names.index("p3.x.n_peaks")] == 1.0
         assert same_bits(matrix.values[0], reference_assemble(record, LineConfig(ie=5), SensorConfig()))
 
 

@@ -182,6 +182,22 @@ class TestSegment:
         with pytest.raises(ValidationError, match="event from position 9 but"):
             segment_climbs(events + beyond, LINE8, gap_s=120)
 
+    @pytest.mark.parametrize("position", [0, -3])
+    @pytest.mark.parametrize("as_columns", [False, True], ids=["objects", "columns"])
+    def test_position_below_1_rejected(self, position, as_columns):
+        clips = [0, 10, 25, 45, 70, 100, 140, 190]
+        below = f"event from position {position} but positions start at 1"
+        cases = [
+            ([ev(position, 30.0), ev(9, 40.0)], below),
+            ([ev(position, 30.0), ev(9, 20.0)], "event from position 9 but the line ends at ie=8"),
+        ]
+        for outside, message in cases:  # the first in wire order is named
+            events = climb_events(clips) + outside
+            if as_columns:
+                events = EventColumns.from_events(events)
+            with pytest.raises(ValidationError, match=message):
+                segment_climbs(events, LINE8, gap_s=120)
+
     def test_late_events_flagged_not_dropped(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         events = climb_events(clips)
@@ -205,7 +221,9 @@ class TestSegment:
         assert len(again) == len(small_records)
         for a, b in zip(again, small_records):
             assert a.clip_times == b.clip_times
-            assert a.n_samples == b.n_samples
+            assert {p: len(w) for p, w in a.windows.items()} == {
+                p: len(w) for p, w in b.windows.items()
+            }
 
     def test_simulated_clips_match_generator_truth(self, small_sim, small_line):
         records = segment_climbs(small_sim.streams, small_line, gap_s=120)
@@ -244,6 +262,16 @@ class TestColumns:
         assert len(empty) == 0 and not empty
         assert empty.counts.shape == (0, 3)
         assert list(empty) == []
+
+    @pytest.mark.parametrize("event", [
+        SampleEvent(3, 1.0, 2**70, 0, 0), SampleEvent(2**64, 1.0, 1, 2, 3),
+    ], ids=["count", "position"])
+    def test_value_beyond_int64_is_a_validation_error(self, event):
+        message = "an event position or count does not fit in int64"
+        with pytest.raises(ValidationError, match=message):
+            EventColumns.from_events([ev(2, 0.5), event])
+        with pytest.raises(ValidationError, match=message):
+            segment_climbs([event], LineConfig(ie=5))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ class SensorConfig:
     every wake averages 2 samples (the wake sample and the next); every
     other window, and every window at larger sizes, holds exactly
     ``averaging_window`` samples.
+
+    Asleep, the sensor reads every ``round(active_rate_hz / sleep_rate_hz)``-th
+    tick of the active clock, so its actual sleep rate is the active rate
+    over that whole number: 48/11 Hz samples at 12 Hz, and 50/20 Hz at
+    25 Hz, because Python's ``round`` takes 2.5 to 2.
+
+    A ``change_threshold_counts`` of 0 is legal: every sample passes the
+    gate, so the sensor never goes back to sleep.
     """
 
     full_scale_g: float = 2.0
@@ -67,6 +75,8 @@ class SensorConfig:
         for name in ("inactive_grace_s", "sleep_after_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if self.change_threshold_counts < 0:
+            raise ConfigError("change_threshold_counts must be >= 0")
         if self.averaging_window < 1:
             raise ConfigError("averaging_window must be >= 1")
         if self.group_size < 1:

@@ -18,12 +18,18 @@ with one raw sample per visited tick would: every tick while awake, every
 ``sleep_ticks``-th tick while asleep, with each visited tick taking the
 next row of the position's noise stream. The tests keep that step-driven
 loop as the reference.
+
+The kernel's work grows with wakes and transmitted events, not with
+samples and windows: a sleep stretch that no burst acts on is decided in
+one pass from the extremes of its noise, and awake the change gate is
+searched once per event, with the inactivity clocks in closed form over
+the windows between (see ``_run_position``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, SequencingError
 from .ingest import LineConfig, wire_order
-from .sensor import SampleEvent, SensorConfig, change_gate, g_to_counts
+from .sensor import SampleEvent, SensorConfig, g_to_counts
 # the spec _run_position matches, kept bound here for tools that wrap simulate.step
 from .sensor import step  # noqa: F401
 
@@ -182,11 +188,15 @@ def _plan_bursts(
     return truth, bursts
 
 
-# Each sleep stretch is gated this many samples at a time, and each awake
-# stretch averaged this many windows at a time: long enough to amortize the
-# numpy calls, short enough that a wake or a sleep soon after wastes little.
-_SLEEP_CHUNK = 512
-_ACTIVE_CHUNK = 64
+# A quiet sleep stretch is decided from at most this many noise rows at a
+# time (96 KB, under glibc's 128 KB mmap threshold, so the buffer is not
+# handed back to the kernel and faulted in again). Inside a burst's span the
+# sleep samples are gated this many at a time: a burst wakes the sensor
+# within a few. Awake, windows are averaged this many at a time: about one
+# awake period at the defaults (the burst, the grace and the sleep delay).
+_QUIET_CHUNK = 4096
+_SPAN_CHUNK = 32
+_ACTIVE_CHUNK = 160
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -262,6 +272,33 @@ class _Swing:
         return swing
 
 
+def _inactivity(
+    times: np.ndarray,
+    below_since: Optional[float],
+    inactive_since: Optional[float],
+    cfg: SensorConfig,
+) -> tuple[float, Optional[float], Optional[int]]:
+    """``sensor.step``'s inactivity clocks over a run of below-gate windows.
+
+    ``times`` are the windows' ascending end times. Returns the clocks
+    after the run and the index of the window that puts the sensor to
+    sleep, or None. The tests are ``step``'s float operations; ``t - c``
+    never decreases as ``t`` grows, so each test holds from its first
+    window on.
+    """
+    if below_since is None:
+        below_since = float(times[0])
+    start = 0
+    if inactive_since is None:
+        late = np.flatnonzero(times - below_since > cfg.inactive_grace_s)
+        if not late.size:
+            return below_since, None, None
+        start = int(late[0])
+        inactive_since = below_since + cfg.inactive_grace_s
+    done = np.flatnonzero(times[start:] - inactive_since >= cfg.sleep_after_s)
+    return below_since, inactive_since, start + int(done[0]) if done.size else None
+
+
 def _run_position(
     position: int,
     bursts: list[_Burst],
@@ -273,14 +310,25 @@ def _run_position(
     """One sensor's transmitted events, radio batches and seconds awake.
 
     Matches ``sensor.step`` driven tick by tick up to ``t_end`` (see the
-    module docstring). Raw samples are synthesized on arrays, each sleep
-    stretch is gated in one vectorized pass, and only the per-window gate,
-    inactivity clocks and batching run as a plain loop. Noise row ``v``
-    belongs to the ``v``-th visited tick, not to tick ``v``.
+    module docstring).
+
+    - Asleep outside every burst's span, the raw sample is ``rest +
+      direction * 0.0 + noise``, scaled by a positive factor, clipped and
+      rounded: each step is monotone, so each axis's count is a
+      non-decreasing function of that axis's noise. A sleeping sensor gates
+      each sample on its own, so a quiet stretch holds a wake exactly when
+      the counts of its per-axis noise minimum or maximum open the gate;
+      only then are its samples gated one by one to find the first. Inside
+      a span, samples are gated a few at a time.
+    - Awake, one array search finds the next window that opens the gate,
+      and ``_inactivity`` runs the clocks over the windows before it.
+
+    Noise row ``v`` belongs to the ``v``-th visited tick, not to tick ``v``.
     """
     rate = cfg.active_rate_hz
     n_ticks = _ticks_before(t_end, rate, inclusive=True)
     swing = _Swing(bursts, rate)
+    span_starts, span_ends = swing.starts.tolist(), swing.ends.tolist()
 
     # Noise rows are drawn as they are first visited: a run of draws gives
     # the same rows as one draw of their total size. Visits only move
@@ -303,15 +351,23 @@ def _run_position(
     rest, direction = np.asarray(profile.rest_g), np.asarray(BURST_DIRECTION)
     max_counts, scale = cfg.max_counts, cfg.full_scale_g
 
+    def quantize(g: np.ndarray) -> np.ndarray:
+        # clipped before rounding: the int64 cast must not see counts beyond full scale
+        return _round_half_away(np.clip(g * max_counts / scale, -max_counts, max_counts))
+
     def raw_counts(tick: int, count: int, stride: int, visit: int) -> np.ndarray:
         """Raw samples at ``count`` ticks from ``tick`` on, ``stride`` apart,
         taking noise rows from ``visit`` on."""
         ticks = np.arange(tick, tick + count * stride, stride)
-        g = rest + direction * swing.at(ticks)[:, None] + noise_rows(visit, visit + count)
-        # clipped before rounding: the int64 cast must not see counts beyond full scale
-        return _round_half_away(np.clip(g * max_counts / scale, -max_counts, max_counts))
+        return quantize(rest + direction * swing.at(ticks)[:, None] + noise_rows(visit, visit + count))
 
     threshold = cfg.change_threshold_counts
+    last_sent = np.array([g_to_counts(v, cfg) for v in profile.rest_g])
+
+    def opens(counts: np.ndarray) -> np.ndarray:
+        """Which rows of ``counts`` pass the change gate against ``last_sent``."""
+        return (np.abs(counts - last_sent) >= threshold).any(axis=1)
+
     window = cfg.averaging_window
     # the wake sample opens the first window but cannot close it
     first_lengths = np.full(_ACTIVE_CHUNK, window)
@@ -319,7 +375,6 @@ def _run_position(
     lengths = np.full(_ACTIVE_CHUNK, window)
     sleep_ticks = max(1, round(rate / cfg.sleep_rate_hz))
 
-    last_sent = tuple(g_to_counts(v, cfg) for v in profile.rest_g)
     last_event_t: Optional[float] = None
     events: list[SampleEvent] = []
     pending: list[SampleEvent] = []
@@ -327,15 +382,30 @@ def _run_position(
     tick = visit = 0
     while tick < n_ticks:
         # asleep: find the first sample whose change gate opens
-        m = min(_SLEEP_CHUNK, -(-(n_ticks - tick) // sleep_ticks))
-        counts = raw_counts(tick, m, sleep_ticks, visit)
-        woke = np.flatnonzero((np.abs(counts - last_sent) >= threshold).any(axis=1))
-        if not woke.size:
+        left = -(-(n_ticks - tick) // sleep_ticks)
+        span = bisect_right(span_ends, tick)
+        woke = None
+        if span < len(span_starts) and span_starts[span] <= tick:
+            m = min(_SPAN_CHUNK, left)
+            opened = np.flatnonzero(opens(raw_counts(tick, m, sleep_ticks, visit)))
+            if opened.size:
+                woke = int(opened[0])
+        else:
+            # quiet until the next span: the noise extremes decide the stretch
+            quiet = span_starts[span] - tick if span < len(span_starts) else n_ticks - tick
+            m = min(_QUIET_CHUNK, left, -(-quiet // sleep_ticks))
+            # one contiguous row per axis: numpy reduces those far faster than columns
+            axes = noise_rows(visit, visit + m).T.copy()
+            extremes = np.stack((axes.min(axis=1), axes.max(axis=1)))
+            if opens(quantize(rest + direction * 0.0 + extremes)).any():
+                # an extreme's counts are some sample's counts: one of them wakes
+                woke = int(opens(raw_counts(tick, m, sleep_ticks, visit)).argmax())
+        if woke is None:
             tick += m * sleep_ticks
             visit += m
             continue
-        tick += int(woke[0]) * sleep_ticks
-        visit += int(woke[0])
+        tick += woke * sleep_ticks
+        visit += woke
 
         # awake from the wake tick on, one sample per tick
         wake = tick
@@ -348,43 +418,46 @@ def _run_position(
             nw = int(np.searchsorted(ends, n_ticks - tick, side="right"))
             if nw == 0:
                 break  # the line's end time falls inside this window
-            k = int(ends[nw - 1])
-            sums = np.add.reduceat(
-                raw_counts(tick, k, 1, visit),
-                np.concatenate(([0], ends[: nw - 1])),
-            )
-            averaged = _round_half_away(sums / chunk_lengths[:nw, None]).tolist()
-            for end, avg in zip((tick + ends[:nw] - 1).tolist(), averaged):
-                t_avg = end / rate
-                if change_gate(last_sent, avg, cfg):
-                    if last_event_t is not None and t_avg <= last_event_t:
-                        raise SequencingError(
-                            f"position {position}: averaged sample at t={t_avg} does "
-                            f"not advance past t={last_event_t}"
-                        )
-                    pending.append(SampleEvent(position, t_avg, *avg))
-                    if len(pending) >= cfg.group_size:
-                        events.extend(pending)
-                        pending = []
-                        radio_batches += 1
-                    last_sent = tuple(avg)
-                    below_since = inactive_since = None
-                    last_event_t = t_avg
-                    continue
-                # below threshold: run the inactivity clocks
-                if below_since is None:
-                    below_since = t_avg
-                if inactive_since is None and t_avg - below_since > cfg.inactive_grace_s:
-                    inactive_since = below_since + cfg.inactive_grace_s
-                if inactive_since is not None and t_avg - inactive_since >= cfg.sleep_after_s:
-                    # back to sleep: transmit whatever was held back
-                    if pending:
-                        events.extend(pending)
-                        pending = []
-                        radio_batches += 1
-                    asleep_at = end
+            ends = ends[:nw]
+            k = int(ends[-1])
+            sums = np.add.reduceat(raw_counts(tick, k, 1, visit), np.concatenate(([0], ends[:-1])))
+            averaged = _round_half_away(sums / chunk_lengths[:nw, None])
+            times = (tick + ends - 1) / rate
+            i = 0
+            while i < nw:
+                # the next window that opens the gate; those before it stay below
+                opened = np.flatnonzero(opens(averaged[i:]))
+                j = i + int(opened[0]) if opened.size else nw
+                if j > i:
+                    below_since, inactive_since, asleep = _inactivity(
+                        times[i:j], below_since, inactive_since, cfg
+                    )
+                    if asleep is not None:
+                        # back to sleep: transmit whatever was held back
+                        if pending:
+                            events.extend(pending)
+                            pending = []
+                            radio_batches += 1
+                        asleep_at = tick + int(ends[i + asleep]) - 1
+                        break
+                if j == nw:
                     break
-            else:
+                t_avg = float(times[j])
+                if last_event_t is not None and t_avg <= last_event_t:
+                    raise SequencingError(
+                        f"position {position}: averaged sample at t={t_avg} does "
+                        f"not advance past t={last_event_t}"
+                    )
+                last_sent = averaged[j]
+                pending.append(SampleEvent(position, t_avg, *last_sent.tolist()))
+                if len(pending) >= cfg.group_size:
+                    events.extend(pending)
+                    pending = []
+                    radio_batches += 1
+                below_since = inactive_since = None
+                last_event_t = t_avg
+                i = j + 1
+            if asleep_at is None:
                 tick += k
                 visit += k
                 chunk_lengths = lengths

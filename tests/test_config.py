@@ -254,6 +254,7 @@ class TestErrors:
         ("sensor", "sleep_rate_hz", "0"),
         ("sensor", "sleep_after_s", "-1"),
         ("sensor", "inactive_grace_s", "-0.1"),
+        ("sensor", "change_threshold_counts", "-3"),
     ])
     def test_negative_rates_and_spreads_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):

@@ -235,6 +235,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SensorConfig(group_size=0)
         for kwargs in (dict(sleep_rate_hz=0.0), dict(sleep_rate_hz=-1.0),
-                       dict(sleep_after_s=-1.0), dict(inactive_grace_s=-0.1)):
+                       dict(sleep_after_s=-1.0), dict(inactive_grace_s=-0.1),
+                       dict(change_threshold_counts=-1)):
             with pytest.raises(ConfigError):
                 SensorConfig(**kwargs)
+        with pytest.raises(ConfigError, match="change_threshold_counts must be >= 0"):
+            SensorConfig(change_threshold_counts=-5)
+        # a gate of 0 counts passes every sample: legal, the sensor never sleeps
+        assert SensorConfig(change_threshold_counts=0).change_threshold_counts == 0

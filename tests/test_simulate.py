@@ -245,6 +245,44 @@ class TestKernelMatchesStep:
         profile = RouteProfile(routes=ROUTES, climbs=["a"], start_s=450.0)
         assert_matches_reference(LINE5, profile, 3, SensorConfig(), positions=[1, 5])
 
+    def test_noise_only_wakes_in_quiet_stretches(self):
+        # sigma is about 7.6 counts: single sleep samples often open the
+        # 15-count gate, 8-sample averages rarely do
+        profile = RouteProfile(routes=ROUTES, climbs=["a"], start_s=40.0, noise_g=0.12)
+        cfg = SensorConfig(sleep_after_s=2.0)
+        assert_matches_reference(LINE5, profile, 4, cfg)
+        # without noise wakes a position is awake for at most one burst and
+        # 2.8 s after it; the line runs for about 80 s
+        sim = simulate_line(LINE5, profile, 4, cfg)
+        assert all(awake > 20.0 for awake in sim.awake_s.values())
+
+    def test_gate_always_open(self):
+        # a 0-count gate: the first sample wakes, every window is an event
+        cfg = SensorConfig(change_threshold_counts=0, sleep_after_s=2.0)
+        profile = RouteProfile(routes=ROUTES, climbs=["a", "b"], climb_spacing_s=6.0, start_s=2.0)
+        assert_matches_reference(LINE5, profile, 2, cfg)
+        # awake from tick 0 through the last tick, which lies within 1/50 s past the end
+        sim = simulate_line(LINE5, profile, 2, cfg)
+        assert all(sim.end_time < awake <= sim.end_time + 0.02 for awake in sim.awake_s.values())
+
+    def test_quiet_stretches_longer_than_one_pass(self):
+        # climbs 900 s apart: about 9000 sleep samples between them, several
+        # passes of at most 4096 noise rows each
+        profile = RouteProfile(routes=ROUTES, climbs=["a", "b"], climb_spacing_s=900.0, start_s=500.0)
+        assert_matches_reference(LINE5, profile, 6, SensorConfig(sleep_after_s=2.0), positions=[2, 4])
+
+    @pytest.mark.parametrize("sleep_after_s", [2.0, 0.0])
+    def test_clock_bounds_met_with_equality(self, sleep_after_s):
+        # window ends on multiples of 1/8 s, so t - below_since meets the
+        # grace and t - inactive_since meets sleep_after exactly; at 0 s the
+        # window that meets the grace is the one that sleeps
+        cfg = SensorConfig(
+            active_rate_hz=32.0, sleep_rate_hz=8.0, averaging_window=4,
+            inactive_grace_s=0.5, sleep_after_s=sleep_after_s,
+        )
+        profile = RouteProfile(routes=ROUTES, climbs=["a", "b"], climb_spacing_s=20.0, start_s=2.0)
+        assert_matches_reference(LINE5, profile, 8, cfg)
+
     def test_conftest_line(self, small_line, small_profile):
         assert_matches_reference(small_line, small_profile, 7, SensorConfig(), positions=[4])
 

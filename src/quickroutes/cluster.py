@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .features import column_index
 from .preprocess import FeatureScore, select_k_best
 
 DEFAULT_RESTARTS = 100
@@ -557,7 +558,8 @@ def sweep_feature_count(
     limit = len(names) if max_features is None else min(max_features, len(names))
     # one ranking serves every w: top-w is a prefix of it
     ranking = select_k_best(scores, len(names))
-    ranked = np.ascontiguousarray(values[:, [names.index(n) for n in ranking[:limit]]])
+    index = column_index(names)
+    ranked = np.ascontiguousarray(values[:, [index[n] for n in ranking[:limit]]])
 
     seeds = list(range(seed0, seed0 + restarts))
     # one row per run, filled as the runs come: no list of every run's arrays

@@ -20,13 +20,16 @@ first dot, so session variants ``[route:X.v1]`` of one route share it.
 
 Any other section or key, a key under ``[DEFAULT]``, an unparsable value
 and a non-finite number raise ``ConfigError`` naming file, section and key.
+A value out of range (``ie = 1``, ``restarts = 0``, a negative rate) raises
+the ``ConfigError`` of the object built from its section, prefixed with
+file and section.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -143,6 +146,14 @@ def _read(parser: configparser.ConfigParser, section: str, table: dict, origin: 
     return values
 
 
+def _build(make, origin: str, section: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, its range errors naming file and section."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: [{section}] {exc}") from exc
+
+
 def _resolve_route(name: str, tables: dict, origin: str, resolving=frozenset()) -> RouteSpec:
     if name in resolving:
         raise ConfigError(f"{origin}: route {name}: circular base reference")
@@ -162,7 +173,7 @@ def _resolve_route(name: str, tables: dict, origin: str, resolving=frozenset()) 
         spec["clip_times"] = tuple(t * dt_scale for t in spec["clip_times"])
     if amp_scale is not None:
         spec["amplitudes"] = tuple(a * amp_scale for a in spec["amplitudes"])
-    return RouteSpec(**spec)
+    return _build(RouteSpec, origin, ROUTE_PREFIX + name, **spec)
 
 
 def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
@@ -185,8 +196,9 @@ def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
     pipeline = _read(parser, "pipeline", SECTIONS["pipeline"], origin)
     if "rand" in pipeline:
         pipeline["rand_adjusted"] = pipeline.pop("rand")
-    if "gap_s" in line:
-        pipeline["gap_s"] = line["gap_s"]
+    pipeline = _build(PipelineConfig, origin, "pipeline", **pipeline)
+    if "gap_s" in line:  # a pipeline knob set in [line], so its errors name [line]
+        pipeline = _build(replace, origin, "line", pipeline, gap_s=line["gap_s"])
     route_tables = {
         section[len(ROUTE_PREFIX):]: _read(parser, section, SECTIONS[ROUTE_PREFIX], origin)
         for section in parser.sections() if section.startswith(ROUTE_PREFIX)
@@ -200,16 +212,17 @@ def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
         if "climbs" not in simulate:
             raise ConfigError(f"{origin}: [simulate] needs a climbs list")
         routes = {name: _resolve_route(name, route_tables, origin) for name in route_tables}
-        profile = RouteProfile(routes=routes, **simulate)
+        profile = _build(RouteProfile, origin, "simulate", routes=routes, **simulate)
         if labels is None:
             labels = profile.labels()
     elif route_tables:
         raise ConfigError(f"{origin}: route tables present but no [simulate] section")
 
+    sensor = _read(parser, "sensor", SECTIONS["sensor"], origin)
     return ProjectConfig(
-        line=LineConfig(ie=line["ie"]),
-        sensor=SensorConfig(**_read(parser, "sensor", SECTIONS["sensor"], origin)),
-        pipeline=PipelineConfig(**pipeline),
+        line=_build(LineConfig, origin, "line", ie=line["ie"]),
+        sensor=_build(SensorConfig, origin, "sensor", **sensor),
+        pipeline=pipeline,
         profile=profile,
         seed=seed,
         labels=labels,

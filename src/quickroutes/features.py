@@ -270,13 +270,28 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def select(self, names: Sequence[str]) -> "FeatureMatrix":
-        idx = [self.names.index(n) for n in names]
+        """The named columns in the given order; an unknown name raises
+        ``ValueError``."""
+        names = tuple(names)
+        index = column_index(self.names)
+        try:
+            idx = [index[n] for n in names]
+        except KeyError as exc:
+            raise ValueError(f"no column named {exc.args[0]!r}") from None
         return FeatureMatrix(
-            names=tuple(names),
+            names=names,
             values=self.values[:, idx],
             climb_ids=self.climb_ids,
             labels=self.labels,
         )
+
+
+def column_index(names: Sequence[str]) -> dict[str, int]:
+    """Each name's column, the first one for a name that repeats."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+    return index
 
 
 def build_feature_matrix(

@@ -8,6 +8,14 @@ F-ratio against the ground-truth route labels and keeps the top k.
 Selection is supervised while the downstream clustering is not; no code
 records yet that labels were consumed here, so no report discloses it.
 
+The scaler works on the whole matrix: fitting is one sort of the
+transposed matrix into a (d, n) block of sorted columns and one scan of
+that block for the runs of equal values, which give every column's ECDF
+knots. Transforming interpolates column by column, since ``np.interp`` is
+one-dimensional, over contiguous rows of the transposed input; clipping,
+the out-of-range levels and the quantile function then run on the whole
+matrix at once.
+
 The standard normal quantile function is :func:`ndtri`, a numpy port of
 Moshier's Cephes ``ndtri`` (the algorithm behind ``scipy.special.ndtri``):
 a rational approximation in ``p - 0.5`` on the centre, and two in
@@ -115,18 +123,33 @@ class QuantileScaler:
     Transform sends a value through the mid-rank empirical CDF of the fit
     data (linear interpolation between fit points, clipped away from 0 and
     1 by half a rank) and then through the standard normal quantile
-    function. Monotone non-decreasing per column; constant columns are
-    flagged and always map to 0. The ECDF knots are derived from
-    ``references`` once, when :func:`fit_quantile` builds the scaler.
+    function. Monotone non-decreasing per column; constant columns always
+    map to 0.
+
+    ``references`` is one C-ordered (d, n_fit) block: row c holds column c
+    of the fit data in ascending order. When :func:`fit_quantile` builds
+    the scaler, one run scan over that block gives the ECDF knots of every
+    column, stored flat (column c's at ``_bounds[c]:_bounds[c + 1]``), and
+    each column's lowest and highest value and whether it is constant.
     """
 
     names: tuple[str, ...]
-    references: list[np.ndarray]  # sorted ascending, one per column
+    references: np.ndarray  # (d, n_fit), row c = column c sorted ascending
     n_fit: int
-    _knots: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    _knots: np.ndarray = field(init=False, repr=False)  # distinct values, flat
+    _levels: np.ndarray = field(init=False, repr=False)  # their mid-rank levels
+    _bounds: list[int] = field(init=False, repr=False)
+    _lowest: np.ndarray = field(init=False, repr=False)
+    _highest: np.ndarray = field(init=False, repr=False)
+    _constant: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._knots = [_ecdf_knots(ref, self.n_fit) for ref in self.references]
+        ref = self.references
+        self._knots, self._levels, bounds = _ecdf_knots(ref, self.n_fit)
+        self._bounds = bounds.tolist()
+        self._lowest = ref[:, 0]
+        self._highest = self._knots[bounds[1:] - 1]
+        self._constant = ref[:, 0] == ref[:, -1]
 
     @property
     def lo(self) -> float:
@@ -135,10 +158,6 @@ class QuantileScaler:
     @property
     def hi(self) -> float:
         return 1.0 - 1.0 / (2.0 * self.n_fit)
-
-    def is_constant(self, col: int) -> bool:
-        ref = self.references[col]
-        return bool(ref[0] == ref[-1])
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         if matrix.names != self.names:
@@ -151,44 +170,63 @@ class QuantileScaler:
         )
 
     def transform_values(self, values: np.ndarray) -> np.ndarray:
+        """Scale every column of ``values``; the work runs on its transpose,
+        one contiguous row per column, and the result is C-ordered."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[1] != len(self.names):
             raise ValidationError("value width does not match the fitted scaler")
-        ecdf = np.empty_like(values)
-        for col, (distinct, q) in enumerate(self._knots):
-            ecdf[:, col] = np.interp(values[:, col], distinct, q)
-        lowest = np.array([distinct[0] for distinct, _ in self._knots])
-        highest = np.array([distinct[-1] for distinct, _ in self._knots])
-        ecdf = np.clip(ecdf, self.lo, self.hi)
-        ecdf = np.where(values < lowest, self.lo, ecdf)
-        ecdf = np.where(values > highest, self.hi, ecdf)
-        out = ndtri(ecdf)
-        out[:, [self.is_constant(col) for col in range(len(self.names))]] = 0.0
+        columns = np.ascontiguousarray(values.T)
+        bounds, knots, levels = self._bounds, self._knots, self._levels
+        # stacked once, not stored row by row; the reshape keeps a width of 0
+        ecdf = np.array([
+            np.interp(column, knots[a:b], levels[a:b])
+            for column, a, b in zip(columns, bounds, bounds[1:])
+        ]).reshape(columns.shape)
+        np.clip(ecdf, self.lo, self.hi, out=ecdf)
+        ecdf[columns < self._lowest[:, None]] = self.lo
+        ecdf[columns > self._highest[:, None]] = self.hi
+        del columns  # before ndtri's temporaries, which set the peak
+        out = ndtri(ecdf.T)  # C-ordered: ndtri gathers in the shape of its input
+        out[:, self._constant] = 0.0
         return out
 
 
-def _ecdf_knots(ref: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an ascending, non-empty reference and their
-    mid-rank ECDF levels, read off its runs of equal values without
-    sorting again.
+def _ecdf_knots(block: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of every row of a (d, n) block whose rows are
+    ascending, their mid-rank ECDF levels, and row bounds: row r's knots are
+    ``[bounds[r]:bounds[r + 1]]`` of the flat arrays, in order.
 
-    Equal to the knots from ``np.unique(ref, return_index=True,
-    return_counts=True)``: -0.0 and 0.0 share one run, whose first value
-    stands for it, and all NaNs, which sort last, share one.
+    One scan marks where each run of equal values starts, without sorting
+    again. Per row, equal to the knots from ``np.unique(row,
+    return_index=True, return_counts=True)``: -0.0 and 0.0 share one run,
+    whose first value stands for it, and all NaNs, which sort last, share
+    one.
     """
-    nan = np.isnan(ref)
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (ref[1:] != ref[:-1]) & ~(nan[1:] & nan[:-1]))
-    ))
-    bounds = np.append(starts, ref.size)
-    return ref[starts], (bounds[:-1] + bounds[1:]) / (2.0 * n_fit)
+    n = block.shape[1]
+    starts = np.ones(block.shape, dtype=bool)
+    # a NaN on the left has only NaNs after it
+    starts[:, 1:] = (block[:, 1:] != block[:, :-1]) & ~np.isnan(block[:, :-1])
+    first = np.flatnonzero(starts)
+    first %= n  # rank of each run's first value
+    # a run ends where the next begins; 0 there means a new row, so n here.
+    # The rank sums are integers below 2**53: exact in floats, as in ints.
+    levels = np.zeros(first.size)
+    levels[:-1] = first[1:]
+    levels[levels == 0] = n
+    levels += first
+    levels /= 2.0 * n_fit
+    bounds = np.zeros(len(block) + 1, dtype=np.intp)
+    np.cumsum(starts.sum(axis=1), out=bounds[1:])
+    return block[starts], levels, bounds
 
 
 def fit_quantile(matrix: FeatureMatrix) -> QuantileScaler:
-    """Freeze each column's sorted values as the scaling reference."""
+    """Freeze the sorted fit values as the scaling reference: one sort of
+    the transposed matrix, one row per column."""
     if matrix.n_climbs < 2:
         raise ValidationError("quantile scaling needs at least 2 rows")
-    references = [np.sort(matrix.values[:, col]) for col in range(matrix.n_features)]
+    references = np.array(matrix.values.T, order="C")
+    references.sort(axis=1)
     return QuantileScaler(
         names=matrix.names, references=references, n_fit=matrix.n_climbs
     )

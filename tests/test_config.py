@@ -260,6 +260,20 @@ class TestErrors:
         with pytest.raises(ConfigError, match=key):
             parse_config(with_line(DAY, section, f"{key} = {value}"))
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("sensor", "change_threshold_counts = -3", "change_threshold_counts must be >= 0"),
+        ("sensor", "sleep_rate_hz = 60", "sleep rate must be below active rate"),
+        ("line", "ie = 1", "a line needs at least 5 positions, got ie=1"),
+        ("line", "gap_s = -1", "gap_s must be positive"),
+        ("pipeline", "restarts = 0", "restarts must be >= 1"),
+        ("simulate", "climb_spacing_s = 0", "climb_spacing_s must be positive"),
+        ("simulate", "climbs = a, z", "climbs reference undefined routes"),
+        ("route:a", "durations = 2, 2, 0, 2, 2", "route a: durations must be positive"),
+    ])
+    def test_range_errors_name_file_and_section(self, section, line, message):
+        with pytest.raises(ConfigError, match=f"^day.ini: \\[{section}\\] {message}"):
+            parse_config(with_line(DAY, section, line), origin="day.ini")
+
     @pytest.mark.parametrize("kwargs", [
         dict(restarts=0), dict(n_clusters=0), dict(pca_dims=0), dict(max_features=0),
         dict(gap_s=0.0),

@@ -23,6 +23,7 @@ from quickroutes import features
 from quickroutes.errors import MissingClipError, ValidationError
 from quickroutes.features import (
     STAT_NAMES,
+    FeatureMatrix,
     axis_sets,
     build_feature_matrix,
     feature_names,
@@ -426,6 +427,40 @@ class TestAssemble:
             g_max = by_name[f"p{position}.g.max"]
             for axis in ("x", "y", "z"):
                 assert g_max >= abs(by_name[f"p{position}.{axis}.max"]) - 1e-12
+
+
+class TestSelect:
+    NAMES = ("a", "b", "c", "b", "d")
+    VALUES = np.arange(15.0).reshape(3, 5)
+
+    def matrix(self):
+        return FeatureMatrix(self.NAMES, self.VALUES, climb_ids=(7, 8, 9), labels=("x", "y", "x"))
+
+    @pytest.mark.parametrize("names", [
+        ("d", "a"), ("c",), ("a", "a", "c"), ("b", "d", "b"), (), ("a", "b", "c", "d"),
+    ])
+    def test_columns_of_the_first_name_in_the_given_order(self, names):
+        picked = self.matrix().select(names)
+        want = [self.NAMES.index(n) for n in names]
+        assert picked.names == tuple(names)
+        assert same_bits(picked.values, self.VALUES[:, want])
+        assert picked.values.shape == (3, len(names))
+        assert (picked.climb_ids, picked.labels) == ((7, 8, 9), ("x", "y", "x"))
+
+    def test_select_takes_a_list_or_a_generator(self):
+        m = self.matrix()
+        assert m.select(["c", "a"]).names == ("c", "a")
+        from_generator = m.select(n for n in "ca")
+        assert from_generator.names == ("c", "a")
+        assert same_bits(from_generator.values, m.select(("c", "a")).values)
+
+    @pytest.mark.parametrize("names", [("e",), ("a", "B"), ("a", "")])
+    def test_unknown_name_raises_value_error(self, names):
+        with pytest.raises(ValueError, match=repr(names[-1])):
+            self.matrix().select(names)
+
+    def test_column_index_keeps_the_first_of_a_repeated_name(self):
+        assert features.column_index(self.NAMES) == {"a": 0, "b": 1, "c": 2, "d": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,11 @@ class TestQuantileScaler:
     def test_constant_column_flagged_and_zeroed(self):
         m = matrix_of({"a": [5.0, 5.0, 5.0], "b": [1.0, 2.0, 3.0]})
         scaler = fit_quantile(m)
-        assert scaler.is_constant(0)
-        assert not scaler.is_constant(1)
         out = scaler.transform(m)
         assert (out.values[:, 0] == 0.0).all()
+        assert (scaler.transform_values(np.array([[-9.0, 2.0], [9.0, 2.0]]))[:, 0] == 0.0).all()
+        # the varying column is not
+        assert out.values[0, 1] < 0.0 < out.values[2, 1]
 
     def test_distinct_values_keep_strict_order(self):
         values = np.arange(1.0, 34.0)
@@ -287,24 +288,36 @@ class TestNdtri:
 # array kernels against the per-column reference, bit for bit
 # ---------------------------------------------------------------------------
 
-def reference_transform_column(scaler, col, v):
-    ref = scaler.references[col]
-    if scaler.is_constant(col):
-        return np.zeros_like(v, dtype=float)
-    distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
-    q = (first + (first + counts)) / (2.0 * scaler.n_fit)
-    ecdf = np.interp(v, distinct, q)
-    ecdf = np.clip(ecdf, scaler.lo, scaler.hi)
-    ecdf = np.where(v < distinct[0], scaler.lo, ecdf)
-    ecdf = np.where(v > distinct[-1], scaler.hi, ecdf)
-    return ndtri(ecdf)
-
-
-def reference_transform(scaler, values):
-    out = np.empty_like(values, dtype=float)
+def reference_scale(fit, values):
+    """Each column of ``values`` through the scaling fitted on that column
+    of ``fit``, computed per column from ``np.sort``, ``np.unique``,
+    ``np.interp`` and scipy's ``ndtri``."""
+    fit = np.asarray(fit, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_fit = len(fit)
+    lo, hi = 1.0 / (2.0 * n_fit), 1.0 - 1.0 / (2.0 * n_fit)
+    out = np.empty_like(values)
     for col in range(values.shape[1]):
-        out[:, col] = reference_transform_column(scaler, col, values[:, col])
+        ref, v = np.sort(fit[:, col]), values[:, col]
+        if ref[0] == ref[-1]:
+            out[:, col] = 0.0
+            continue
+        distinct, first, counts = np.unique(ref, return_index=True, return_counts=True)
+        q = (first + (first + counts)) / (2.0 * n_fit)
+        ecdf = np.interp(v, distinct, q)
+        ecdf = np.clip(ecdf, lo, hi)
+        ecdf = np.where(v < distinct[0], lo, ecdf)
+        ecdf = np.where(v > distinct[-1], hi, ecdf)
+        out[:, col] = ndtri(ecdf)
     return out
+
+
+def assert_same_scaled(got, want):
+    """Equal bits, except that scipy's ndtri may flip a NaN's sign bit."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def reference_anova_f(column, labels):
@@ -419,6 +432,44 @@ class TestScoreKernel:
         assert same_bits([s.f for s in score_features(m)], reference_scores(m, labels))
 
 
+# fit values that stress the run rule: signed zeros, infinities and NaNs
+SPECIAL = [-2.0, -0.0, 0.0, 1.5, 3.0, math.inf, -math.inf, math.nan]
+cells = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+
+
+@st.composite
+def fit_and_probes(draw):
+    """A fit block of 2..12 rows and 1..5 columns, one column maybe forced
+    all-NaN or constant, and probe rows: the fit rows and fresh draws."""
+    n, width = draw(st.integers(2, 12)), draw(st.integers(1, 5))
+    fit = np.array(draw(st.lists(cells, min_size=n * width, max_size=n * width))).reshape(n, width)
+    col = draw(st.integers(0, width - 1))
+    kind = draw(st.sampled_from(["plain", "all-nan", "constant"]))
+    if kind == "all-nan":
+        fit[:, col] = math.nan
+    elif kind == "constant":
+        fit[:, col] = draw(cells)
+    m = draw(st.integers(1, 8))
+    fresh = np.array(draw(st.lists(cells, min_size=m * width, max_size=m * width))).reshape(m, width)
+    return fit, np.vstack([fit, fresh])
+
+
+def sorted_blocks():
+    """Blocks of 1..6 rows of 1..12 values from SPECIAL, each row ascending."""
+    return st.integers(1, 6).flatmap(lambda d: st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.sampled_from(SPECIAL), min_size=d * n, max_size=d * n).map(
+            lambda v: np.sort(np.array(v).reshape(d, n), axis=1))))
+
+
+def assert_knots_match_np_unique(block, n_fit):
+    knots, levels, bounds = preprocess._ecdf_knots(block, n_fit)
+    assert bounds[0] == 0 and bounds[-1] == knots.size == levels.size
+    for row, a, b in zip(block, bounds, bounds[1:]):
+        want, first, counts = np.unique(row, return_index=True, return_counts=True)
+        assert knots[a:b].tobytes() == want.tobytes()
+        assert levels[a:b].tobytes() == ((first + (first + counts)) / (2.0 * n_fit)).tobytes()
+
+
 class TestScalerKnots:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6))
@@ -429,29 +480,77 @@ class TestScalerKnots:
         m = matrix_of({f"c{i}": fit[:, i] for i in range(width)})
         scaler = fit_quantile(m)
         probes = np.vstack([fit, fit * 1.5 - 1.0, rng.standard_normal((n, width)) * 3])
-        assert same_bits(scaler.transform_values(probes), reference_transform(scaler, probes))
-        assert same_bits(scaler.transform(m).values, reference_transform(scaler, m.values))
+        assert_same_scaled(scaler.transform_values(probes), reference_scale(fit, probes))
+        assert_same_scaled(scaler.transform(m).values, reference_scale(fit, fit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(fit_and_probes())
+    def test_special_values_match_per_column_reference(self, case):
+        fit, probes = case
+        scaler = fit_quantile(matrix_of({f"c{i}": fit[:, i] for i in range(fit.shape[1])}))
+        got = scaler.transform_values(probes)
+        assert got.flags.c_contiguous
+        assert_same_scaled(got, reference_scale(fit, probes))
+
+    @pytest.mark.parametrize("fit", [
+        [[0.0], [1.0]],
+        [[-0.0], [0.0]],
+        [[math.nan], [math.nan]],
+        [[math.nan, 2.0, -math.inf], [math.nan, 2.0, math.inf]],
+        [[1.0, math.nan], [math.nan, 1.0], [-0.0, 0.0]],
+    ], ids=["n_fit=2", "signed-zeros", "all-nan", "nan-constant-infs", "mixed"])
+    def test_small_fits_match_per_column_reference(self, fit):
+        fit = np.array(fit)
+        probes = np.vstack([fit, np.full(fit.shape[1], -0.0), np.full(fit.shape[1], math.inf)])
+        scaler = fit_quantile(matrix_of({f"c{i}": fit[:, i] for i in range(fit.shape[1])}))
+        assert_same_scaled(scaler.transform_values(probes), reference_scale(fit, probes))
+
+    def test_references_hold_each_column_sorted_in_one_c_ordered_block(self):
+        m = matrix_of({"a": [3.0, 1.0, 2.0], "b": [-1.0, 5.0, 0.0]})
+        scaler = fit_quantile(m)
+        assert scaler.references.flags.c_contiguous
+        assert scaler.references.tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]]
+        assert m.values.tolist() == [[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]]  # sorted a copy
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.sampled_from([-2.0, -0.0, 0.0, 1.5, 3.0, math.inf, -math.inf, math.nan]),
-                 min_size=1, max_size=12),
+        st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=12),
         st.integers(1, 40),
     )
     def test_knots_equal_np_unique_on_sorted_references(self, values, n_fit):
-        assert_knots_match_np_unique(np.sort(np.array(values)), n_fit)
+        assert_knots_match_np_unique(np.sort(np.array(values))[None, :], n_fit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sorted_blocks(), st.integers(1, 40))
+    def test_knots_equal_np_unique_on_every_row_of_a_block(self, block, n_fit):
+        assert_knots_match_np_unique(block, n_fit)
 
     @pytest.mark.parametrize("ref", [
         [1.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, -0.0, 0.0, 1.0], [4.0] * 9,
         [1.0, math.nan], [math.nan, math.nan, math.nan], [-math.inf, 1.0, 1.0, math.inf],
     ])
     def test_knots_equal_np_unique_on_edge_references(self, ref):
-        assert_knots_match_np_unique(np.array(ref), len(ref))
+        assert_knots_match_np_unique(np.array([ref]), len(ref))
 
 
+class _Stop(Exception):
+    """Ends a workload run once it has handed its matrix to the scaler."""
 
-def assert_knots_match_np_unique(ref, n_fit):
-    distinct, q = preprocess._ecdf_knots(ref, n_fit)
-    want, first, counts = np.unique(ref, return_index=True, return_counts=True)
-    assert distinct.tobytes() == want.tobytes()
-    assert q.tobytes() == ((first + (first + counts)) / (2.0 * n_fit)).tobytes()
+
+@pytest.mark.parametrize("workload", ["firmware_day", "replay_week", "feature_sweep"])
+def test_full_size_workload_scaling_matches_reference(workloads, workload, tmp_path, monkeypatch):
+    fitted = []
+
+    def capture(matrix):
+        fitted.append(matrix)
+        raise _Stop
+
+    monkeypatch.setattr(preprocess, "fit_quantile", capture)
+    with pytest.raises(_Stop):
+        workloads.RUNS[workload](workloads.prepare(workload, 0, "full", tmp_path))
+    monkeypatch.undo()
+    matrix = fitted[0]
+    assert matrix.values.shape[1] == 571
+    scaled = fit_quantile(matrix).transform(matrix).values
+    assert scaled.flags.c_contiguous
+    assert_same_scaled(scaled, reference_scale(matrix.values, matrix.values))

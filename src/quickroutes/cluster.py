@@ -31,11 +31,19 @@ those columns are bit for bit those of its prefix alone. Width 1 runs on
 its own, because numpy sums a one-column block pairwise. The sweep's
 padded blocks hold at most 4 MB, and all its labelings are scored in one
 rand-index pass.
+
+The evaluation tail is in GEMM form too. ``silhouette`` takes the pairwise
+distances of a row block from one product of the column-centred points,
+``|x|^2 + |y|^2 - 2 x.y``, and recomputes in the difference form every pair
+too close for that form's rounding (self-pairs, duplicates, non-finite
+rows). The GMM's E-step solves its batched Cholesky factors by forward
+substitution, one step per dimension over all components at once.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -45,6 +53,8 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .features import column_index
 from .preprocess import FeatureScore, select_k_best
+
+log = logging.getLogger(__name__)
 
 DEFAULT_RESTARTS = 100
 DEFAULT_MAX_ITER = 300
@@ -663,7 +673,14 @@ class GmmResult:
 
 def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """(n, k) log densities from one Cholesky of the (k, d, d) stack; a
-    failure names the first component that is not positive definite."""
+    failure names the first component that is not positive definite.
+
+    The Mahalanobis terms come from forward substitution on the lower
+    factors: row i of every component's solution is its centred data's
+    row i, less one einsum over the rows already solved, over the
+    diagonal entry: d steps, each for all k components at once, where
+    ``np.linalg.solve`` would LU-factor the triangular factors again.
+    """
     d = X.shape[1]
     try:
         chol = np.linalg.cholesky(covs)
@@ -677,7 +694,12 @@ def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.nda
                     f"(min diagonal {cov.diagonal().min():.3e})"
                 ) from exc
         raise
-    y = np.linalg.solve(chol, (X[None, :, :] - means[:, None, :]).transpose(0, 2, 1))
+    # (k, d, n) centred data, C-ordered so that each row is contiguous; solved in place
+    y = np.subtract(X.T, means[:, :, None], order="C")
+    for i in range(d):
+        if i:
+            y[:, i] -= np.einsum("kj,kjn->kn", chol[:, i, :i], y[:, :i])
+        y[:, i] /= chol[:, i, i, None]
     maha = np.einsum("kdn,kdn->nk", y, y)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
@@ -742,6 +764,9 @@ def gmm_em(points, k: int, seed: int = 0) -> GmmResult:
         means = (resp.T @ X) / nk[:, None]
         covs = _covariances(X, means, resp, nk)
 
+    if not converged:
+        log.warning("GMM EM stopped unconverged after %d iterations; last log-likelihood "
+                    "change %.3e", iterations, history[-1] - history[-2])
     return GmmResult(
         weights=weights,
         means=means,
@@ -770,12 +795,41 @@ class SilhouetteResult:
     mean: float
 
 
+# An expanded squared distance of two centred rows x, y is used only when it
+# is at least this share of (|x| + |y|)^2, its rounding bound's scale.
+_EXPANDED_SHARE = 1.0 / 32.0
+# The smallest normal double: a squared distance below (d + 4) of these may
+# hold subnormal rounding, which is absolute, not relative.
+_TINY = float(np.finfo(float).tiny)
+
+
 def silhouette(points, assignments) -> SilhouetteResult:
     """Per-point silhouette scores plus per-cluster sorted profiles.
 
     s = (b - a) / max(a, b) with a the mean distance to the point's own
     cluster (excluding itself) and b the smallest mean distance to another
     cluster. Points in singleton clusters score 0 by convention.
+
+    Cost: one GEMM per row block. The points are sorted by cluster and
+    centred on their column means; the product of a block's rows with all
+    rows gives every squared distance in the expanded form
+    ``|x|^2 + |y|^2 - 2 x.y``, and one segmented sum over the sorted
+    columns gives each row's distance sum per cluster. Memory: O(n*d) for
+    the centred points, plus a row block of at most ``_CHUNK_FLOATS``
+    floats of the n-wide distance matrix and a few temporaries of its
+    size; no (n, n, d) difference is ever formed.
+
+    Accuracy: the expanded form lies within ``gamma_{d+2} (|x| + |y|)^2``
+    of the exact squared distance of the centred rows x and y. A pair takes
+    it only when it is at least ``_EXPANDED_SHARE (|x| + |y|)^2`` (1/32;
+    plus ``(d + 4)`` smallest normals, below which rounding is absolute), so
+    its squared distance is within ``32 gamma_{d+2}`` relative and its
+    distance within about ``16 gamma_{d+2}`` (1e-12 at d = 571), plus a few
+    unit roundoffs from the centring. Every other pair is recomputed in the
+    difference form ``X[i] - X[j]`` on the raw rows, as a row loop computes
+    it: self-pairs (exactly 0), duplicate and near-duplicate rows, and every
+    pair with a NaN, infinite or overflowing row. Their count is logged at
+    DEBUG.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(assignments)
@@ -785,21 +839,61 @@ def silhouette(points, assignments) -> SilhouetteResult:
     if clusters.size < 2:
         raise ValidationError("silhouette needs at least 2 clusters")
 
+    n, d = X.shape
     sizes = np.bincount(codes)
-    scores = np.zeros(len(X))
-    diff = np.empty_like(X)  # one row of the distance matrix at a time: O(n*d) memory
-    for i, own in enumerate(codes.tolist()):
-        if sizes[own] <= 1:
-            continue
-        np.subtract(X[i], X, out=diff)
-        dist = np.sqrt(np.einsum("md,md->m", diff, diff))
-        sums = np.bincount(codes, weights=dist, minlength=clusters.size)
-        a = sums[own] / (sizes[own] - 1)
+    # stably sorted by cluster: each cluster's columns are one run, in row order
+    order = np.argsort(codes, kind="stable")
+    own = codes[order]
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    xs = X[order]  # C-ordered, so that the fallback gathers whole rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        # non-finite or overflowing rows are recomputed in the difference form
+        xc = xs - xs.mean(axis=0)
+        xx = np.einsum("nd,nd->n", xc, xc)
+    xnorm = np.sqrt(xx)
+    nonfinite = ~np.isfinite(xx)
+    floor = (d + 4) * _TINY
+    per_fallback = max(1, _CHUNK_FLOATS // max(1, d))
+    a, b = np.empty(n), np.empty(n)
+    exact = 0
+    step = max(1, _CHUNK_FLOATS // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        # in place: the block's temporaries set this routine's peak memory
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = xc[lo:hi] @ xc.T
+            d2 *= -2.0
+            d2 += xx[lo:hi, None]
+            d2 += xx
+            bound = xnorm[lo:hi, None] + xnorm
+            bound *= bound
+            bound *= _EXPANDED_SHARE
+            bound += floor
+            unsure = ~(d2 >= bound)
+        del bound
+        if nonfinite.any():
+            unsure[:, nonfinite] = True
+            unsure[nonfinite[lo:hi]] = True
+        rows, cols = np.nonzero(unsure)
+        exact += rows.size
+        for first in range(0, rows.size, per_fallback):
+            r, c = rows[first:first + per_fallback], cols[first:first + per_fallback]
+            diff = xs[lo + r] - xs[c]
+            d2[r, c] = np.einsum("pd,pd->p", diff, diff)
+        np.sqrt(d2, out=d2)
+        sums = np.add.reduceat(d2, starts, axis=1)
+        block, mine = np.arange(hi - lo), own[lo:hi]
+        a[lo:hi] = sums[block, mine]
         sums /= sizes
-        sums[own] = np.inf
-        b = sums.min()
-        top = max(a, b)
-        scores[i] = 0.0 if top == 0.0 else (b - a) / top
+        sums[block, mine] = np.inf
+        b[lo:hi] = sums.min(axis=1)
+    log.debug("silhouette: %d of %d pairs recomputed in the difference form", exact, n * n)
+
+    a /= np.maximum(sizes[own] - 1, 1)
+    top = np.where(b > a, b, a)  # Python's max(a, b): a NaN b keeps a
+    scored = (sizes[own] > 1) & (top != 0.0)
+    scores = np.zeros(n)
+    scores[order[scored]] = (b[scored] - a[scored]) / top[scored]
 
     profiles = {
         int(c): np.sort(scores[labels == c])[::-1].copy() for c in clusters

@@ -14,7 +14,10 @@ that block for the runs of equal values, which give every column's ECDF
 knots. Transforming interpolates column by column, since ``np.interp`` is
 one-dimensional, over contiguous rows of the transposed input; clipping,
 the out-of-range levels and the quantile function then run on the whole
-matrix at once.
+matrix at once. The fit data's levels all lie on the grid ``j / (2 n_fit)``,
+so the fit stores the quantile of every grid level once, and a transform
+looks levels up there; only levels off the grid, as new rows give, go
+through ``ndtri``.
 
 The standard normal quantile function is :func:`ndtri`, a numpy port of
 Moshier's Cephes ``ndtri`` (the algorithm behind ``scipy.special.ndtri``):
@@ -142,6 +145,7 @@ class QuantileScaler:
     _lowest: np.ndarray = field(init=False, repr=False)
     _highest: np.ndarray = field(init=False, repr=False)
     _constant: np.ndarray = field(init=False, repr=False)
+    _normal: np.ndarray = field(init=False, repr=False)  # ndtri(j / (2 n_fit)), j = 0..2 n_fit
 
     def __post_init__(self):
         ref = self.references
@@ -150,6 +154,8 @@ class QuantileScaler:
         self._lowest = ref[:, 0]
         self._highest = self._knots[bounds[1:] - 1]
         self._constant = ref[:, 0] == ref[:, -1]
+        steps = 2 * self.n_fit
+        self._normal = ndtri(np.arange(steps + 1) / steps)
 
     @property
     def lo(self) -> float:
@@ -185,8 +191,26 @@ class QuantileScaler:
         np.clip(ecdf, self.lo, self.hi, out=ecdf)
         ecdf[columns < self._lowest[:, None]] = self.lo
         ecdf[columns > self._highest[:, None]] = self.hi
-        del columns  # before ndtri's temporaries, which set the peak
-        out = ndtri(ecdf.T)  # C-ordered: ndtri gathers in the shape of its input
+        del columns  # before the lookup's temporaries, which set the peak
+        # ndtri of each level. Every level of a fit row is a mid-rank level
+        # j / (2 n_fit): a level that equals the grid level nearest it takes
+        # that level's stored quantile, the same double. The rest (levels of
+        # new rows, a hi that rounds off the grid, NaN) go through ndtri.
+        # One float and one index temporary, each freed once spent: with one
+        # more, replay_week's peak RSS read about 2 MB higher.
+        levels = ecdf.T
+        steps = 2 * self.n_fit
+        j = levels * steps
+        np.rint(j, out=j)
+        np.fmax(j, 0.0, out=j)  # fmax drops NaN: a NaN level looks up 0 and misses
+        index = j.astype(np.intp, order="C")
+        j /= steps
+        off = j != levels
+        del j
+        out = self._normal[index]  # C-ordered, as the index
+        del index
+        if off.any():
+            out[off] = ndtri(levels[off])
         out[:, self._constant] = 0.0
         return out
 

@@ -4,9 +4,11 @@ and the GMM contract."""
 
 import hashlib
 import itertools
+import logging
 import math
 import struct
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -808,6 +810,45 @@ def brute_force_silhouette(X, labels):
     return scores
 
 
+def reference_silhouette(X, labels):
+    """The row loop in the difference form: one row of the distance matrix
+    at a time, each distance from ``X[i] - X``, summed per cluster with
+    ``np.bincount``."""
+    X = np.asarray(X, dtype=float)
+    clusters, codes = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(codes)
+    scores = np.zeros(len(X))
+    for i, own in enumerate(codes.tolist()):
+        if sizes[own] <= 1:
+            continue
+        diff = X[i] - X
+        dist = np.sqrt(np.einsum("md,md->m", diff, diff))
+        sums = np.bincount(codes, weights=dist, minlength=clusters.size)
+        a = sums[own] / (sizes[own] - 1)
+        sums /= sizes
+        sums[own] = np.inf
+        b = sums.min()
+        top = max(a, b)
+        scores[i] = 0.0 if top == 0.0 else (b - a) / top
+    return scores
+
+
+@st.composite
+def hard_silhouette_inputs(draw):
+    """Points on column offsets up to 1e4, with an exact duplicate and a
+    1e-9 near-duplicate of row 0, and labels that may leave singletons."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, k = draw(st.integers(4, 40)), draw(st.sampled_from([1, 2, 5, 50, 600])), draw(st.integers(2, 6))
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0) + rng.uniform(-1e4, 1e4, size=d)
+    X[1] = X[0]
+    X[2] = X[0] + 1e-9
+    labels = rng.integers(0, k, size=n)
+    labels[3] = (labels[0] + 1) % k
+    if draw(st.booleans()):
+        labels[-1] = k  # a singleton cluster
+    return X, labels
+
+
 class TestSilhouette:
     @EXAMPLES
     @given(st.integers(0, 2**32 - 1), st.integers(3, 20), st.integers(1, 5),
@@ -826,6 +867,57 @@ class TestSilhouette:
         for c, profile in result.profiles.items():
             assert np.all(np.diff(profile) <= 0)
             assert len(profile) == int((labels == c).sum())
+
+    @settings(max_examples=300, deadline=None)
+    @given(hard_silhouette_inputs())
+    def test_matches_row_loop_on_offsets_duplicates_and_singletons(self, case):
+        X, labels = case
+        np.testing.assert_allclose(silhouette(X, labels).scores, reference_silhouette(X, labels),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_nan_row_matches_row_loop(self):
+        X = np.random.default_rng(0).standard_normal((12, 5))
+        X[4, 2] = math.nan
+        labels = np.repeat([0, 1, 2, 3], 3)
+        np.testing.assert_allclose(silhouette(X, labels).scores, reference_silhouette(X, labels),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_subnormal_squared_distances_match_row_loop(self):
+        # squares of 1e-160 round in the subnormal range, absolutely, not relatively
+        X = np.random.default_rng(0).standard_normal((12, 3)) * 1e-160
+        labels = np.repeat([0, 1, 2], 4)
+        np.testing.assert_allclose(silhouette(X, labels).scores, reference_silhouette(X, labels),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_norms_keep_finite_distances(self):
+        # |1.5e154|^2 overflows while 1.5e154 and 0.2e154 lie 1.3e154 apart:
+        # the expanded form reads inf there, and its bound is inf too
+        X = np.array([1.5, 0.2, 1.4, 1.45, -1.5, -0.2, -1.4, -1.45])[:, None] * 1e154
+        labels = [0, 0, 1, 1, 2, 2, 3, 3]
+        want = reference_silhouette(X, labels)
+        assert np.isfinite(want).all()
+        np.testing.assert_allclose(silhouette(X, labels).scores, want, rtol=1e-12, atol=1e-12)
+
+    def test_peak_memory_stays_linear_in_the_points(self):
+        # an (n, n, d) difference tensor would take about 730 MB here
+        X = np.random.default_rng(0).standard_normal((400, 571))
+        labels = np.arange(400) % 8
+        tracemalloc.start()
+        try:
+            silhouette(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_logs_the_exact_pair_count_at_debug(self, caplog):
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 6.0], [20.0, 0.0], [20.0, 6.0]])
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+            result = silhouette(X, [0, 0, 0, 1, 1])
+        # the 5 self-pairs and the duplicate pair, both ways
+        assert "silhouette: 7 of 25 pairs" in caplog.text
+        np.testing.assert_allclose(result.scores, reference_silhouette(X, [0, 0, 0, 1, 1]),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_singleton_clusters_score_zero(self):
         X = np.array([[0.0], [0.1], [0.2], [5.0], [9.0]])
@@ -1016,6 +1108,22 @@ class TestGmm:
             assert result.converged == (gains[-1] >= -tol)
             lost += not result.converged
         assert lost > 0
+
+    def test_unconverged_stop_logged_as_warning(self, caplog):
+        # the tight blobs above, up to the first seed whose last step loses more than tol
+        with caplog.at_level(logging.WARNING, logger="quickroutes.cluster"):
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                X = np.concatenate([rng.normal(c, 0.01, size=(15, 2)) for c in ([0, 0], [1, 1])])
+                result = gmm_em(X, 3, seed=seed)
+                if not result.converged:
+                    break
+        assert not result.converged
+        change = result.ll_history[-1] - result.ll_history[-2]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"GMM EM stopped unconverged after {result.iterations} iterations; "
+            f"last log-likelihood change {change:.3e}"]
+        assert caplog.records[0].levelno == logging.WARNING
 
     def test_empty_initial_cluster_fits_without_warnings(self):
         # K-Means leaves one of three clusters empty on two values, so that

@@ -505,6 +505,23 @@ class TestScalerKnots:
         scaler = fit_quantile(matrix_of({f"c{i}": fit[:, i] for i in range(fit.shape[1])}))
         assert_same_scaled(scaler.transform_values(probes), reference_scale(fit, probes))
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 60, 200])
+    def test_fit_rows_take_their_quantiles_from_the_table(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        fit = np.column_stack([rng.integers(-3, 4, size=n) * 1.0, rng.standard_normal(n)])
+        scaler = fit_quantile(matrix_of({"ties": fit[:, 0], "distinct": fit[:, 1]}))
+        passed = []
+
+        def spy(p):
+            passed.extend(np.ravel(p).tolist())
+            return ndtri(p)
+
+        monkeypatch.setattr(preprocess, "ndtri", spy)
+        got = scaler.transform_values(fit)
+        assert_same_scaled(got, reference_scale(fit, fit))
+        # only a hi that rounds off the grid j / (2 n) reaches ndtri
+        assert set(passed) <= {scaler.hi}
+
     def test_references_hold_each_column_sorted_in_one_c_ordered_block(self):
         m = matrix_of({"a": [3.0, 1.0, 2.0], "b": [-1.0, 5.0, 0.0]})
         scaler = fit_quantile(m)

@@ -8,7 +8,7 @@ seeds, and results are merged in seed order.
 
 ``_lloyd`` is the one Lloyd loop. ``kmeans_restarts`` calls it, and
 ``kmeans``, ``best_kmeans``, ``repeated_kmeans`` and the GMM
-initialization call that; the feature-count sweep calls both. Its
+initialization call that; the feature-count sweep calls it directly. Its
 restarts are batched: each round assigns the points of every restart
 still running from one GEMM against all their centers, and a restart
 leaves the batch once it converges. Each restart's result is bit for bit
@@ -17,9 +17,9 @@ difference form, and sums keep the rounding of the one-restart code.
 A round skips the work no result reads: only clusters whose members
 changed get a new mean (any other center already is that mean), and
 inertia is computed once per restart, from its final centers and
-assignment. Restarts run in chunks sized by memory: one chunk's
-(restarts, points, dimensions) block holds at most 8 MB, or one
-restart's when that alone is larger.
+assignment. ``kmeans_restarts`` runs restarts in chunks sized by memory:
+one chunk's (restarts, points, dimensions) block holds at most 8 MB, or
+one restart's when that alone is larger.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
@@ -28,9 +28,13 @@ runs on the block padded to its widest, and keeps each restart's centers
 zero past its width; every step whose rounding depends on the width is
 taken on the restart's own columns, so its assignments and its centers on
 those columns are bit for bit those of its prefix alone. Width 1 runs on
-its own, because numpy sums a one-column block pairwise. The sweep's
-padded blocks hold at most 4 MB, and all its labelings are scored in one
-rand-index pass.
+its own, because numpy sums a one-column block pairwise. Neighbouring
+widths of one seed often reach the same assignment, and then the same
+sums of whole padded rows: in each round, a restart whose assignment
+equals that of its seed's restart one column narrower copies that one's
+means instead of summing. A sweep chunk's restarts x points x padded
+width stays within ``_SWEEP_FLOATS``, each seed's initial rows are drawn
+once per sweep, and all its labelings are scored in one rand-index pass.
 
 The evaluation tail is in GEMM form too. ``silhouette`` takes the pairwise
 distances of a row block from one product of the column-centred points,
@@ -45,6 +49,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -63,9 +69,16 @@ DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
 # floats in one chunk's (restarts, n, d) block of K-Means restarts: 8 MB
 _CHUNK_FLOATS = 2**20
-# floats in one padded (restarts, n, width) block of the feature-count sweep:
-# 4 MB; at 8 MB the sweep ran no faster and its peak memory grew by about 1 MB
-_SWEEP_FLOATS = 2**19
+# restarts x points x padded width of one feature-count sweep chunk. It sets
+# the multiply-adds of one round's assignment GEMM (k times this) and bounds
+# the chunk's largest arrays: k/n of it for the (restarts, k, width) centers,
+# k/width of it for the (n, restarts, k) distances (0.4 MB each at n = 60,
+# k = 3). With sums shared between equal neighbours, 2**20 ran a 60-climb
+# sweep 23% faster than 2**19 on a 2-vCPU host with one BLAS thread; 2**21
+# was no faster and held 1.5 MB more at its peak.
+_SWEEP_FLOATS = 2**20
+# the engine's work while a feature-count sweep runs, logged at its end; else None
+_work: ContextVar[Optional[Counter]] = ContextVar("quickroutes_cluster_work", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,8 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarra
     return np.einsum("and,and->an", diff, diff).sum(axis=1)
 
 
-def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.ndarray) -> np.ndarray:
+def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.ndarray, *,
+           source: Optional[np.ndarray] = None) -> np.ndarray:
     """Mean of each changed cluster's members, per restart; every other
     cluster, and an empty one, keeps its center. ``keys`` as for
     ``_inertias``; ``changed`` flags each of the A*k clusters.
@@ -191,8 +205,22 @@ def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.nda
     included. ``np.add.reduceat`` over the sorted rows would round
     differently. Each cluster's block is gathered on its own: one block
     of every member would be as large as the chunk's (A, n, d).
+
+    ``source``, if given, names per restart the restart whose sums it
+    takes: one with the same assignment that is its own source, or itself.
+    Equal assignments gather the same rows, and every sum runs over whole
+    rows of X, so the sums are equal bit for bit. Each source sums and
+    divides for every cluster changed in it or in a restart it serves, and
+    those restarts copy its means. A copied mean that replaces a kept
+    center equals it: both are means of the same rows.
     """
     A, k, d = centers.shape
+    if source is not None:
+        followers = np.flatnonzero(source != np.arange(A))
+        changed = changed.reshape(A, k).copy()
+        np.logical_or.at(changed, source[followers], changed[followers])
+        changed[followers] = False
+        changed = changed.ravel()
     flat_keys = keys.ravel()
     picked = np.flatnonzero(changed[flat_keys])
     picked_keys = flat_keys[picked]
@@ -206,14 +234,57 @@ def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.nda
         np.add.reduce(X[rows[end - size:end]], axis=0, out=flat[group])
     # the arithmetic of each block's mean(axis=0), without its overhead
     flat[filled] /= sizes[filled, None]
+    shared = 0
+    if source is not None:
+        # each follower copies the clusters its source summed
+        a, j = np.nonzero(sizes.reshape(A, k)[source[followers]])
+        flat[followers[a] * k + j] = flat[source[followers[a]] * k + j]
+        shared = a.size
+    work = _work.get()
+    if work is not None:
+        work.update(sums=filled.size, shared=shared)
     return new
 
 
-@functools.lru_cache(maxsize=256)
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """The k distinct rows that seed a restart: the sweep draws the same
-    seeds at the same n for every feature count."""
+    """The k distinct rows that seed a restart."""
     return tuple(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_rows(n: int, k: int, seeds: tuple[int, ...]) -> np.ndarray:
+    """Row a: ``_initial_rows`` of ``seeds[a]``, read-only. Keyed by a
+    batch's distinct seeds, so a chunk draws each seed once, and every
+    chunk of a sweep, whatever its widths, reads one entry. Not keyed by
+    seed: chunks scan the seeds in order, so a per-seed cache with fewer
+    slots than seeds would miss on every lookup."""
+    rows = np.array([_initial_rows(n, k, seed) for seed in seeds], dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
+
+
+def _partners(seeds: list[int], widths: np.ndarray) -> np.ndarray:
+    """Per restart, the index of the same seed's restart one column
+    narrower in the chunk, or -1 if there is none."""
+    index = {(seed, w): a for a, (seed, w) in enumerate(zip(seeds, widths.tolist()))}
+    return np.array([index.get((seed, w - 1), -1) for seed, w in zip(seeds, widths.tolist())])
+
+
+def _sources(assign: np.ndarray, partner: np.ndarray) -> Optional[np.ndarray]:
+    """Per restart, the narrowest restart of its chain of partners with
+    equal assignments, or itself; None when no restart equals its partner.
+    ``partner`` as from ``_partners``, renumbered to the live restarts."""
+    paired = np.flatnonzero(partner >= 0)
+    same = paired[(assign[paired] == assign[partner[paired]]).all(axis=1)]
+    if not same.size:
+        return None
+    source = np.arange(len(assign))
+    source[same] = partner[same]
+    while True:  # pointer jumping: each pass halves the steps left to each chain's end
+        further = source[source]
+        if (further == source).all():
+            return source
+        source = further
 
 
 def kmeans_restarts(
@@ -283,15 +354,26 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
     A repaired restart also stops on a fixed point: its assignment equals
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
+
+    In a padded chunk, neighbouring widths of one seed often reach the same
+    assignment. Each round compares every live restart's assignment with
+    that of its partner, the same seed's restart one column narrower, and
+    ``_means`` sums once for each chain of equal partners: the sums are of
+    whole rows of X, so they are bit for bit equal. A restart whose partner
+    has stopped has none.
     """
     n, d = X.shape
     padded = bool((widths < d).any())
     columns = np.arange(d)
-    centers = X[np.array([_initial_rows(n, k, seed) for seed in seeds])]
+    distinct = tuple(dict.fromkeys(seeds))
+    slot_of = {seed: i for i, seed in enumerate(distinct)}
+    centers = X[_seed_rows(n, k, distinct)[[slot_of[seed] for seed in seeds]]]
+    partner = None
     if padded:
         np.copyto(centers, 0.0, where=columns >= widths[:, None, None])
         # the sum of one shift can round differently padded than at its own width
         band = 4.0 * _gamma(d + 2) * tol
+        partner = _partners(seeds, widths)
     last = list(centers)  # each restart's centers when it stopped
     final: list[Optional[np.ndarray]] = [None] * len(seeds)  # assignment, if known
     rounds = [0] * len(seeds)
@@ -319,7 +401,8 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
             changed[(offsets + previous)[moved]] = True
             for a in empty:
                 changed[a * k:(a + 1) * k] = True
-        new_centers = _means(X, centers, keys, changed)
+        source = None if partner is None else _sources(assign, partner)
+        new_centers = _means(X, centers, keys, changed, source=source)
         if padded:
             np.copyto(new_centers, 0.0, where=columns >= live_widths[:, None, None])
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
@@ -351,6 +434,9 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
             keep = ~stop
             centers, previous = centers[keep], assign[keep]
             live_xx, live_xnorm, live_widths = live_xx[keep], live_xnorm[keep], live_widths[keep]
+            if partner is not None:
+                renumbered = np.where(keep, np.cumsum(keep) - 1, -1)
+                partner = np.where(partner >= 0, renumbered[partner], -1)[keep]
 
     # restarts whose centers moved in their last round get one more assignment
     pending = [slot for slot, assign in enumerate(final) if assign is None]
@@ -359,6 +445,9 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
                           widths[pending])
         for slot, assign in zip(pending, assigns):
             final[slot] = assign
+    work = _work.get()
+    if work is not None:
+        work.update(calls=1, rounds=max(rounds), max_iter_hits=rounds.count(max_iter))
     return final, last, rounds
 
 
@@ -544,14 +633,15 @@ def sweep_feature_count(
     For each feature count w the top-w columns (by ANOVA F, ties by column
     order) get ``restarts`` K-Means runs, each bit for bit the run of
     ``repeated_kmeans`` on those columns, so every entry holds the same
-    ``RandStats``. Width 1 runs through ``kmeans_restarts``, since numpy
-    sums a one-column block pairwise. Every wider count's restarts run in
-    the one engine with their own prefix width, in chunks of consecutive
-    widths whose zero-padded (restarts, n, width) block holds at most
-    ``_SWEEP_FLOATS`` floats (4 MB); see ``_prefix_assignments``. All
-    labelings are then scored in one ``_rand_indices`` call. The
-    preferred operating point is the smallest w whose minimum rand index
-    over restarts is maximal — the worst case is what must be good.
+    ``RandStats``. Every count's restarts run in the one engine with their
+    own prefix width, in chunks of consecutive widths; a restart whose
+    assignment matches its seed's one column narrower takes that one's
+    cluster sums (see ``_prefix_assignments``). All labelings are then
+    scored in one ``_rand_indices`` call. One DEBUG line counts the
+    engine's work: ``_lloyd`` calls, Lloyd rounds, restarts stopped at
+    ``max_iter``, and cluster sums computed and shared. The preferred
+    operating point is the smallest w whose minimum rand index over
+    restarts is maximal — the worst case is what must be good.
     """
     values = np.asarray(values, dtype=float)
     names = list(names)
@@ -571,11 +661,23 @@ def sweep_feature_count(
     index = column_index(names)
     ranked = np.ascontiguousarray(values[:, [index[n] for n in ranking[:limit]]])
 
+    if not 1 <= n_clusters <= len(ranked):
+        raise ValidationError(f"k={n_clusters} outside 1..n={len(ranked)}")
     seeds = list(range(seed0, seed0 + restarts))
+    if not seeds:
+        raise ValidationError("K-Means restarts need at least one seed")
     # one row per run, filled as the runs come: no list of every run's arrays
     labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
-    for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds)):
-        labelings[i] = assignments
+    work: Counter = Counter()
+    token = _work.set(work)
+    try:
+        for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds)):
+            labelings[i] = assignments
+    finally:
+        _work.reset(token)
+    log.debug("sweep_feature_count: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at "
+              "max_iter, %d cluster sums computed, %d shared", work["calls"], work["rounds"],
+              work["max_iter_hits"], work["sums"], work["shared"])
     rand = _rand_indices(truth, labelings, adjusted)
     entries = [
         SweepEntry(
@@ -595,20 +697,24 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
     w = 1..d in turn, from a few ``_lloyd`` calls. A generator: the caller
     need not hold every chunk's results at once.
 
-    Width 1 runs on its own, through ``kmeans_restarts``: numpy sums a
-    one-column block pairwise, so its means cannot come from a wider one.
-    The wider prefixes run in chunks of consecutive widths, each padded to
-    its widest. A chunk's padded (restarts, n, width) block holds at most
-    ``_SWEEP_FLOATS`` floats, or one width's restarts when those alone take
-    more. Each restart's squared row norms come from one ``cumsum``.
+    Width 1 runs on its own: numpy sums a one-column block pairwise, so
+    its means cannot come from a wider one. The wider prefixes run in
+    chunks of consecutive widths, every seed at each, on the columns up to
+    the chunk's widest. A chunk's restarts x n x padded width is at most
+    ``_SWEEP_FLOATS``, unless one width's restarts alone exceed it; no
+    array of that size is formed (see ``_SWEEP_FLOATS``). In each round a
+    restart whose assignment equals that of its seed one column narrower,
+    in the same chunk, takes that restart's cluster sums. Every chunk
+    reads one cached draw of the seeds' initial rows, and each restart's
+    squared row norms come from one ``cumsum``.
     """
     n, d = ranked.shape
-    yield from (run.assignments for run in kmeans_restarts(ranked[:, :1], k, seeds))
     cumulative = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
-    first = 2
+    first = 1
     while first <= d:
         last = first
-        while last < d and (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
+        while 1 < first and last < d and \
+                (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
             last += 1
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
         xx = cumulative[widths - 1]

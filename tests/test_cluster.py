@@ -684,6 +684,62 @@ class TestPerRestartWidths:
             assert digest.hexdigest() == expected
 
 
+def sources_of_means(X, k, seeds, widths):
+    """``prefix_lloyd``'s results, and per round the ``source`` that
+    ``_lloyd`` gave ``_means``: each live restart's donor of sums."""
+    with mock.patch.object(cluster, "_means", wraps=cluster._means) as spy:
+        results = prefix_lloyd(X, k, seeds, widths)
+    sources = [call.kwargs["source"] for call in spy.call_args_list]
+    return results, [None if source is None else source.tolist() for source in sources]
+
+
+def agreeing_rounds(X, k, seed, narrow, wide):
+    """Per round both reference runs reach, whether the two widths' assignments agree."""
+    rounds = [reference_kmeans(own_prefix(X, w), k, seed)[4] for w in (narrow, wide)]
+    return [np.array_equal(a, b) for (a, _), (b, _) in zip(*rounds)]
+
+
+class TestSharedSums:
+    """A restart whose assignment equals its partner's, the same seed one
+    column narrower, takes the partner's cluster sums; each result stays
+    bit for bit the run on its own prefix."""
+
+    def test_partners_that_agree_early_and_differ_later(self):
+        X = np.random.default_rng(18).standard_normal((12, 4))
+        assert agreeing_rounds(X, 3, 3, 2, 3) == [True, False, False, False]
+        results, sources = sources_of_means(X, 3, [3, 3], [2, 3])
+        assert sources == [[0, 0], None, None, None]
+        for result, w in zip(results, (2, 3)):
+            assert_matches_reference(result, own_prefix(X, w), 3, 3)
+
+    def test_partner_that_stops_first_leaves_the_chain_renumbered(self):
+        # width 2 stops after round 2; widths 3 and 4 agree in round 3 only
+        X = np.random.default_rng(26).standard_normal((12, 4))
+        assert [reference_kmeans(own_prefix(X, w), 3, 3)[3] for w in (2, 3, 4)] == [2, 4, 3]
+        assert agreeing_rounds(X, 3, 3, 2, 3) == [True, False]
+        assert agreeing_rounds(X, 3, 3, 3, 4) == [False, False, True]
+        results, sources = sources_of_means(X, 3, [3, 3, 3], [2, 3, 4])
+        assert sources == [[0, 0, 2], None, [0, 0], None]
+        for result, w in zip(results, (2, 3, 4)):
+            assert_matches_reference(result, own_prefix(X, w), 3, 3)
+
+    def test_repaired_restart_takes_the_sums_of_an_unrepaired_partner(self):
+        # in round 3 width 4 empties a cluster and repairs it into width 3's assignment
+        X = np.array([[0.0, 2.0, 0.5, 0.5], [0.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.5],
+                      [2.0, 2.0, 0.0, 0.0], [2.0, 2.0, 0.5, 0.5], [2.0, 2.0, 0.5, 0.0],
+                      [0.0, 2.0, 0.5, 0.0], [2.0, 2.0, 0.0, 0.5], [1.0, 1.0, 0.0, 0.0]])
+        narrow, wide = (reference_kmeans(own_prefix(X, w), 3, 0)[4] for w in (3, 4))
+        assert [repaired for _, repaired in narrow] == [True, False, False]
+        assert [repaired for _, repaired in wide] == [False, False, True, False]
+        assert agreeing_rounds(X, 3, 0, 3, 4)[2]
+        with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as repairs:
+            results, sources = sources_of_means(X, 3, [0, 0], [3, 4])
+        assert repairs.call_count == 2
+        assert sources[2] == [0, 0]
+        for result, w in zip(results, (3, 4)):
+            assert_matches_reference(result, own_prefix(X, w), 3, 0)
+
+
 @contextmanager
 def engine_spy():
     """Record the widths of every ``_lloyd`` call and the labelings of
@@ -720,7 +776,7 @@ class TestSweepFeatureCount:
     TRUTH = ["A", "B", "C"] * 6
 
     @settings(max_examples=40, deadline=None)
-    @given(sweep_inputs(), st.integers(1, 9), st.integers(1, 4 * 18 * 9 * 6))
+    @given(sweep_inputs(), st.integers(1, 9), st.integers(1, 4 * 18 * 9 * 12))
     def test_entries_and_assignments_equal_per_prefix_runs(self, case, limit, budget):
         values, names, scores = case
         # a small budget splits the widths into several batches, some mid-range
@@ -765,12 +821,55 @@ class TestSweepFeatureCount:
         assert [e.n_features for e in curve.entries] == [1]
         assert curve.entries[0].stats == repeated_kmeans(values[:, [1]], truth, 3, restarts=10)
 
+    def test_logs_the_engines_work_at_debug(self, caplog):
+        # ranked columns in equal pairs; well-separated routes, so neighbouring widths often agree
+        rng = np.random.default_rng(4)
+        values = np.repeat(rng.standard_normal((18, 3)) + np.tile(np.eye(3) * 8.0, (6, 1)), 2, axis=1)
+        names = [f"c{i}" for i in range(6)]
+        scores = [FeatureScore(name, f) for name, f in zip(names, (6.0, 6.0, 5.0, 5.0, 4.0, 4.0))]
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+            sweep_feature_count(values, names, self.TRUTH, scores, restarts=4)
+            with mock.patch.object(cluster, "DEFAULT_MAX_ITER", 2):
+                sweep_feature_count(values, names, self.TRUTH, scores, restarts=4)
+        counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
+        assert counts == [
+            "sweep_feature_count: 2 _lloyd calls, 12 Lloyd rounds, 0 restarts stopped at "
+            "max_iter, 142 cluster sums computed, 25 shared",
+            "sweep_feature_count: 2 _lloyd calls, 4 Lloyd rounds, 24 restarts stopped at "
+            "max_iter, 103 cluster sums computed, 17 shared",
+        ]
+        # the pairs share sums: this fails if sharing stops
+        assert all(int(message.split()[-2]) > 0 for message in counts)
+
+    def test_draws_each_seed_once(self):
+        # 300 restarts, and one chunk per width: six chunks read the same draws
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((30, 6))
+        names = [f"c{i}" for i in range(6)]
+        scores = [FeatureScore(name, float(6 - i)) for i, name in enumerate(names)]
+        cluster._seed_rows.cache_clear()
+        with mock.patch.object(cluster, "_SWEEP_FLOATS", 1), \
+                mock.patch.object(cluster, "_initial_rows", wraps=cluster._initial_rows) as draws, \
+                engine_spy() as (batches, _):
+            curve = sweep_feature_count(values, names, ["A", "B", "C"] * 10, scores, restarts=300)
+        assert len(batches) == 6
+        assert sorted(seed for (_, _, seed), _ in draws.call_args_list) == list(range(300))
+        expected = repeated_kmeans(values[:, :4], ["A", "B", "C"] * 10, 3, restarts=300)
+        assert curve.entries[3].stats == expected
+
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_no_restarts_rejected(self, restarts):
         scores = [FeatureScore(name, 1.0) for name in ("a", "b")]
         with pytest.raises(ValidationError, match="at least one seed"):
             sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 3, scores,
                                 restarts=restarts)
+
+    @pytest.mark.parametrize("n_clusters", [0, 7])
+    def test_clusters_outside_one_to_n_rejected(self, n_clusters):
+        scores = [FeatureScore(name, 1.0) for name in ("a", "b")]
+        with pytest.raises(ValidationError, match=f"k={n_clusters} outside 1..n=6"):
+            sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 3, scores,
+                                n_clusters=n_clusters)
 
     def test_truth_of_another_length_rejected_before_clustering(self):
         scores = [FeatureScore(name, 1.0) for name in ("a", "b")]

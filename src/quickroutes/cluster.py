@@ -12,14 +12,20 @@ initialization call that; the feature-count sweep calls it directly. Its
 restarts are batched: each round assigns the points of every restart
 still running from one GEMM against all their centers, and a restart
 leaves the batch once it converges. Each restart's result is bit for bit
-that of running it alone: assignments are certified against the
-difference form, and sums keep the rounding of the one-restart code.
-A round skips the work no result reads: only clusters whose members
-changed get a new mean (any other center already is that mean), and
-inertia is computed once per restart, from its final centers and
-assignment. ``kmeans_restarts`` runs restarts in chunks sized by memory:
-one chunk's (restarts, points, dimensions) block holds at most 8 MB, or
-one restart's when that alone is larger.
+that of running it alone: sums keep the rounding of the one-restart
+code, and assignments are certified against the difference form. The
+GEMM gives ``|c|^2 - 2 x.c`` per row and center, k-1 elementwise passes
+keep each row's best and runner-up value, and a row whose gap between
+them exceeds ``8 gamma_{d+4} (|x| + max|c|)^2`` keeps its best center;
+ties, near ties and non-finite values are decided in the difference form.
+A round costs what it changed: only clusters whose members changed get a
+new mean (any other center already is that mean), and only those
+clusters' shifts are computed and written. Inertia is computed once per
+restart, from its final centers and assignment. ``kmeans_restarts`` runs
+restarts in chunks sized by memory: the (restarts, points, dimensions)
+difference block of a chunk's inertias holds at most 8 MB, or one
+restart's when that alone is larger. ``kmeans_restarts`` and the sweep
+each log the engine's work as one DEBUG line.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
@@ -50,6 +56,7 @@ import functools
 import logging
 import math
 from collections import Counter
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -67,18 +74,39 @@ DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
-# floats in one chunk's (restarts, n, d) block of K-Means restarts: 8 MB
+# floats in the (restarts, n, d) difference block of one chunk's inertias, the
+# only block of that size left: 8 MB. _lloyd holds (restarts, k, d) centers and
+# (n, restarts, k) center values.
 _CHUNK_FLOATS = 2**20
 # restarts x points x padded width of one feature-count sweep chunk. It sets
 # the multiply-adds of one round's assignment GEMM (k times this) and bounds
 # the chunk's largest arrays: k/n of it for the (restarts, k, width) centers,
-# k/width of it for the (n, restarts, k) distances (0.4 MB each at n = 60,
+# k/width of it for the (n, restarts, k) center values (0.4 MB each at n = 60,
 # k = 3). With sums shared between equal neighbours, 2**20 ran a 60-climb
 # sweep 23% faster than 2**19 on a 2-vCPU host with one BLAS thread; 2**21
 # was no faster and held 1.5 MB more at its peak.
 _SWEEP_FLOATS = 2**20
-# the engine's work while a feature-count sweep runs, logged at its end; else None
+# the engine's work while a sweep or kmeans_restarts runs, logged at its end; else None
 _work: ContextVar[Optional[Counter]] = ContextVar("quickroutes_cluster_work", default=None)
+
+
+@contextmanager
+def _counting(caller: str) -> Iterator[None]:
+    """Count the engine's work in the block and log it as one DEBUG line:
+    ``_lloyd`` calls, Lloyd rounds, restarts stopped at ``max_iter``,
+    cluster sums computed and shared, rows that ``_assign`` decided in the
+    difference form, and ``_repair`` calls. Nothing is logged if the block
+    raises."""
+    work: Counter = Counter()
+    token = _work.set(work)
+    try:
+        yield
+    finally:
+        _work.reset(token)
+    log.debug("%s: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at max_iter, %d cluster "
+              "sums computed, %d shared, %d rows assigned in the difference form, %d _repair calls",
+              caller, work["calls"], work["rounds"], work["max_iter_hits"], work["sums"],
+              work["shared"], work["fallback_rows"], work["repairs"])
 
 
 # ---------------------------------------------------------------------------
@@ -113,52 +141,66 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _assign(X: np.ndarray, xx: np.ndarray, xnorm: np.ndarray, centers: np.ndarray,
-            widths: np.ndarray) -> np.ndarray:
+def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Nearest center per restart and row: ``argmin`` of ``_squared_distances``
     against each restart's centers, ties to the lowest index, without
     forming a difference tensor.
 
     ``centers`` is (A, k, d), the centers of A restarts; the result is
     (A, n). Restart a works on the prefix ``X[:, :widths[a]]``, and its
-    centers are zero beyond that width. Row a of ``xx`` holds each row's
-    squared norm at that width and row a of ``xnorm`` its square root.
-    One GEMM against all A*k centers gives the expanded
-    ``|x|^2 + |c|^2 - 2 x.c``; the zeros of a narrower restart's centers
-    only add exact zero products. It and the difference form each lie
-    within ``gamma_{d+2} (|x| + |c|)^2`` of the exact squared distance, in
-    any summation order and at any width up to d, so neither the width of
-    the GEMM nor the padding can change a decision. A row whose best
-    expanded value beats every other center of its restart by more than
-    twice the sum of both errors (with a factor 2 to spare, plus slack for
-    subnormal rounding) has the same unique argmin in the difference form.
-    Every other row, including ties and rows holding inf or NaN, is decided
-    by ``_squared_distances`` on the restart's own width.
+    centers are zero beyond that width. Row a of ``xnorm`` holds each
+    row's norm at that width; ``|x|^2`` itself is common to all centers of
+    a row, so the comparison leaves it out.
+
+    One GEMM against all A*k centers gives ``|c|^2 - 2 x.c``, the squared
+    distance less ``|x|^2``; the zeros of a narrower restart's centers only
+    add exact zero products. It lies within ``gamma_{d+2} (|x| + |c|)^2``
+    of its exact value, and the difference form within as much of the
+    exact squared distance, in any summation order and at any width up to
+    d, so neither the width of the GEMM nor the padding can change a
+    decision. k-1 elementwise passes over the (A, n) values of one center
+    at a time keep each row's best value, its index (the lowest on ties)
+    and the runner-up value; ``np.minimum`` and ``np.maximum`` carry a NaN
+    into the runner-up. A row whose best beats the runner-up by more than
+    ``8 gamma_{d+4} (|x| + max|c|)^2``, twice the sum of both errors with a
+    factor 2 to spare, plus slack for subnormal rounding, has the same
+    unique argmin in the difference form. Every other row, including ties
+    and rows whose values hold inf or NaN (their gap is NaN, or their bound
+    inf), is decided by ``_squared_distances`` on the restart's own width.
     """
     A, k, d = centers.shape
     n = X.shape[0]
     if k == 1:
         return np.zeros((A, n), dtype=np.intp)
     cc = np.einsum("akd,akd->ak", centers, centers)
-    d2 = xx.T[:, :, None] + cc - 2.0 * (X @ centers.reshape(A * k, d).T).reshape(n, A, k)
-    best = d2.argmin(axis=2)
-    # gap to the second-best center; NaN when the argmin found a NaN
-    rows, runs = np.arange(n)[:, None], np.arange(A)
-    gap = -d2[rows, runs, best]
-    d2[rows, runs, best] = np.inf
-    gap += d2.min(axis=2)
+    # block j holds every restart's value of center j: (k, A, n)
+    values = (X @ centers.reshape(A * k, d).T).reshape(n, A, k).transpose(2, 1, 0)
+    values *= -2.0
+    values += cc.T[:, :, None]
+    best, second = np.minimum(values[0], values[1]), np.maximum(values[0], values[1])
+    assign = (values[1] < values[0]).astype(np.intp)
+    for j in range(2, k):
+        closer = values[j] < best
+        np.minimum(second, np.maximum(best, values[j]), out=second)
+        np.minimum(best, values[j], out=best)
+        assign[closer] = j
+    gap = np.subtract(second, best, out=second)
     # in place: on tiny inputs the temporaries cost more than the arithmetic
-    bound = xnorm.T + np.sqrt(cc.max(axis=1))
+    bound = xnorm + np.sqrt(cc.max(axis=1))[:, None]
     bound *= bound
     bound *= 8.0 * _gamma(d + 4)
     bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
     unsure = ~(gap > bound)
-    assign = best.T.copy()
     if unsure.any():
-        for a in np.flatnonzero(unsure.any(axis=0)).tolist():
-            redo = np.flatnonzero(unsure[:, a])
+        redone = 0
+        for a in np.flatnonzero(unsure.any(axis=1)).tolist():
+            redo = np.flatnonzero(unsure[a])
             w = widths[a]
             assign[a, redo] = np.argmin(_squared_distances(X[redo, :w], centers[a, :, :w]), axis=1)
+            redone += redo.size
+        work = _work.get()
+        if work is not None:
+            work.update(fallback_rows=redone)
     return assign
 
 
@@ -194,10 +236,13 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarra
 
 
 def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.ndarray, *,
-           source: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mean of each changed cluster's members, per restart; every other
-    cluster, and an empty one, keeps its center. ``keys`` as for
-    ``_inertias``; ``changed`` flags each of the A*k clusters.
+           source: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each changed cluster's members, per restart: the flat
+    indices (``a * k + j``) of the clusters it wrote, and their means, one
+    row each. Every other cluster, and an empty one, keeps its center, so
+    only the written clusters are read or returned; ``centers`` gives the
+    shape alone. ``keys`` as for ``_inertias``; ``changed`` flags each of
+    the A*k clusters.
 
     One stable sort puts each changed cluster's member rows in row order;
     gathered, they are the very C-ordered block ``X[assign[a] == j]`` is,
@@ -226,24 +271,24 @@ def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.nda
     picked_keys = flat_keys[picked]
     rows = picked[np.argsort(picked_keys, kind="stable")] % len(X)
     sizes = np.bincount(picked_keys, minlength=A * k)
-    ends = sizes.cumsum()
-    new = centers.copy()
-    flat = new.reshape(A * k, d)
-    filled = np.flatnonzero(sizes)
-    for group, end, size in zip(filled.tolist(), ends[filled].tolist(), sizes[filled].tolist()):
-        np.add.reduce(X[rows[end - size:end]], axis=0, out=flat[group])
-    # the arithmetic of each block's mean(axis=0), without its overhead
-    flat[filled] /= sizes[filled, None]
-    shared = 0
+    summed = np.flatnonzero(sizes)
+    written = summed
     if source is not None:
         # each follower copies the clusters its source summed
         a, j = np.nonzero(sizes.reshape(A, k)[source[followers]])
-        flat[followers[a] * k + j] = flat[source[followers[a]] * k + j]
-        shared = a.size
+        written = np.concatenate([summed, followers[a] * k + j])
+    means = np.empty((written.size, d))
+    counts = sizes[summed]
+    for i, (end, size) in enumerate(zip(counts.cumsum().tolist(), counts.tolist())):
+        np.add.reduce(X[rows[end - size:end]], axis=0, out=means[i])
+    # the arithmetic of each block's mean(axis=0), without its overhead
+    means[:summed.size] /= counts[:, None]
+    if source is not None:
+        means[summed.size:] = means[np.searchsorted(summed, source[followers[a]] * k + j)]
     work = _work.get()
     if work is not None:
-        work.update(sums=filled.size, shared=shared)
-    return new
+        work.update(sums=summed.size, shared=written.size - summed.size)
+    return written, means
 
 
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -302,9 +347,11 @@ def kmeans_restarts(
     for bit the run of its seed alone. A cluster whose members did not
     change in a round keeps its center, the mean of those same rows, and
     each restart's inertia is computed once, at the end. Restarts run in
-    chunks whose (restarts, n, d) blocks hold at most ``_CHUNK_FLOATS``
-    floats. Every restart here uses all d columns; the feature-count sweep
-    gives each restart of the same engine its own prefix width.
+    chunks whose (restarts, n, d) inertia blocks hold at most
+    ``_CHUNK_FLOATS`` floats. Every restart here uses all d columns; the
+    feature-count sweep gives each restart of the same engine its own
+    prefix width. One DEBUG line per call counts the engine's work (see
+    ``_counting``).
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
@@ -313,44 +360,55 @@ def kmeans_restarts(
     seeds = list(seeds)
     if not seeds:
         raise ValidationError("K-Means restarts need at least one seed")
-    xx = np.einsum("nd,nd->n", X, X)
-    xnorm = np.sqrt(xx)
+    if max_iter < 0:
+        raise ValidationError(f"max_iter={max_iter} is negative")
+    if not tol >= 0.0:
+        raise ValidationError(f"tol={tol} is negative or NaN")
+    xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
     per_chunk = max(1, _CHUNK_FLOATS // max(1, n * d))
     results: list[KMeansResult] = []
-    for start in range(0, len(seeds), per_chunk):
-        chunk = seeds[start:start + per_chunk]
-        shape = (len(chunk), n)
-        assigns, centers, rounds = _lloyd(X, np.broadcast_to(xx, shape), np.broadcast_to(xnorm, shape),
-                                          k, chunk, max_iter, tol, np.full(len(chunk), d))
-        keys = np.arange(0, len(chunk) * k, k)[:, None] + np.stack(assigns)
-        inertias = _inertias(X, np.stack(centers), keys).tolist()
-        results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
+    with _counting("kmeans_restarts"):
+        for start in range(0, len(seeds), per_chunk):
+            chunk = seeds[start:start + per_chunk]
+            assigns, centers, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)), k, chunk,
+                                              max_iter, tol, np.full(len(chunk), d))
+            keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
+            inertias = _inertias(X, centers, keys).tolist()
+            # copies: a view would keep the whole chunk's block alive with one result
+            results += map(KMeansResult, map(np.copy, assigns), map(np.copy, centers), inertias,
+                           rounds, chunk)
     return results
 
 
-def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
-           widths: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
-    """Lloyd rounds of one chunk of restarts, all advancing together; each
-    restart's final assignment, final centers and number of rounds, in
+def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths: np.ndarray, *,
+           keep_centers: bool = True) -> tuple[np.ndarray, Optional[np.ndarray], list[int]]:
+    """Lloyd rounds of one chunk of restarts, all advancing together; the
+    restarts' final assignments (A, n), their final centers (A, k, d), or
+    None without ``keep_centers``, and each one's number of rounds, in
     seed order.
 
     Restart a is the run of its seed on the prefix ``X[:, :widths[a]]``;
-    row a of ``xx`` and ``xnorm`` holds the squared norms and norms of the
-    rows at that width. A restart narrower than X keeps its centers zero
-    beyond its width. Its means sum whole rows of X column by column,
-    which rounds as the prefix does, and lose the columns past its width.
-    At width 1 numpy sums a one-column block pairwise instead, so a
-    width-1 restart may only run in a chunk where X has one column. Every
-    step whose rounding depends on the number of columns is taken on the
-    restart's own slice: the fallback of ``_assign``, ``_repair`` and a
-    shift within a rounding band of ``tol``. A restart's centers come back
-    at the width of X, zero past its own; the inertia is left to the
-    caller, since the sweep reads only the assignments.
+    row a of ``xnorm`` holds the norms of the rows at that width. A
+    restart narrower than X keeps its centers zero beyond its width. Its
+    means sum whole rows of X column by column, which rounds as the prefix
+    does, and lose the columns past its width. At width 1 numpy sums a
+    one-column block pairwise instead, so a width-1 restart may only run
+    in a chunk where X has one column. Every step whose rounding depends
+    on the number of columns is taken on the restart's own slice: the
+    fallback of ``_assign``, ``_repair`` and a shift within a rounding
+    band of ``tol``. A restart's centers come back at the width of X, zero
+    past its own; the inertia is left to the caller, since the sweep reads
+    only the assignments.
 
-    A round computes new means only for the clusters whose members changed:
-    a row entered or left, or ``_repair`` ran in that restart. Any other
-    cluster's center is already the mean of its members, summed over the
-    same rows in the same order.
+    A round reads and writes only the clusters it rewrote: those whose
+    members changed, because a row entered or left or ``_repair`` ran in
+    that restart. Any other cluster's center is already the mean of its
+    members, summed over the same rows in the same order, so ``_means``
+    returns the rewritten clusters alone, their shifts and comparisons are
+    taken on those rows, and the means are written into the centers in
+    place. A kept center's shift is an exact 0, or NaN once a center can
+    hold inf or NaN (then it is taken from the kept centers, as the
+    difference ``c - c`` would give it).
     A repaired restart also stops on a fixed point: its assignment equals
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
@@ -361,6 +419,11 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
     ``_means`` sums once for each chain of equal partners: the sums are of
     whole rows of X, so they are bit for bit equal. A restart whose partner
     has stopped has none.
+
+    The restarts that stop in a round leave together: their rounds, and
+    their assignment when their centers did not move, are stored with one
+    indexing each. Their centers are stored only when kept, or when one
+    more assignment needs them.
     """
     n, d = X.shape
     padded = bool((widths < d).any())
@@ -374,14 +437,19 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
         # the sum of one shift can round differently padded than at its own width
         band = 4.0 * _gamma(d + 2) * tol
         partner = _partners(seeds, widths)
-    last = list(centers)  # each restart's centers when it stopped
-    final: list[Optional[np.ndarray]] = [None] * len(seeds)  # assignment, if known
-    rounds = [0] * len(seeds)
-    live = list(range(len(seeds)))
-    live_xx, live_xnorm, live_widths = xx, xnorm, widths
+        narrowest = int(widths.min())
+    # every center so far is finite: a kept one shifts by exactly 0
+    finite = bool(np.isfinite(X).all())
+    last = centers.copy()  # each restart's centers when it stopped, where needed
+    final = np.empty((len(seeds), n), dtype=np.intp)  # each assignment, once known
+    known = np.zeros(len(seeds), dtype=bool)
+    rounds = np.zeros(len(seeds), dtype=int)
+    live = np.arange(len(seeds))
+    live_xnorm, live_widths = xnorm, widths
     previous = None  # the live restarts' assignments in the last round
+    work = _work.get()
     for it in range(1, max_iter + 1):
-        assign = _assign(X, live_xx, live_xnorm, centers, live_widths)
+        assign = _assign(X, live_xnorm, centers, live_widths)
         offsets = np.arange(0, len(live) * k, k)[:, None]
         keys = offsets + assign
         sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
@@ -392,6 +460,8 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
                 w = live_widths[a]
                 assign[a] = _repair(X[:, :w], centers[a, :, :w], assign[a])
             keys = offsets + assign
+            if work is not None:
+                work.update(repairs=len(empty))
         if previous is None:
             changed = np.ones(len(live) * k, dtype=bool)
         else:
@@ -402,53 +472,66 @@ def _lloyd(X, xx, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
             for a in empty:
                 changed[a * k:(a + 1) * k] = True
         source = None if partner is None else _sources(assign, partner)
-        new_centers = _means(X, centers, keys, changed, source=source)
+        written, means = _means(X, centers, keys, changed, source=source)
+        owner = written // k
         if padded:
-            np.copyto(new_centers, 0.0, where=columns >= live_widths[:, None, None])
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=2)).max(axis=1)
-        unchanged = (new_centers == centers).all(axis=(1, 2))
+            # only the columns past the chunk's narrowest width can be padding
+            np.copyto(means[:, narrowest:], 0.0,
+                      where=columns[narrowest:] >= live_widths[owner][:, None])
+        flat = centers.reshape(-1, d)
+        if finite:
+            squares = np.zeros(len(flat))
+            differs = np.zeros(len(flat), dtype=bool)
+        else:
+            squares = ((flat - flat) ** 2).sum(axis=1)
+            differs = (flat != flat).any(axis=1)
+        step = flat[written]
+        differs[written] = (means != step).any(axis=1)
+        # in place: the (written, d) temporaries cost more than the arithmetic
+        np.square(np.subtract(means, step, out=step), out=step)
+        written_squares = step.sum(axis=1)
+        squares[written] = written_squares
+        shift = np.sqrt(squares.reshape(-1, k)).max(axis=1)
+        unchanged = ~differs.reshape(-1, k).any(axis=1)
         stop = shift < tol
         if padded:
             for a in np.flatnonzero((abs(shift - tol) <= band) & (live_widths < d)).tolist():
-                w = live_widths[a]
-                own = ((new_centers[a, :, :w] - centers[a, :, :w]) ** 2).sum(axis=1)
-                stop[a] = np.sqrt(own).max() < tol
+                own = step[owner == a, :live_widths[a]].sum(axis=1)
+                stop[a] = np.sqrt(own).max(initial=0.0) < tol
         stop |= it == max_iter
+        flat[written] = means
+        # a mean that is not finite has a shift that is not finite
+        finite = finite and bool(np.isfinite(written_squares).all())
         if empty and previous is not None:
             stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
-                new_centers[empty] == started).all(axis=(1, 2))
-        centers = new_centers
+                centers[empty] == started).all(axis=(1, 2))
         previous = assign
         if stop.any():
-            for a in np.flatnonzero(stop).tolist():
-                slot = live[a]
-                # copies: a view would keep the whole block of this round alive
-                last[slot] = centers[a].copy()
-                rounds[slot] = it
-                if unchanged[a]:
-                    # the assignment is a function of the centers, which did not move
-                    final[slot] = assign[a].copy()
-            live = [slot for slot, halt in zip(live, stop.tolist()) if not halt]
-            if not live:
-                break
+            rounds[live[stop]] = it
+            # the assignment is a function of the centers, which did not move
+            done = stop & unchanged
+            final[live[done]] = assign[done]
+            known[live[done]] = True
+            kept = stop if keep_centers else stop & ~unchanged
+            last[live[kept]] = centers[kept]
             keep = ~stop
+            live = live[keep]
+            if not live.size:
+                break
             centers, previous = centers[keep], assign[keep]
-            live_xx, live_xnorm, live_widths = live_xx[keep], live_xnorm[keep], live_widths[keep]
+            live_xnorm, live_widths = live_xnorm[keep], live_widths[keep]
             if partner is not None:
                 renumbered = np.where(keep, np.cumsum(keep) - 1, -1)
                 partner = np.where(partner >= 0, renumbered[partner], -1)[keep]
 
     # restarts whose centers moved in their last round get one more assignment
-    pending = [slot for slot, assign in enumerate(final) if assign is None]
-    if pending:
-        assigns = _assign(X, xx[pending], xnorm[pending], np.stack([last[s] for s in pending]),
-                          widths[pending])
-        for slot, assign in zip(pending, assigns):
-            final[slot] = assign
-    work = _work.get()
+    pending = np.flatnonzero(~known)
+    if pending.size:
+        final[pending] = _assign(X, xnorm[pending], last[pending], widths[pending])
+    rounds = rounds.tolist()
     if work is not None:
         work.update(calls=1, rounds=max(rounds), max_iter_hits=rounds.count(max_iter))
-    return final, last, rounds
+    return final, (last if keep_centers else None), rounds
 
 
 def kmeans(
@@ -468,7 +551,9 @@ def kmeans(
     last round's assignment and on the centers it started from (a fixed
     point that the repair's moved centers would hide from ``tol``), or
     after ``max_iter`` rounds; the inertia is that of the final centers
-    and assignment.
+    and assignment. ``max_iter=0`` runs no round: the points are assigned
+    to the seed rows, the initial centers. A negative ``max_iter``, or a
+    negative or NaN ``tol``, raises ``ValidationError``.
 
     k clusters are not guaranteed to stay populated. With fewer than k
     distinct points, the farthest point already sits on a center, its
@@ -638,8 +723,7 @@ def sweep_feature_count(
     assignment matches its seed's one column narrower takes that one's
     cluster sums (see ``_prefix_assignments``). All labelings are then
     scored in one ``_rand_indices`` call. One DEBUG line counts the
-    engine's work: ``_lloyd`` calls, Lloyd rounds, restarts stopped at
-    ``max_iter``, and cluster sums computed and shared. The preferred
+    engine's work (see ``_counting``). The preferred
     operating point is the smallest w whose minimum rand index over
     restarts is maximal — the worst case is what must be good.
     """
@@ -668,16 +752,9 @@ def sweep_feature_count(
         raise ValidationError("K-Means restarts need at least one seed")
     # one row per run, filled as the runs come: no list of every run's arrays
     labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
-    work: Counter = Counter()
-    token = _work.set(work)
-    try:
+    with _counting("sweep_feature_count"):
         for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds)):
             labelings[i] = assignments
-    finally:
-        _work.reset(token)
-    log.debug("sweep_feature_count: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at "
-              "max_iter, %d cluster sums computed, %d shared", work["calls"], work["rounds"],
-              work["max_iter_hits"], work["sums"], work["shared"])
     rand = _rand_indices(truth, labelings, adjusted)
     entries = [
         SweepEntry(
@@ -717,9 +794,9 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
                 (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
             last += 1
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
-        xx = cumulative[widths - 1]
-        yield from _lloyd(ranked[:, :last], xx, np.sqrt(xx), k, seeds * (last + 1 - first),
-                          DEFAULT_MAX_ITER, DEFAULT_TOL, widths)[0]
+        yield from _lloyd(ranked[:, :last], np.sqrt(cumulative[widths - 1]), k,
+                          seeds * (last + 1 - first), DEFAULT_MAX_ITER, DEFAULT_TOL, widths,
+                          keep_centers=False)[0]
         first = last + 1
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import logging
 import math
+import re
 import struct
 import time
 import tracemalloc
@@ -200,7 +201,7 @@ class TestKMeansKernel:
         centers = X[rows]
         xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None], [X.shape[1]])[0]
+            assign = cluster._assign(X, np.sqrt(xx), centers[None], [X.shape[1]])[0]
         d2 = reference_squared_distances(X, centers)
         np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
         two = np.sort(d2, axis=1)[:, :2]
@@ -211,7 +212,7 @@ class TestKMeansKernel:
         X = np.array([[0.0], [1.0], [2.0]])
         xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1])[0]
+            assign = cluster._assign(X, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1])[0]
         np.testing.assert_array_equal(assign, [1, 0, 0])
         (points, _), _ = spy.call_args
         np.testing.assert_array_equal(points, [[1.0]])
@@ -225,9 +226,101 @@ class TestKMeansKernel:
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-162, -150)
             centers = X[rng.choice(n, k, replace=False)]
             xx = np.einsum("nd,nd->n", X, X)[None]
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers[None], [d])[0]
+            assign = cluster._assign(X, np.sqrt(xx), centers[None], [d])[0]
             expected = np.argmin(reference_squared_distances(X, centers), axis=1)
             np.testing.assert_array_equal(assign, expected)
+
+
+def assign_restarts(X, centers, widths):
+    """``_assign`` of restarts on their own prefix widths; ``centers`` is
+    (restarts, k, d), zero past each width."""
+    widths = np.asarray(widths)
+    xx = np.cumsum(X * X, axis=1).T[widths - 1]
+    return cluster._assign(X, np.sqrt(xx), centers, widths)
+
+
+def assert_nearest_per_restart(assign, X, centers, widths):
+    for a, w in enumerate(widths):
+        expected = np.argmin(reference_squared_distances(X[:, :w], centers[a, :, :w]), axis=1)
+        np.testing.assert_array_equal(assign[a], expected)
+
+
+def padded_centers(X, rows, widths):
+    """Rows of X as centers, one (k, d) block per restart, zero past its width."""
+    centers = X[np.asarray(rows)]
+    np.copyto(centers, 0.0, where=np.arange(X.shape[1]) >= np.asarray(widths)[:, None, None])
+    return centers
+
+
+class TestRunnerUpPass:
+    """``_assign`` keeps each row's best and runner-up value of
+    ``|c|^2 - 2 x.c`` over k-1 elementwise passes; every answer is the
+    difference form's argmin on the restart's own width."""
+
+    @EXAMPLES
+    @given(grid_inputs(), st.data())
+    def test_two_centers_match_reference(self, case, data):
+        # one pass; grid rows and centers tie often
+        X, _, _ = case
+        rows = data.draw(st.lists(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=2),
+                                  min_size=1, max_size=6))
+        widths = [X.shape[1]] * len(rows)
+        centers = padded_centers(X, rows, widths)
+        assert_nearest_per_restart(assign_restarts(X, centers, widths), X, centers, widths)
+
+    @EXAMPLES
+    @given(ANY_INPUT, st.data())
+    def test_restarts_of_mixed_widths_match_reference(self, case, data):
+        X, k, _ = case
+        assume(k >= 2)
+        restarts = data.draw(st.integers(1, 6))
+        widths = data.draw(st.lists(st.integers(1, X.shape[1]), min_size=restarts,
+                                    max_size=restarts))
+        rows = data.draw(st.lists(st.lists(st.integers(0, len(X) - 1), min_size=k, max_size=k),
+                                  min_size=restarts, max_size=restarts))
+        centers = padded_centers(X, rows, widths)
+        assert_nearest_per_restart(assign_restarts(X, centers, widths), X, centers, widths)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_well_separated_rows_never_reach_the_fallback(self, k):
+        rng = np.random.default_rng(12)
+        means = 20.0 * np.eye(k, 6)
+        X = np.repeat(means, 10, axis=0) + rng.standard_normal((10 * k, 6))
+        # four restarts, each with its centers near the means in another order
+        centers = np.stack([(means + rng.normal(0, 0.5, means.shape))[rng.permutation(k)]
+                            for _ in range(4)])
+        with fallback_spy() as spy:
+            assign = assign_restarts(X, centers, [6] * 4)
+        assert spy.call_count == 0
+        assert_nearest_per_restart(assign, X, centers, [6] * 4)
+
+    def test_exact_tie_in_the_expanded_form_goes_to_the_difference_form(self):
+        # 1e18 absorbs every other term: |c|^2 - 2 x.c reads -1e18 at both
+        # centers, while row 0 is nearer center 1 and row 1 nearer center 0
+        X = np.array([[1.0, 1e9], [-3.0, 1e9]])
+        centers = np.array([[[0.0, 1e9], [1.5, 1e9]]])
+        values = np.einsum("kd,kd->k", centers[0], centers[0]) - 2.0 * X @ centers[0].T
+        assert (values[:, 0] == values[:, 1]).all()
+        with fallback_spy() as spy:
+            assign = assign_restarts(X, centers, [2])
+        (points, _), _ = spy.call_args
+        np.testing.assert_array_equal(points, X)
+        np.testing.assert_array_equal(assign, [[1, 0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_and_center_go_to_the_difference_form(self, bad):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((12, 3))
+        X[4, 1] = bad
+        centers = rng.standard_normal((3, 3, 3))
+        centers[1, 2, 0] = bad
+        with np.errstate(invalid="ignore", over="ignore"), fallback_spy() as spy:
+            assign = assign_restarts(X, centers, [3, 3, 3])
+            assert_nearest_per_restart(assign, X, centers, [3, 3, 3])
+        # the bad row in every restart; every row of the restart with the bad center
+        redone = [points for (points, _), _ in spy.call_args_list[:3]]
+        assert [len(points) for points in redone] == [1, 12, 1]
+        np.testing.assert_array_equal(redone[0], X[[4]])
 
 
 class TestKMeansContract:
@@ -421,7 +514,7 @@ class TestKMeansRestarts:
         centers = np.array([[[0.0], [2.0]],    # row 1.0 is equidistant
                             [[0.5], [3.0]]])   # no ties
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers, [1, 1])
+            assign = cluster._assign(X, np.sqrt(xx), centers, [1, 1])
         (points, restart_centers), _ = spy.call_args
         assert spy.call_count == 1
         np.testing.assert_array_equal(points, [[1.0]])
@@ -445,6 +538,52 @@ class TestKMeansRestarts:
             kmeans_restarts(np.zeros((4, 2)), 2, [])
         with pytest.raises(ValidationError):
             best_kmeans(np.zeros((4, 2)), 2, restarts=0)
+
+    @pytest.mark.parametrize("max_iter, tol, message", [
+        (-1, cluster.DEFAULT_TOL, "max_iter=-1 is negative"),
+        (cluster.DEFAULT_MAX_ITER, -1.0, "tol=-1.0 is negative or NaN"),
+        (cluster.DEFAULT_MAX_ITER, math.nan, "tol=nan is negative or NaN"),
+    ])
+    def test_negative_max_iter_and_negative_or_nan_tol_rejected(self, max_iter, tol, message):
+        X = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(ValidationError, match=message):
+            kmeans_restarts(X, 2, [0, 1], max_iter=max_iter, tol=tol)
+        with pytest.raises(ValidationError, match=message):
+            kmeans(X, 2, max_iter=max_iter, tol=tol)
+
+    def test_logs_the_engines_work_at_debug(self, caplog):
+        # two values for three clusters: every restart repairs, and rows tie
+        X = np.array([0.0] * 5 + [1.0] * 5)[:, None]
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+            best_kmeans(X, 3, restarts=4)
+            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(3, X)):
+                best_kmeans(X, 3, restarts=4, seed0=10)
+        assert [r.getMessage() for r in caplog.records] == [
+            "kmeans_restarts: 1 _lloyd calls, 1 Lloyd rounds, 0 restarts stopped at max_iter, "
+            "8 cluster sums computed, 0 shared, 25 rows assigned in the difference form, "
+            "4 _repair calls",
+            "kmeans_restarts: 2 _lloyd calls, 2 Lloyd rounds, 0 restarts stopped at max_iter, "
+            "8 cluster sums computed, 0 shared, 25 rows assigned in the difference form, "
+            "4 _repair calls",
+        ]
+
+    @pytest.mark.parametrize("scale, bad", [(1.0, math.nan), (1.0, math.inf), (1e308, None)])
+    def test_non_finite_centers_batches_match_reference(self, scale, bad):
+        # a kept center that is not finite shifts by NaN, as c - c does: a
+        # NaN or inf row, or finite rows whose sums overflow
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-1.5, 1.5, (12, 3)) * scale
+        if bad is not None:
+            X[5, 2] = bad
+        seeds = list(range(8))
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = kmeans_restarts(X, 3, seeds, max_iter=20)
+            for result, seed in zip(results, seeds):
+                assign, centers, inertia, iterations, _ = reference_kmeans(X, 3, seed, 20)
+                np.testing.assert_array_equal(result.assignments, assign)
+                assert result.iterations == iterations
+                assert result.centers.tobytes() == centers.tobytes()
+                assert result.inertia == inertia or math.isnan(result.inertia) and math.isnan(inertia)
 
     def test_best_kmeans_keeps_lowest_tied_seed_across_chunks(self):
         rng = np.random.default_rng(0)
@@ -592,8 +731,7 @@ def prefix_lloyd(X, k, seeds, widths, max_iter=cluster.DEFAULT_MAX_ITER, tol=clu
     X = np.ascontiguousarray(X, dtype=float)
     widths = np.asarray(widths)
     xx = np.cumsum(X * X, axis=1).T[widths - 1]
-    assigns, centers, rounds = cluster._lloyd(X, xx, np.sqrt(xx), k, list(seeds), max_iter, tol,
-                                              widths)
+    assigns, centers, rounds = cluster._lloyd(X, np.sqrt(xx), k, list(seeds), max_iter, tol, widths)
     results = []
     for assign, padded, iterations, seed, w in zip(assigns, centers, rounds, seeds, widths.tolist()):
         assert padded.shape == (k, X.shape[1]) and not padded[:, w:].any()
@@ -647,7 +785,7 @@ class TestPerRestartWidths:
         xx = np.cumsum(X * X, axis=1).T[[1]]
         centers = np.array([[[0.0, 0.0, 0.0], [1.9999999999999998, 0.0, 0.0]]])
         with fallback_spy() as spy:
-            assign = cluster._assign(X, xx, np.sqrt(xx), centers, np.array([2]))
+            assign = cluster._assign(X, np.sqrt(xx), centers, np.array([2]))
         assert spy.call_count == 1
         np.testing.assert_array_equal(assign, [[1]])
 
@@ -747,9 +885,9 @@ def engine_spy():
     widths, labelings = [], []
     real_lloyd, real_rand = cluster._lloyd, cluster._rand_indices
 
-    def lloyd(X, *args):
+    def lloyd(X, *args, **kwargs):
         widths.append((X.shape, args[-1].tolist()))
-        return real_lloyd(X, *args)
+        return real_lloyd(X, *args, **kwargs)
 
     def rand(truth, rows, adjusted):
         labelings.append(rows.copy())
@@ -834,12 +972,14 @@ class TestSweepFeatureCount:
         counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
         assert counts == [
             "sweep_feature_count: 2 _lloyd calls, 12 Lloyd rounds, 0 restarts stopped at "
-            "max_iter, 142 cluster sums computed, 25 shared",
+            "max_iter, 142 cluster sums computed, 25 shared, 0 rows assigned in the difference "
+            "form, 1 _repair calls",
             "sweep_feature_count: 2 _lloyd calls, 4 Lloyd rounds, 24 restarts stopped at "
-            "max_iter, 103 cluster sums computed, 17 shared",
+            "max_iter, 103 cluster sums computed, 17 shared, 0 rows assigned in the difference "
+            "form, 1 _repair calls",
         ]
         # the pairs share sums: this fails if sharing stops
-        assert all(int(message.split()[-2]) > 0 for message in counts)
+        assert all(int(re.search(r"(\d+) shared", message)[1]) > 0 for message in counts)
 
     def test_draws_each_seed_once(self):
         # 300 restarts, and one chunk per width: six chunks read the same draws

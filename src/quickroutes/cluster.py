@@ -20,12 +20,15 @@ them exceeds ``8 gamma_{d+4} (|x| + max|c|)^2`` keeps its best center;
 ties, near ties and non-finite values are decided in the difference form.
 A round costs what it changed: only clusters whose members changed get a
 new mean (any other center already is that mean), and only those
-clusters' shifts are computed and written. Inertia is computed once per
-restart, from its final centers and assignment. ``kmeans_restarts`` runs
-restarts in chunks sized by memory: the (restarts, points, dimensions)
-difference block of a chunk's inertias holds at most 8 MB, or one
-restart's when that alone is larger. ``kmeans_restarts`` and the sweep
-each log the engine's work as one DEBUG line.
+clusters' shifts are computed and written. Restarts share that work:
+equal member sets give equal sums, so each round sums every distinct
+member set of the batch once, whichever restarts hold it. Inertia is
+computed once per restart, from its final centers and assignment, and
+each distinct (row, center value) term of a chunk once. ``kmeans_restarts``
+runs restarts in chunks sized by memory: the (restarts, k, dimensions)
+centers block of a chunk holds at most 2 MB, or one restart's when that
+alone is larger. ``kmeans_restarts`` and the sweep each log the engine's
+work as one DEBUG line.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
@@ -34,13 +37,13 @@ runs on the block padded to its widest, and keeps each restart's centers
 zero past its width; every step whose rounding depends on the width is
 taken on the restart's own columns, so its assignments and its centers on
 those columns are bit for bit those of its prefix alone. Width 1 runs on
-its own, because numpy sums a one-column block pairwise. Neighbouring
-widths of one seed often reach the same assignment, and then the same
-sums of whole padded rows: in each round, a restart whose assignment
-equals that of its seed's restart one column narrower copies that one's
-means instead of summing. A sweep chunk's restarts x points x padded
-width stays within ``_SWEEP_FLOATS``, each seed's initial rows are drawn
-once per sweep, and all its labelings are scored in one rand-index pass.
+its own, because numpy sums a one-column block pairwise. Sums run over
+whole padded rows, so restarts of different widths that hold the same
+rows share one sum, and each zeroes its own columns past its width;
+neighbouring widths of one seed often reach the same clusters. A sweep
+chunk's restarts x points x padded width stays within ``_SWEEP_FLOATS``,
+each seed's initial rows are drawn once per sweep, and all its labelings
+are scored in one rand-index pass.
 
 The evaluation tail is in GEMM form too. ``silhouette`` takes the pairwise
 distances of a row block from one product of the column-centred points,
@@ -58,7 +61,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -74,19 +77,26 @@ DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
-# floats in the (restarts, n, d) difference block of one chunk's inertias, the
-# only block of that size left: 8 MB. _lloyd holds (restarts, k, d) centers and
-# (n, restarts, k) center values.
-_CHUNK_FLOATS = 2**20
-# restarts x points x padded width of one feature-count sweep chunk. It sets
+# Floats in the (restarts, k, d) centers block of one kmeans_restarts chunk:
+# 2 MB, 57 restarts at k = 8 and d = 571. A chunk's largest arrays are this
+# block, its results block and one round's distinct means; the GEMM's
+# (n, restarts, k) center values are n/d of it. The larger the chunk, the more
+# sums and inertia terms its restarts share: one 100-restart batch ran faster
+# but left the allocator holding about 4 MB more, and 28-restart chunks held
+# less and ran slower.
+_CHUNK_FLOATS = 2**18
+# Floats of one block of center updates in _lloyd, and of differences in
+# _inertias: 512 KB.
+_BLOCK_FLOATS = 2**16
+# Restarts x points x padded width of one feature-count sweep chunk. It sets
 # the multiply-adds of one round's assignment GEMM (k times this) and bounds
 # the chunk's largest arrays: k/n of it for the (restarts, k, width) centers,
 # k/width of it for the (n, restarts, k) center values (0.4 MB each at n = 60,
-# k = 3). With sums shared between equal neighbours, 2**20 ran a 60-climb
-# sweep 23% faster than 2**19 on a 2-vCPU host with one BLAS thread; 2**21
-# was no faster and held 1.5 MB more at its peak.
+# k = 3). With sums shared by member set, 2**20 ran a 60-climb sweep in 201 ms
+# against 271 ms at 2**19 and 193 ms at 2**21 (2 vCPUs, one BLAS thread);
+# 2**21 held 1.5 MB more at its peak.
 _SWEEP_FLOATS = 2**20
-# the engine's work while a sweep or kmeans_restarts runs, logged at its end; else None
+# The engine's work while a sweep or kmeans_restarts runs, logged at its end; else None
 _work: ContextVar[Optional[Counter]] = ContextVar("quickroutes_cluster_work", default=None)
 
 
@@ -95,8 +105,8 @@ def _counting(caller: str) -> Iterator[None]:
     """Count the engine's work in the block and log it as one DEBUG line:
     ``_lloyd`` calls, Lloyd rounds, restarts stopped at ``max_iter``,
     cluster sums computed and shared, rows that ``_assign`` decided in the
-    difference form, and ``_repair`` calls. Nothing is logged if the block
-    raises."""
+    difference form, ``_repair`` calls, and inertia terms computed and
+    shared. Nothing is logged if the block raises."""
     work: Counter = Counter()
     token = _work.set(work)
     try:
@@ -104,9 +114,11 @@ def _counting(caller: str) -> Iterator[None]:
     finally:
         _work.reset(token)
     log.debug("%s: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at max_iter, %d cluster "
-              "sums computed, %d shared, %d rows assigned in the difference form, %d _repair calls",
+              "sums computed, %d shared, %d rows assigned in the difference form, %d _repair "
+              "calls, %d inertia terms computed, %d shared",
               caller, work["calls"], work["rounds"], work["max_iter_hits"], work["sums"],
-              work["shared"], work["fallback_rows"], work["repairs"])
+              work["shared"], work["fallback_rows"], work["repairs"], work["terms"],
+              work["shared_terms"])
 
 
 # ---------------------------------------------------------------------------
@@ -226,69 +238,86 @@ def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 
 def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Sum of squared distances to the assigned centers, per restart; each
-    term rounds as the matching entry of ``_squared_distances``. ``keys``
-    is ``a * k + assign[a]`` per restart a and row."""
-    A, k, d = centers.shape
-    diff = centers.reshape(A * k, d)[keys]
-    # in place: allocating a second (A, n, d) array measured slower than the arithmetic
-    np.subtract(X, diff, out=diff)
-    return np.einsum("and,and->an", diff, diff).sum(axis=1)
+    term rounds as the matching entry of ``_squared_distances``, and each
+    restart's terms are summed in row order. ``keys`` is ``a * k +
+    assign[a]`` per restart a and row.
 
-
-def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray, changed: np.ndarray, *,
-           source: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of each changed cluster's members, per restart: the flat
-    indices (``a * k + j``) of the clusters it wrote, and their means, one
-    row each. Every other cluster, and an empty one, keeps its center, so
-    only the written clusters are read or returned; ``centers`` gives the
-    shape alone. ``keys`` as for ``_inertias``; ``changed`` flags each of
-    the A*k clusters.
-
-    One stable sort puts each changed cluster's member rows in row order;
-    gathered, they are the very C-ordered block ``X[assign[a] == j]`` is,
-    so each sum rounds as that one does, numpy's pairwise sum at d = 1
-    included. ``np.add.reduceat`` over the sorted rows would round
-    differently. Each cluster's block is gathered on its own: one block
-    of every member would be as large as the chunk's (A, n, d).
-
-    ``source``, if given, names per restart the restart whose sums it
-    takes: one with the same assignment that is its own source, or itself.
-    Equal assignments gather the same rows, and every sum runs over whole
-    rows of X, so the sums are equal bit for bit. Each source sums and
-    divides for every cluster changed in it or in a restart it serves, and
-    those restarts copy its means. A copied mean that replaces a kept
-    center equals it: both are means of the same rows.
+    Restarts that end near one partition share most of their terms, so each
+    distinct (row, center value) term is computed once, ``_BLOCK_FLOATS``
+    floats of differences at a time. Centers count as equal when their
+    values compare equal: the squared difference to -0.0 and to 0.0 is the
+    same, and a center that holds NaN matches no other.
     """
     A, k, d = centers.shape
-    if source is not None:
-        followers = np.flatnonzero(source != np.arange(A))
-        changed = changed.reshape(A, k).copy()
-        np.logical_or.at(changed, source[followers], changed[followers])
-        changed[followers] = False
-        changed = changed.ravel()
-    flat_keys = keys.ravel()
-    picked = np.flatnonzero(changed[flat_keys])
-    picked_keys = flat_keys[picked]
-    rows = picked[np.argsort(picked_keys, kind="stable")] % len(X)
-    sizes = np.bincount(picked_keys, minlength=A * k)
-    summed = np.flatnonzero(sizes)
-    written = summed
-    if source is not None:
-        # each follower copies the clusters its source summed
-        a, j = np.nonzero(sizes.reshape(A, k)[source[followers]])
-        written = np.concatenate([summed, followers[a] * k + j])
-    means = np.empty((written.size, d))
-    counts = sizes[summed]
+    n = len(X)
+    flat = centers.reshape(A * k, d)
+    # the sum of a center is a hash of its values: equal centers have equal
+    # sums, and -0.0 and 0.0 sort as one
+    _, first, value = np.unique(flat.sum(axis=1), return_index=True, return_inverse=True)
+    alone = np.flatnonzero(~(flat == flat[first[value]]).all(axis=1))
+    if alone.size:
+        # centers that share a sum with an unequal one, or hold NaN: grouped
+        # by their bytes, -0.0 as 0.0, and a center holding NaN on its own
+        canonical = flat[alone] + 0.0  # -0.0 + 0.0 is 0.0
+        _, regroup = np.unique(canonical.view(np.dtype((np.void, 8 * d))).ravel(),
+                               return_inverse=True)
+        nan = np.flatnonzero(np.isnan(canonical).any(axis=1))
+        regroup[nan] = alone.size + np.arange(nan.size)
+        value[alone] = A * k + regroup
+    terms, first, which = np.unique(value[keys] * n + np.arange(n), return_index=True,
+                                    return_inverse=True)
+    rows, centered = first % n, keys.ravel()[first]
+    squares = np.empty(terms.size)
+    per_block = max(1, _BLOCK_FLOATS // max(1, d))
+    for lo in range(0, terms.size, per_block):
+        diff = flat[centered[lo:lo + per_block]]
+        # in place: a second block-sized array measured slower than the arithmetic
+        np.subtract(X[rows[lo:lo + per_block]], diff, out=diff)
+        squares[lo:lo + per_block] = np.einsum("pd,pd->p", diff, diff)
+    work = _work.get()
+    if work is not None:
+        work.update(terms=terms.size, shared_terms=keys.size - terms.size)
+    return squares[which].reshape(A, n).sum(axis=1)
+
+
+def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
+           changed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean of each changed cluster's members, per restart, summed once per
+    distinct member set: the flat indices (``a * k + j``) of the clusters
+    it wrote, the distinct means, one row each, and per written cluster
+    the row of its mean. Every other cluster, and an empty one, keeps its
+    center, so only the written clusters are read or returned; ``centers``
+    gives the shape alone. ``keys`` as for ``_inertias``; ``changed``
+    flags each of the A*k clusters.
+
+    Clusters of any restarts, and of any widths, that hold the same rows
+    have equal sums bit for bit: every sum runs over whole rows of X. So
+    the written clusters are grouped by their packed membership bitmaps,
+    with one ``np.unique`` over the bitmaps' bytes, and each group's rows,
+    gathered in row order, are the very C-ordered block ``X[assign[a] ==
+    j]`` is: each sum rounds as that one does, numpy's pairwise sum at
+    d = 1 included. ``np.add.reduceat`` over sorted rows would round
+    differently. Each distinct set is gathered on its own: one block of
+    every member would be as large as the chunk's (restarts, n, d).
+    """
+    A, k, d = centers.shape
+    sizes = np.bincount(keys.ravel(), minlength=A * k)
+    written = np.flatnonzero(changed & (sizes > 0))
+    members = keys[written // k] == written[:, None]
+    bitmaps = np.packbits(members, axis=1)
+    _, first, which = np.unique(bitmaps.view(np.dtype((np.void, bitmaps.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    rows = np.nonzero(members[first])[1]  # set by set, each in row order
+    counts = sizes[written[first]]
+    means = np.empty((first.size, d))
     for i, (end, size) in enumerate(zip(counts.cumsum().tolist(), counts.tolist())):
         np.add.reduce(X[rows[end - size:end]], axis=0, out=means[i])
     # the arithmetic of each block's mean(axis=0), without its overhead
-    means[:summed.size] /= counts[:, None]
-    if source is not None:
-        means[summed.size:] = means[np.searchsorted(summed, source[followers[a]] * k + j)]
+    means /= counts[:, None]
     work = _work.get()
     if work is not None:
-        work.update(sums=summed.size, shared=written.size - summed.size)
-    return written, means
+        work.update(sums=first.size, shared=written.size - first.size)
+    return written, means, which
 
 
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -308,30 +337,6 @@ def _seed_rows(n: int, k: int, seeds: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _partners(seeds: list[int], widths: np.ndarray) -> np.ndarray:
-    """Per restart, the index of the same seed's restart one column
-    narrower in the chunk, or -1 if there is none."""
-    index = {(seed, w): a for a, (seed, w) in enumerate(zip(seeds, widths.tolist()))}
-    return np.array([index.get((seed, w - 1), -1) for seed, w in zip(seeds, widths.tolist())])
-
-
-def _sources(assign: np.ndarray, partner: np.ndarray) -> Optional[np.ndarray]:
-    """Per restart, the narrowest restart of its chain of partners with
-    equal assignments, or itself; None when no restart equals its partner.
-    ``partner`` as from ``_partners``, renumbered to the live restarts."""
-    paired = np.flatnonzero(partner >= 0)
-    same = paired[(assign[paired] == assign[partner[paired]]).all(axis=1)]
-    if not same.size:
-        return None
-    source = np.arange(len(assign))
-    source[same] = partner[same]
-    while True:  # pointer jumping: each pass halves the steps left to each chain's end
-        further = source[source]
-        if (further == source).all():
-            return source
-        source = further
-
-
 def kmeans_restarts(
     points,
     k: int,
@@ -345,13 +350,15 @@ def kmeans_restarts(
     all restarts still running from one GEMM, and a restart leaves the
     batch when it converges. Batching changes no result: each one is bit
     for bit the run of its seed alone. A cluster whose members did not
-    change in a round keeps its center, the mean of those same rows, and
-    each restart's inertia is computed once, at the end. Restarts run in
-    chunks whose (restarts, n, d) inertia blocks hold at most
-    ``_CHUNK_FLOATS`` floats. Every restart here uses all d columns; the
-    feature-count sweep gives each restart of the same engine its own
-    prefix width. One DEBUG line per call counts the engine's work (see
-    ``_counting``).
+    change in a round keeps its center, the mean of those same rows; the
+    clusters that changed are summed once per distinct member set across
+    the batch. Each restart's inertia is computed once, at the end, from
+    the chunk's distinct (row, center) terms. Restarts run in chunks whose
+    (restarts, k, d) centers blocks hold at most ``_CHUNK_FLOATS`` floats.
+    The results of a chunk are views of its assignment and centers blocks.
+    Every restart here uses all d columns; the feature-count sweep gives
+    each restart of the same engine its own prefix width. One DEBUG line
+    per call counts the engine's work (see ``_counting``).
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
@@ -365,7 +372,7 @@ def kmeans_restarts(
     if not tol >= 0.0:
         raise ValidationError(f"tol={tol} is negative or NaN")
     xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
-    per_chunk = max(1, _CHUNK_FLOATS // max(1, n * d))
+    per_chunk = max(1, _CHUNK_FLOATS // max(1, k * d))
     results: list[KMeansResult] = []
     with _counting("kmeans_restarts"):
         for start in range(0, len(seeds), per_chunk):
@@ -374,9 +381,7 @@ def kmeans_restarts(
                                               max_iter, tol, np.full(len(chunk), d))
             keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
             inertias = _inertias(X, centers, keys).tolist()
-            # copies: a view would keep the whole chunk's block alive with one result
-            results += map(KMeansResult, map(np.copy, assigns), map(np.copy, centers), inertias,
-                           rounds, chunk)
+            results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
     return results
 
 
@@ -403,27 +408,26 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
     A round reads and writes only the clusters it rewrote: those whose
     members changed, because a row entered or left or ``_repair`` ran in
     that restart. Any other cluster's center is already the mean of its
-    members, summed over the same rows in the same order, so ``_means``
-    returns the rewritten clusters alone, their shifts and comparisons are
-    taken on those rows, and the means are written into the centers in
-    place. A kept center's shift is an exact 0, or NaN once a center can
+    members, summed over the same rows in the same order. ``_means`` sums
+    the rewritten clusters once per distinct member set, whatever restart
+    or width they belong to, since the sums of whole rows of X are bit for
+    bit equal. Their shifts and comparisons are taken on those rows, and
+    the means are written into the centers in place, ``_BLOCK_FLOATS``
+    floats at a time in an unpadded chunk; a padded chunk's centers are at
+    most k/n of ``_SWEEP_FLOATS``, and it keeps its steps for the band
+    check. A kept center's shift is an exact 0, or NaN once a center can
     hold inf or NaN (then it is taken from the kept centers, as the
-    difference ``c - c`` would give it).
+    difference ``c - c`` would give it). A round's sums, means and steps
+    are released before the next round assigns.
     A repaired restart also stops on a fixed point: its assignment equals
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
 
-    In a padded chunk, neighbouring widths of one seed often reach the same
-    assignment. Each round compares every live restart's assignment with
-    that of its partner, the same seed's restart one column narrower, and
-    ``_means`` sums once for each chain of equal partners: the sums are of
-    whole rows of X, so they are bit for bit equal. A restart whose partner
-    has stopped has none.
-
     The restarts that stop in a round leave together: their rounds, and
     their assignment when their centers did not move, are stored with one
     indexing each. Their centers are stored only when kept, or when one
-    more assignment needs them.
+    more assignment needs them. The centers block starts as the seed rows,
+    which ``max_iter=0`` assigns to.
     """
     n, d = X.shape
     padded = bool((widths < d).any())
@@ -431,12 +435,10 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
     distinct = tuple(dict.fromkeys(seeds))
     slot_of = {seed: i for i, seed in enumerate(distinct)}
     centers = X[_seed_rows(n, k, distinct)[[slot_of[seed] for seed in seeds]]]
-    partner = None
     if padded:
         np.copyto(centers, 0.0, where=columns >= widths[:, None, None])
         # the sum of one shift can round differently padded than at its own width
         band = 4.0 * _gamma(d + 2) * tol
-        partner = _partners(seeds, widths)
         narrowest = int(widths.min())
     # every center so far is finite: a kept one shifts by exactly 0
     finite = bool(np.isfinite(X).all())
@@ -471,13 +473,7 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
             changed[(offsets + previous)[moved]] = True
             for a in empty:
                 changed[a * k:(a + 1) * k] = True
-        source = None if partner is None else _sources(assign, partner)
-        written, means = _means(X, centers, keys, changed, source=source)
-        owner = written // k
-        if padded:
-            # only the columns past the chunk's narrowest width can be padding
-            np.copyto(means[:, narrowest:], 0.0,
-                      where=columns[narrowest:] >= live_widths[owner][:, None])
+        written, means, which = _means(X, centers, keys, changed)
         flat = centers.reshape(-1, d)
         if finite:
             squares = np.zeros(len(flat))
@@ -485,23 +481,34 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
         else:
             squares = ((flat - flat) ** 2).sum(axis=1)
             differs = (flat != flat).any(axis=1)
-        step = flat[written]
-        differs[written] = (means != step).any(axis=1)
-        # in place: the (written, d) temporaries cost more than the arithmetic
-        np.square(np.subtract(means, step, out=step), out=step)
-        written_squares = step.sum(axis=1)
-        squares[written] = written_squares
+        per_block = max(1, written.size if padded else _BLOCK_FLOATS // d)
+        for lo in range(0, written.size, per_block):
+            rows = written[lo:lo + per_block]
+            new = means[which[lo:lo + per_block]]
+            if padded:
+                # only the columns past the chunk's narrowest width can be padding
+                np.copyto(new[:, narrowest:], 0.0,
+                          where=columns[narrowest:] >= live_widths[rows // k][:, None])
+            step = flat[rows]
+            differs[rows] = (new != step).any(axis=1)
+            # in place: the (rows, d) temporaries cost more than the arithmetic
+            np.square(np.subtract(new, step, out=step), out=step)
+            squares[rows] = step.sum(axis=1)
+            flat[rows] = new
+        means = None
         shift = np.sqrt(squares.reshape(-1, k)).max(axis=1)
         unchanged = ~differs.reshape(-1, k).any(axis=1)
         stop = shift < tol
-        if padded:
+        if padded and written.size:
+            # with nothing written every shift is 0 or NaN, which the band cannot move
+            owner = written // k
             for a in np.flatnonzero((abs(shift - tol) <= band) & (live_widths < d)).tolist():
                 own = step[owner == a, :live_widths[a]].sum(axis=1)
                 stop[a] = np.sqrt(own).max(initial=0.0) < tol
+        new = step = None
         stop |= it == max_iter
-        flat[written] = means
         # a mean that is not finite has a shift that is not finite
-        finite = finite and bool(np.isfinite(written_squares).all())
+        finite = finite and bool(np.isfinite(squares[written]).all())
         if empty and previous is not None:
             stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
                 centers[empty] == started).all(axis=(1, 2))
@@ -520,9 +527,6 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
                 break
             centers, previous = centers[keep], assign[keep]
             live_xnorm, live_widths = live_xnorm[keep], live_widths[keep]
-            if partner is not None:
-                renumbered = np.where(keep, np.cumsum(keep) - 1, -1)
-                partner = np.where(partner >= 0, renumbered[partner], -1)[keep]
 
     # restarts whose centers moved in their last round get one more assignment
     pending = np.flatnonzero(~known)
@@ -575,7 +579,9 @@ def best_kmeans(
 ) -> KMeansResult:
     """Lowest-inertia run over consecutive seeds; ties keep the lowest seed."""
     results = kmeans_restarts(points, k, range(seed0, seed0 + restarts))
-    return min(results, key=lambda result: result.inertia)
+    best = min(results, key=lambda result: result.inertia)
+    # copies: a view would keep its chunk's whole blocks alive
+    return replace(best, assignments=best.assignments.copy(), centers=best.centers.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +725,13 @@ def sweep_feature_count(
     order) get ``restarts`` K-Means runs, each bit for bit the run of
     ``repeated_kmeans`` on those columns, so every entry holds the same
     ``RandStats``. Every count's restarts run in the one engine with their
-    own prefix width, in chunks of consecutive widths; a restart whose
-    assignment matches its seed's one column narrower takes that one's
-    cluster sums (see ``_prefix_assignments``). All labelings are then
+    own prefix width, in chunks of consecutive widths, and clusters that
+    hold the same rows in one round share one sum, whatever their seeds
+    and widths (see ``_prefix_assignments``). All labelings are then
     scored in one ``_rand_indices`` call. One DEBUG line counts the
-    engine's work (see ``_counting``). The preferred
-    operating point is the smallest w whose minimum rand index over
-    restarts is maximal — the worst case is what must be good.
+    engine's work (see ``_counting``). The preferred operating point is
+    the smallest w whose minimum rand index over restarts is maximal —
+    the worst case is what must be good.
     """
     values = np.asarray(values, dtype=float)
     names = list(names)
@@ -779,11 +785,12 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
     chunks of consecutive widths, every seed at each, on the columns up to
     the chunk's widest. A chunk's restarts x n x padded width is at most
     ``_SWEEP_FLOATS``, unless one width's restarts alone exceed it; no
-    array of that size is formed (see ``_SWEEP_FLOATS``). In each round a
-    restart whose assignment equals that of its seed one column narrower,
-    in the same chunk, takes that restart's cluster sums. Every chunk
-    reads one cached draw of the seeds' initial rows, and each restart's
-    squared row norms come from one ``cumsum``.
+    array of that size is formed (see ``_SWEEP_FLOATS``). In each round
+    the chunk sums each distinct member set once: neighbouring widths of
+    one seed, and often other seeds, hold the same clusters, and a sum of
+    whole padded rows serves every width. Every chunk reads one cached
+    draw of the seeds' initial rows, and each restart's squared row norms
+    come from one ``cumsum``.
     """
     n, d = ranked.shape
     cumulative = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
@@ -984,6 +991,8 @@ _EXPANDED_SHARE = 1.0 / 32.0
 # The smallest normal double: a squared distance below (d + 4) of these may
 # hold subnormal rounding, which is absolute, not relative.
 _TINY = float(np.finfo(float).tiny)
+# Floats in one row block of the n-wide distance matrix: 8 MB.
+_DISTANCE_FLOATS = 2**20
 
 
 def silhouette(points, assignments) -> SilhouetteResult:
@@ -998,7 +1007,7 @@ def silhouette(points, assignments) -> SilhouetteResult:
     rows gives every squared distance in the expanded form
     ``|x|^2 + |y|^2 - 2 x.y``, and one segmented sum over the sorted
     columns gives each row's distance sum per cluster. Memory: O(n*d) for
-    the centred points, plus a row block of at most ``_CHUNK_FLOATS``
+    the centred points, plus a row block of at most ``_DISTANCE_FLOATS``
     floats of the n-wide distance matrix and a few temporaries of its
     size; no (n, n, d) difference is ever formed.
 
@@ -1036,10 +1045,10 @@ def silhouette(points, assignments) -> SilhouetteResult:
     xnorm = np.sqrt(xx)
     nonfinite = ~np.isfinite(xx)
     floor = (d + 4) * _TINY
-    per_fallback = max(1, _CHUNK_FLOATS // max(1, d))
+    per_fallback = max(1, _DISTANCE_FLOATS // max(1, d))
     a, b = np.empty(n), np.empty(n)
     exact = 0
-    step = max(1, _CHUNK_FLOATS // n)
+    step = max(1, _DISTANCE_FLOATS // n)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         # in place: the block's temporaries set this routine's peak memory

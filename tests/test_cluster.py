@@ -116,6 +116,16 @@ def assert_restarts_match_reference(results, X, k, seeds, max_iter=cluster.DEFAU
         assert_matches_reference(result, X, k, seed, max_iter, tol)
 
 
+def assert_restarts_match_reference_or_nan(results, X, k, seeds, max_iter):
+    """``assert_restarts_match_reference``, where a NaN inertia matches a NaN."""
+    for result, seed in zip(results, seeds):
+        assign, centers, inertia, iterations, _ = reference_kmeans(X, k, seed, max_iter)
+        np.testing.assert_array_equal(result.assignments, assign)
+        assert result.iterations == iterations
+        assert result.centers.tobytes() == centers.tobytes()
+        assert result.inertia == inertia or math.isnan(result.inertia) and math.isnan(inertia)
+
+
 @contextmanager
 def fallback_spy():
     """Counts calls of the difference-form distances (fallback and repair)."""
@@ -371,9 +381,10 @@ class TestKMeansContract:
 SEED_BATCHES = st.lists(st.integers(0, 999), min_size=1, max_size=8)
 
 
-def chunk_of(restarts, X):
-    """A chunk size, in floats, that holds ``restarts`` restarts on ``X``."""
-    return restarts * X.shape[0] * X.shape[1]
+def chunk_of(restarts, X, k):
+    """A chunk size, in floats, that holds the centers of ``restarts``
+    restarts of k clusters on ``X``."""
+    return restarts * k * X.shape[1]
 
 
 class TestKMeansRestarts:
@@ -414,7 +425,7 @@ class TestKMeansRestarts:
     @given(ANY_INPUT, SEED_BATCHES, st.sampled_from([1, 2]))
     def test_chunk_boundaries_do_not_change_results(self, case, seeds, per_chunk):
         X, k, _ = case
-        with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X)), \
+        with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X, k)), \
                 mock.patch.object(cluster, "_lloyd", wraps=cluster._lloyd) as chunks:
             results = kmeans_restarts(X, k, seeds)
         assert chunks.call_count == -(-len(seeds) // per_chunk)
@@ -533,6 +544,42 @@ class TestKMeansRestarts:
             held += sum(base.nbytes for base in bases.values())
             assert held == sum(a.nbytes for a in arrays)
 
+    def test_best_result_shares_no_memory_with_the_batch(self):
+        X = np.random.default_rng(5).standard_normal((40, 3))
+        batches = []
+        real = cluster.kmeans_restarts
+
+        def restarts(*args):
+            batches.append(real(*args))
+            return batches[-1]
+
+        with mock.patch.object(cluster, "kmeans_restarts", restarts):
+            best = best_kmeans(X, 4, restarts=8)
+        (batch,) = batches
+        # the batch's results are views of one block each; the winner is a copy
+        assert batch[0].centers.base is batch[-1].centers.base is not None
+        winner = min(batch, key=lambda result: result.inertia)
+        assert (best.seed, best.inertia, best.iterations) == (winner.seed, winner.inertia,
+                                                              winner.iterations)
+        assert best.centers.tobytes() == winner.centers.tobytes()
+        np.testing.assert_array_equal(best.assignments, winner.assignments)
+        for result in batch:
+            assert not np.shares_memory(best.centers, result.centers)
+            assert not np.shares_memory(best.assignments, result.assignments)
+
+    def test_traced_peak_stays_below_the_inertia_block_chunks(self):
+        # the traced peak of this call when chunks were sized by their
+        # (restarts, n, d) inertia block, 9 restarts at a time
+        peak_before = 12_068_487
+        X = np.random.default_rng(0).standard_normal((200, 571))
+        tracemalloc.start()
+        try:
+            best_kmeans(X, 8, restarts=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_before
+
     def test_no_seeds_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_restarts(np.zeros((4, 2)), 2, [])
@@ -556,15 +603,15 @@ class TestKMeansRestarts:
         X = np.array([0.0] * 5 + [1.0] * 5)[:, None]
         with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
             best_kmeans(X, 3, restarts=4)
-            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(3, X)):
+            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(3, X, 3)):
                 best_kmeans(X, 3, restarts=4, seed0=10)
         assert [r.getMessage() for r in caplog.records] == [
             "kmeans_restarts: 1 _lloyd calls, 1 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "8 cluster sums computed, 0 shared, 25 rows assigned in the difference form, "
-            "4 _repair calls",
+            "2 cluster sums computed, 6 shared, 25 rows assigned in the difference form, "
+            "4 _repair calls, 10 inertia terms computed, 30 shared",
             "kmeans_restarts: 2 _lloyd calls, 2 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "8 cluster sums computed, 0 shared, 25 rows assigned in the difference form, "
-            "4 _repair calls",
+            "4 cluster sums computed, 4 shared, 25 rows assigned in the difference form, "
+            "4 _repair calls, 20 inertia terms computed, 20 shared",
         ]
 
     @pytest.mark.parametrize("scale, bad", [(1.0, math.nan), (1.0, math.inf), (1e308, None)])
@@ -578,12 +625,7 @@ class TestKMeansRestarts:
         seeds = list(range(8))
         with np.errstate(invalid="ignore", over="ignore"):
             results = kmeans_restarts(X, 3, seeds, max_iter=20)
-            for result, seed in zip(results, seeds):
-                assign, centers, inertia, iterations, _ = reference_kmeans(X, 3, seed, 20)
-                np.testing.assert_array_equal(result.assignments, assign)
-                assert result.iterations == iterations
-                assert result.centers.tobytes() == centers.tobytes()
-                assert result.inertia == inertia or math.isnan(result.inertia) and math.isnan(inertia)
+            assert_restarts_match_reference_or_nan(results, X, 3, seeds, 20)
 
     def test_best_kmeans_keeps_lowest_tied_seed_across_chunks(self):
         rng = np.random.default_rng(0)
@@ -593,7 +635,7 @@ class TestKMeansRestarts:
         tied = [s for s, v in inertias.items() if v == lowest]
         assert len(tied) > 1
         for per_chunk in (1, 2, tied[1] - tied[0]):
-            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X)):
+            with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_of(per_chunk, X, 3)):
                 best = best_kmeans(X, 3, restarts=12, seed0=4)
             assert best.seed == tied[0]
             assert best.inertia == lowest
@@ -610,6 +652,83 @@ class TestKMeansRestarts:
         ]
         assert stats.values == tuple(expected)
         assert (stats.minimum, stats.maximum) == (min(expected), max(expected))
+
+
+def inertia_work(caplog, *args, **kwargs):
+    """``kmeans_restarts(*args, **kwargs)``, and the inertia terms its DEBUG
+    line reports computed and shared."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+        results = kmeans_restarts(*args, **kwargs)
+    (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kmeans")]
+    computed, shared = re.search(r"(\d+) inertia terms computed, (\d+) shared", message).groups()
+    return results, int(computed), int(shared)
+
+
+def distinct_terms(results, by_value=True):
+    """The (row, center) terms of these results' inertias, counted once:
+    centers that compare equal are one (by bytes, with ``by_value`` False),
+    and a center that holds NaN is one of its own."""
+    terms = set()
+    for a, result in enumerate(results):
+        for i, j in enumerate(result.assignments.tolist()):
+            center = result.centers[j]
+            if np.isnan(center).any():
+                key = ("nan", a, j)
+            else:
+                key = tuple(center.tolist()) if by_value else center.tobytes()
+            terms.add((i, key))
+    return len(terms)
+
+
+class TestInertias:
+    """Each distinct (row, center value) term of a chunk's inertias is
+    computed once; every inertia stays bit for bit the reference's."""
+
+    def test_restarts_on_one_partition_under_permuted_labels(self, caplog):
+        rng = np.random.default_rng(0)
+        X = np.concatenate([rng.normal(c, 0.1, size=(10, 2)) for c in (0.0, 5.0, 10.0)])
+        seeds = list(range(8))
+        results, computed, shared = inertia_work(caplog, X, 3, seeds)
+        labelings = [tuple(r.assignments.tolist()) for r in results]
+        assert any(a != b and len(set(zip(a, b))) == 3
+                   for a, b in itertools.combinations(labelings, 2))
+        assert computed == distinct_terms(results) and computed + shared == len(seeds) * len(X)
+        assert shared > 0
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+    @pytest.mark.parametrize("max_iter", [0, cluster.DEFAULT_MAX_ITER])
+    def test_centers_that_differ_only_in_the_sign_of_a_zero(self, caplog, max_iter):
+        # four centers of one sum, so that the values of two of them are told
+        # apart by their bytes, and each value held with -0.0 and with 0.0
+        X = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [3.0, 0.5], [0.2, 3.0]])
+        seeds = list(range(16))
+        results, computed, shared = inertia_work(caplog, X, 2, seeds, max_iter=max_iter)
+        if max_iter == 0:
+            # the seed rows are the centers: some restarts hold -0.0 where others hold 0.0
+            assert computed == distinct_terms(results) < distinct_terms(results, by_value=False)
+        assert computed == distinct_terms(results)
+        assert_restarts_match_reference(results, X, 2, seeds, max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, 3])
+    def test_a_nan_center_matches_no_other(self, caplog, max_iter):
+        X = np.random.default_rng(15).uniform(-1.5, 1.5, (12, 3))
+        X[5, 2] = math.nan
+        seeds = list(range(12))
+        with np.errstate(invalid="ignore"):
+            results, computed, shared = inertia_work(caplog, X, 3, seeds, max_iter=max_iter)
+            nan_centers = [c.tobytes() for r in results for c in r.centers if np.isnan(c).any()]
+            # equal NaN centers in two restarts still give two sets of terms
+            assert len(nan_centers) > len(set(nan_centers))
+            assert computed == distinct_terms(results)
+            assert_restarts_match_reference_or_nan(results, X, 3, seeds, max_iter)
+
+    def test_one_column(self, caplog):
+        X = np.random.default_rng(3).integers(0, 5, size=(30, 1)) * 0.1
+        seeds = list(range(10))
+        results, computed, shared = inertia_work(caplog, X, 3, seeds)
+        assert computed == distinct_terms(results) and shared > 0
+        assert_restarts_match_reference(results, X, 3, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +941,44 @@ class TestPerRestartWidths:
             assert digest.hexdigest() == expected
 
 
-def sources_of_means(X, k, seeds, widths):
-    """``prefix_lloyd``'s results, and per round the ``source`` that
-    ``_lloyd`` gave ``_means``: each live restart's donor of sums."""
-    with mock.patch.object(cluster, "_means", wraps=cluster._means) as spy:
-        results = prefix_lloyd(X, k, seeds, widths)
-    sources = [call.kwargs["source"] for call in spy.call_args_list]
-    return results, [None if source is None else source.tolist() for source in sources]
+def reference_sharing(X, k, seeds, widths):
+    """Per Lloyd round of these restarts batched, the sums the engine needs
+    and how many clusters take another's, from the reference runs alone:
+    each live restart's non-empty clusters whose members changed (all of
+    them in round 1 and after a repair), grouped by member set."""
+    runs = [reference_kmeans(own_prefix(X, w), k, seed)[4] for seed, w in zip(seeds, widths)]
+    counts = []
+    for r in range(max(map(len, runs))):
+        sets = []
+        for run in runs:
+            if r >= len(run):
+                continue
+            assign, repaired = run[r]
+            if r == 0 or repaired:
+                changed = set(range(k))
+            else:
+                before = run[r - 1][0]
+                moved = assign != before
+                changed = set(assign[moved].tolist()) | set(before[moved].tolist())
+            sets += [frozenset(np.flatnonzero(assign == j).tolist()) for j in changed
+                     if (assign == j).any()]
+        counts.append((len(set(sets)), len(sets) - len(set(sets))))
+    return counts
+
+
+def sharing_of(run, *args):
+    """``run(*args)``, and per call of ``_means`` the cluster sums computed
+    and the written clusters that took one of them."""
+    counts = []
+    real = cluster._means
+
+    def means(*means_args):
+        written, sums, which = real(*means_args)
+        counts.append((len(sums), written.size - len(sums)))
+        return written, sums, which
+
+    with mock.patch.object(cluster, "_means", means):
+        return run(*args), counts
 
 
 def agreeing_rounds(X, k, seed, narrow, wide):
@@ -838,44 +988,54 @@ def agreeing_rounds(X, k, seed, narrow, wide):
 
 
 class TestSharedSums:
-    """A restart whose assignment equals its partner's, the same seed one
-    column narrower, takes the partner's cluster sums; each result stays
-    bit for bit the run on its own prefix."""
+    """Clusters that hold the same rows, in any restarts and at any widths
+    of a chunk, are summed once per round; each result stays bit for bit
+    the run on its own prefix, and the sums match the reference model."""
 
-    def test_partners_that_agree_early_and_differ_later(self):
+    def check(self, X, k, seeds, widths):
+        results, counts = sharing_of(prefix_lloyd, X, k, seeds, widths)
+        assert counts == reference_sharing(X, k, seeds, widths)
+        for result, seed, w in zip(results, seeds, widths):
+            assert_matches_reference(result, own_prefix(X, w), k, seed)
+        return counts
+
+    def test_restarts_that_agree_early_and_differ_later(self):
         X = np.random.default_rng(18).standard_normal((12, 4))
         assert agreeing_rounds(X, 3, 3, 2, 3) == [True, False, False, False]
-        results, sources = sources_of_means(X, 3, [3, 3], [2, 3])
-        assert sources == [[0, 0], None, None, None]
-        for result, w in zip(results, (2, 3)):
-            assert_matches_reference(result, own_prefix(X, w), 3, 3)
+        # round 1: both widths hold the same three clusters; later no set repeats
+        assert self.check(X, 3, [3, 3], [2, 3]) == [(3, 3), (4, 0), (4, 0), (0, 0)]
 
-    def test_partner_that_stops_first_leaves_the_chain_renumbered(self):
-        # width 2 stops after round 2; widths 3 and 4 agree in round 3 only
-        X = np.random.default_rng(26).standard_normal((12, 4))
-        assert [reference_kmeans(own_prefix(X, w), 3, 3)[3] for w in (2, 3, 4)] == [2, 4, 3]
-        assert agreeing_rounds(X, 3, 3, 2, 3) == [True, False]
-        assert agreeing_rounds(X, 3, 3, 3, 4) == [False, False, True]
-        results, sources = sources_of_means(X, 3, [3, 3, 3], [2, 3, 4])
-        assert sources == [[0, 0, 2], None, [0, 0], None]
-        for result, w in zip(results, (2, 3, 4)):
-            assert_matches_reference(result, own_prefix(X, w), 3, 3)
+    def test_restart_that_stops_first_leaves_the_others_sharing(self):
+        # width 4 stops after round 2; widths 2 and 3 share sums in round 3
+        X = np.random.default_rng(165).standard_normal((12, 4))
+        assert [reference_kmeans(own_prefix(X, w), 3, 3)[3] for w in (2, 3, 4)] == [4, 4, 2]
+        counts = self.check(X, 3, [3, 3, 3], [2, 3, 4])
+        assert len(counts) == 4 and counts[2][1] > 0
 
-    def test_repaired_restart_takes_the_sums_of_an_unrepaired_partner(self):
-        # in round 3 width 4 empties a cluster and repairs it into width 3's assignment
-        X = np.array([[0.0, 2.0, 0.5, 0.5], [0.0, 2.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.5],
-                      [2.0, 2.0, 0.0, 0.0], [2.0, 2.0, 0.5, 0.5], [2.0, 2.0, 0.5, 0.0],
-                      [0.0, 2.0, 0.5, 0.0], [2.0, 2.0, 0.0, 0.5], [1.0, 1.0, 0.0, 0.0]])
-        narrow, wide = (reference_kmeans(own_prefix(X, w), 3, 0)[4] for w in (3, 4))
-        assert [repaired for _, repaired in narrow] == [True, False, False]
-        assert [repaired for _, repaired in wide] == [False, False, True, False]
-        assert agreeing_rounds(X, 3, 0, 3, 4)[2]
+    def test_repaired_restarts_share_their_new_sums(self):
+        # seeds 1 and 6 repair in round 2 onto one assignment, whose sums they share
+        rng = np.random.default_rng(487)
+        X = rng.standard_normal((5, 3))[rng.integers(0, 5, size=10)]
+        seeds = list(range(8))
+        rounds = [reference_kmeans(X, 3, s)[4] for s in seeds]
+        assert [s for s in seeds if len(rounds[s]) > 1 and rounds[s][1][1]] == [1, 6]
         with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as repairs:
-            results, sources = sources_of_means(X, 3, [0, 0], [3, 4])
-        assert repairs.call_count == 2
-        assert sources[2] == [0, 0]
-        for result, w in zip(results, (3, 4)):
-            assert_matches_reference(result, own_prefix(X, w), 3, 0)
+            assert self.check(X, 3, seeds, [3] * 8) == [(6, 18), (3, 3), (0, 0)]
+        assert repairs.call_count > 2
+
+    def test_two_seeds_reach_one_cluster_at_one_width(self):
+        rng = np.random.default_rng(7)
+        X = np.concatenate([rng.normal(c, 0.3, size=(6, 4)) for c in (0.0, 4.0, 8.0)])
+        seeds = [0, 1, 2, 3]
+        results, counts = sharing_of(kmeans_restarts, X, 3, seeds)
+        assert counts == reference_sharing(X, 3, seeds, [4] * 4) == [(10, 2), (3, 7), (0, 0)]
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+    def test_restarts_of_different_widths_share_one_sum(self):
+        # seeds 1 and 2 at widths 2 and 4 reach the same two clusters in round 2
+        rng = np.random.default_rng(7)
+        X = np.concatenate([rng.normal(c, 0.3, size=(6, 4)) for c in (0.0, 4.0, 8.0)])
+        assert self.check(X, 3, [1, 2], [2, 4]) == [(6, 0), (3, 2), (0, 0)]
 
 
 @contextmanager
@@ -960,7 +1120,8 @@ class TestSweepFeatureCount:
         assert curve.entries[0].stats == repeated_kmeans(values[:, [1]], truth, 3, restarts=10)
 
     def test_logs_the_engines_work_at_debug(self, caplog):
-        # ranked columns in equal pairs; well-separated routes, so neighbouring widths often agree
+        # ranked columns in equal pairs; well-separated routes, so restarts
+        # often hold equal clusters
         rng = np.random.default_rng(4)
         values = np.repeat(rng.standard_normal((18, 3)) + np.tile(np.eye(3) * 8.0, (6, 1)), 2, axis=1)
         names = [f"c{i}" for i in range(6)]
@@ -972,13 +1133,13 @@ class TestSweepFeatureCount:
         counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
         assert counts == [
             "sweep_feature_count: 2 _lloyd calls, 12 Lloyd rounds, 0 restarts stopped at "
-            "max_iter, 142 cluster sums computed, 25 shared, 0 rows assigned in the difference "
-            "form, 1 _repair calls",
+            "max_iter, 104 cluster sums computed, 57 shared, 0 rows assigned in the difference "
+            "form, 1 _repair calls, 0 inertia terms computed, 0 shared",
             "sweep_feature_count: 2 _lloyd calls, 4 Lloyd rounds, 24 restarts stopped at "
-            "max_iter, 103 cluster sums computed, 17 shared, 0 rows assigned in the difference "
-            "form, 1 _repair calls",
+            "max_iter, 79 cluster sums computed, 41 shared, 0 rows assigned in the difference "
+            "form, 1 _repair calls, 0 inertia terms computed, 0 shared",
         ]
-        # the pairs share sums: this fails if sharing stops
+        # restarts share sums: this fails if sharing stops
         assert all(int(re.search(r"(\d+) shared", message)[1]) > 0 for message in counts)
 
     def test_draws_each_seed_once(self):

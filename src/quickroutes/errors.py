@@ -3,7 +3,12 @@
 ``ConfigError`` is a bad INI config or firmware/route/pipeline setting,
 ``ValidationError`` malformed input data, ``NumericError`` a numerical
 routine that failed; all derive from ``QuickroutesError``.
+``require_finite`` is the NaN and infinity check that the settings
+dataclasses run before their range checks.
 """
+
+import math
+from dataclasses import fields
 
 
 class QuickroutesError(Exception):
@@ -36,3 +41,17 @@ class SequencingError(ValidationError):
 
 class NumericError(QuickroutesError):
     """A numerical routine failed beyond what regularization can absorb."""
+
+
+def require_finite(settings, prefix: str = "") -> None:
+    """Raise ``ConfigError`` for the first field of the dataclass
+    ``settings`` that holds a NaN or an infinity, alone or in a tuple.
+
+    Range checks such as ``noise_g < 0`` are false for NaN, so settings
+    run this before them.
+    """
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{prefix}{f.name} must be finite, not {v}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigError, SequencingError
+from .errors import ConfigError, SequencingError, require_finite
 
 Triple = tuple[int, int, int]
 
@@ -66,6 +66,7 @@ class SensorConfig:
     group_size: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         if self.full_scale_g <= 0:
             raise ConfigError("full_scale_g must be positive")
         if self.sleep_rate_hz <= 0:

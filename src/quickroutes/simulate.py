@@ -19,11 +19,12 @@ with one raw sample per visited tick would: every tick while awake, every
 next row of the position's noise stream. The tests keep that step-driven
 loop as the reference.
 
-The kernel's work grows with wakes and transmitted events, not with
-samples and windows: a sleep stretch that no burst acts on is decided in
-one pass from the extremes of its noise, and awake the change gate is
-searched once per event, with the inactivity clocks in closed form over
-the windows between (see ``_run_position``).
+Asleep, the kernel's work grows with wakes, not with samples: a sleep
+stretch that no burst acts on is decided in one pass from the extremes of
+its noise. Awake it grows with samples and windows: the samples are drawn
+and averaged as arrays, and one plain-Python pass over the averaged
+windows runs ``step``'s change gate and inactivity clocks (see
+``_run_position``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SequencingError
+from .errors import ConfigError, SequencingError, require_finite
 from .ingest import LineConfig, wire_order
 from .sensor import SampleEvent, SensorConfig, g_to_counts
 # the spec _run_position matches, kept bound here for tools that wrap simulate.step
@@ -60,6 +61,7 @@ class RouteSpec:
     dt_fatigue: float = 0.0         # relative clip-delta change per repeat
 
     def __post_init__(self):
+        require_finite(self, prefix=f"route {self.name}: ")
         if not (len(self.clip_times) == len(self.amplitudes) == len(self.durations)):
             raise ConfigError(f"route {self.name}: per-position lists differ in length")
         if any(b <= a for a, b in zip(self.clip_times, self.clip_times[1:])):
@@ -88,8 +90,11 @@ class RouteProfile:
     rest_g: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        require_finite(self)
         if self.climb_spacing_s <= 0:
             raise ConfigError("climb_spacing_s must be positive")
+        if self.start_s < 0:
+            raise ConfigError("start_s must be >= 0")
         for name in ("clip_jitter_s", "amp_jitter", "noise_g"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -200,9 +205,13 @@ _ACTIVE_CHUNK = 160
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``sensor._round_half_away``: the same IEEE operations."""
-    mag = np.floor(np.abs(x) + 0.5)
-    return np.where(x >= 0, mag, -mag).astype(np.int64)
+    """Elementwise ``sensor._round_half_away``: the same IEEE operations,
+    with the sign copied from ``x`` (a -0.0 result casts to 0)."""
+    mag = np.abs(x)
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.copysign(mag, x, out=mag)
+    return mag.astype(np.int64)
 
 
 def _ticks_before(t: float, rate: float, inclusive: bool = False) -> int:
@@ -225,11 +234,15 @@ class _Swing:
     than a route is long. The value at a tick depends on that tick alone,
     so the kernel evaluates only the ticks it visits, chunk by chunk. The
     terms use scalar ``math.exp``/``math.sin``: ``np.exp`` differs from
-    ``math.exp`` in the last bit on some inputs.
+    ``math.exp`` in the last bit on some inputs. Each burst is kept as a
+    ``(t0, t_end, amp, tau, 2.0 * math.pi * freq)`` tuple; the product
+    ``2.0 * math.pi * freq * dt`` folds left to right, so precomputing its
+    first three factors changes no bit.
     """
 
     def __init__(self, bursts: list[_Burst], rate: float):
-        self.bursts, self.rate = bursts, rate
+        self.rate = rate
+        self.terms = [(b.t0, b.t_end, b.amp, b.tau, 2.0 * math.pi * b.freq) for b in bursts]
         spans = sorted(
             (_ticks_before(b.t0, rate), _ticks_before(b.t_end, rate, inclusive=True))
             for b in bursts
@@ -257,46 +270,20 @@ class _Swing:
             return swing
         t = ticks[hits] / self.rate  # bit-equal to the scalar tick / rate
         firsts = np.searchsorted(self.ended, t).tolist()
-        bursts, n_bursts = self.bursts, len(self.bursts)
+        terms, n_bursts = self.terms, len(self.terms)
+        exp, sin = math.exp, math.sin
         values = []
         for tt, j in zip(t.tolist(), firsts):
             total = 0.0
-            while j < n_bursts and bursts[j].t0 <= tt:
-                b = bursts[j]
-                if tt <= b.t_end:
-                    dt = tt - b.t0
-                    total += b.amp * math.exp(-dt / b.tau) * math.sin(2.0 * math.pi * b.freq * dt)
+            while j < n_bursts and terms[j][0] <= tt:
+                t0, t_end, amp, tau, omega = terms[j]
+                if tt <= t_end:
+                    dt = tt - t0
+                    total += amp * exp(-dt / tau) * sin(omega * dt)
                 j += 1
             values.append(total)
         swing[hits] = values
         return swing
-
-
-def _inactivity(
-    times: np.ndarray,
-    below_since: Optional[float],
-    inactive_since: Optional[float],
-    cfg: SensorConfig,
-) -> tuple[float, Optional[float], Optional[int]]:
-    """``sensor.step``'s inactivity clocks over a run of below-gate windows.
-
-    ``times`` are the windows' ascending end times. Returns the clocks
-    after the run and the index of the window that puts the sensor to
-    sleep, or None. The tests are ``step``'s float operations; ``t - c``
-    never decreases as ``t`` grows, so each test holds from its first
-    window on.
-    """
-    if below_since is None:
-        below_since = float(times[0])
-    start = 0
-    if inactive_since is None:
-        late = np.flatnonzero(times - below_since > cfg.inactive_grace_s)
-        if not late.size:
-            return below_since, None, None
-        start = int(late[0])
-        inactive_since = below_since + cfg.inactive_grace_s
-    done = np.flatnonzero(times[start:] - inactive_since >= cfg.sleep_after_s)
-    return below_since, inactive_since, start + int(done[0]) if done.size else None
 
 
 def _run_position(
@@ -320,8 +307,11 @@ def _run_position(
       the counts of its per-axis noise minimum or maximum open the gate;
       only then are its samples gated one by one to find the first. Inside
       a span, samples are gated a few at a time.
-    - Awake, one array search finds the next window that opens the gate,
-      and ``_inactivity`` runs the clocks over the windows before it.
+    - Awake, the samples of up to ``_ACTIVE_CHUNK`` windows are drawn and
+      averaged as arrays, then one Python loop walks the windows in order,
+      as ``step`` would: the change gate against the last transmitted
+      triple first, and only on a window below it the inactivity clocks,
+      with ``step``'s float comparisons.
 
     Noise row ``v`` belongs to the ``v``-th visited tick, not to tick ``v``.
     """
@@ -362,11 +352,13 @@ def _run_position(
         return quantize(rest + direction * swing.at(ticks)[:, None] + noise_rows(visit, visit + count))
 
     threshold = cfg.change_threshold_counts
-    last_sent = np.array([g_to_counts(v, cfg) for v in profile.rest_g])
+    # the last transmitted triple, as Python ints
+    sent_x, sent_y, sent_z = (g_to_counts(v, cfg) for v in profile.rest_g)
 
     def opens(counts: np.ndarray) -> np.ndarray:
-        """Which rows of ``counts`` pass the change gate against ``last_sent``."""
-        return (np.abs(counts - last_sent) >= threshold).any(axis=1)
+        """Which rows of ``counts`` pass the change gate against the last
+        transmitted triple."""
+        return (np.abs(counts - (sent_x, sent_y, sent_z)) >= threshold).any(axis=1)
 
     window = cfg.averaging_window
     # the wake sample opens the first window but cannot close it
@@ -374,6 +366,7 @@ def _run_position(
     first_lengths[0] = max(window, 2)
     lengths = np.full(_ACTIVE_CHUNK, window)
     sleep_ticks = max(1, round(rate / cfg.sleep_rate_hz))
+    grace, sleep_after, group_size = cfg.inactive_grace_s, cfg.sleep_after_s, cfg.group_size
 
     last_event_t: Optional[float] = None
     events: list[SampleEvent] = []
@@ -423,41 +416,37 @@ def _run_position(
             sums = np.add.reduceat(raw_counts(tick, k, 1, visit), np.concatenate(([0], ends[:-1])))
             averaged = _round_half_away(sums / chunk_lengths[:nw, None])
             times = (tick + ends - 1) / rate
-            i = 0
-            while i < nw:
-                # the next window that opens the gate; those before it stay below
-                opened = np.flatnonzero(opens(averaged[i:]))
-                j = i + int(opened[0]) if opened.size else nw
-                if j > i:
-                    below_since, inactive_since, asleep = _inactivity(
-                        times[i:j], below_since, inactive_since, cfg
-                    )
-                    if asleep is not None:
-                        # back to sleep: transmit whatever was held back
-                        if pending:
-                            events.extend(pending)
-                            pending = []
-                            radio_batches += 1
-                        asleep_at = tick + int(ends[i + asleep]) - 1
-                        break
-                if j == nw:
+            for end, t, (x, y, z) in zip(ends.tolist(), times.tolist(), averaged.tolist()):
+                if (abs(x - sent_x) >= threshold or abs(y - sent_y) >= threshold
+                        or abs(z - sent_z) >= threshold):
+                    if last_event_t is not None and t <= last_event_t:
+                        raise SequencingError(
+                            f"position {position}: averaged sample at t={t} does "
+                            f"not advance past t={last_event_t}"
+                        )
+                    sent_x, sent_y, sent_z = x, y, z
+                    pending.append(SampleEvent(position, t, x, y, z))
+                    if len(pending) >= group_size:
+                        events.extend(pending)
+                        pending = []
+                        radio_batches += 1
+                    below_since = inactive_since = None
+                    last_event_t = t
+                    continue
+                # below the gate: step's inactivity clocks
+                if below_since is None:
+                    below_since = t
+                if inactive_since is None and t - below_since > grace:
+                    inactive_since = below_since + grace
+                if inactive_since is not None and t - inactive_since >= sleep_after:
+                    # back to sleep: transmit whatever was held back
+                    if pending:
+                        events.extend(pending)
+                        pending = []
+                        radio_batches += 1
+                    asleep_at = tick + end - 1
                     break
-                t_avg = float(times[j])
-                if last_event_t is not None and t_avg <= last_event_t:
-                    raise SequencingError(
-                        f"position {position}: averaged sample at t={t_avg} does "
-                        f"not advance past t={last_event_t}"
-                    )
-                last_sent = averaged[j]
-                pending.append(SampleEvent(position, t_avg, *last_sent.tolist()))
-                if len(pending) >= cfg.group_size:
-                    events.extend(pending)
-                    pending = []
-                    radio_batches += 1
-                below_since = inactive_since = None
-                last_event_t = t_avg
-                i = j + 1
-            if asleep_at is None:
+            else:
                 tick += k
                 visit += k
                 chunk_lengths = lengths

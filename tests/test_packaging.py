@@ -1,5 +1,6 @@
 """The package metadata declares only what exists, and the package
-declares no public name that nothing uses."""
+declares no public name, and no private module-level name, that nothing
+uses."""
 
 import ast
 import importlib
@@ -39,6 +40,24 @@ def _public_declarations(tree: ast.Module):
                         yield f"{node.name}.{member.name}", member
 
 
+def _private_declarations(tree: ast.Module):
+    """(name, node) of each private module-level function, class and
+    constant (an assigned name) of a module; dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if private(node.name):
+                yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and private(name.id):
+                        yield name.id, node
+
+
 def _references(tree: ast.Module):
     """(name, line) of every name, attribute and string constant."""
     for node in ast.walk(tree):
@@ -50,16 +69,19 @@ def _references(tree: ast.Module):
             yield node.value, node.lineno
 
 
-def test_every_public_name_is_used_outside_its_definition():
+def _unused(declarations) -> set[str]:
+    """Qualified names of the package's ``declarations`` that no name,
+    attribute or string anywhere in the package or the benchmark reads,
+    outside the declaration's own lines."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src/quickroutes", "perfbench")
         for path in sorted((ROOT / folder).glob("*.py"))
     }
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
-    uncalled = set()
+    unused = set()
     for path in sorted((ROOT / "src/quickroutes").glob("*.py")):
-        for qualname, node in _public_declarations(trees[path]):
+        for qualname, node in declarations(trees[path]):
             name = qualname.rpartition(".")[2]
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(
@@ -67,5 +89,14 @@ def test_every_public_name_is_used_outside_its_definition():
                 for where, found in refs.items()
                 for ref, line in found
             ):
-                uncalled.add(f"{path.stem}.{qualname}")
-    assert uncalled == set(UNCALLED_ALLOWED)
+                unused.add(f"{path.stem}.{qualname}")
+    return unused
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    assert _unused(_public_declarations) == set(UNCALLED_ALLOWED)
+
+
+def test_every_private_module_name_is_used_outside_its_definition():
+    # only the program counts as a reader: a helper that tests alone call is a leftover
+    assert _unused(_private_declarations) == set()

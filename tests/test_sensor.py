@@ -1,6 +1,7 @@
 """Firmware model: quantizer, change gate, and the sleep/active automaton."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +244,14 @@ class TestConfig:
             SensorConfig(change_threshold_counts=-5)
         # a gate of 0 counts passes every sample: legal, the sensor never sleeps
         assert SensorConfig(change_threshold_counts=0).change_threshold_counts == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in fields(SensorConfig) if isinstance(f.default, float)]
+    )
+    def test_non_finite_configs_rejected(self, key, bad):
+        # range checks such as sleep_after_s < 0 are false for NaN
+        from quickroutes.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            SensorConfig(**{key: bad})

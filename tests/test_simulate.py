@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quickroutes import sensor, simulate
 from quickroutes.errors import ConfigError
 from quickroutes.ingest import LineConfig, segment_climbs, write_events
 from quickroutes.sensor import (
@@ -70,12 +71,14 @@ def reference_swing(bursts, t, first_burst):
     return swing, first_burst
 
 
-def reference_run(position, bursts, profile, cfg, t_end, seed):
+def reference_run(position, bursts, profile, cfg, t_end, seed, on_step=None):
     """One position driven through ``sensor.step`` tick by tick.
 
     The reference the kernel must match: (events, radio batches, seconds
     awake), where a radio batch is a step that emitted events and a tick
-    is awake when the step left the sensor active.
+    is awake when the step left the sensor active. ``on_step(before, raw,
+    after)`` sees every step's states, for tests that check a scenario
+    occurs.
     """
     rng = np.random.default_rng([seed, 1000 + position])
     noise = _NoiseStream(rng, profile.noise_g)
@@ -101,7 +104,10 @@ def reference_run(position, bursts, profile, cfg, t_end, seed):
             g_to_counts(rest[1] + dir_y * swing + n[1], cfg),
             g_to_counts(rest[2] + dir_z * swing + n[2], cfg),
         )
+        before = state
         state, emitted = step(state, raw, cfg)
+        if on_step is not None:
+            on_step(before, raw, state)
         events.extend(emitted)
         batches += bool(emitted)
         if state.mode is Mode.ACTIVE:
@@ -118,14 +124,14 @@ def wire_bytes(events):
     return buf.getvalue()
 
 
-def assert_matches_reference(line, profile, seed, cfg, positions=None):
+def assert_matches_reference(line, profile, seed, cfg, positions=None, on_step=None):
     sim = simulate_line(line, profile, seed, cfg)
     _, bursts = _plan_bursts(line, profile, np.random.default_rng([seed, 0]))
     positions = list(positions or line.positions)
     expected = []
     for p in positions:
         events, batches, awake_s = reference_run(
-            p, bursts[p], profile, cfg, sim.end_time, seed
+            p, bursts[p], profile, cfg, sim.end_time, seed, on_step
         )
         assert sim.streams[p] == events, f"position {p}"
         assert sim.radio_batches[p] == batches, f"position {p}"
@@ -286,6 +292,57 @@ class TestKernelMatchesStep:
     def test_conftest_line(self, small_line, small_profile):
         assert_matches_reference(small_line, small_profile, 7, SensorConfig(), positions=[4])
 
+    def test_gate_opens_where_the_clocks_would_sleep(self):
+        # step tests the gate first: a window that opens it transmits, even
+        # on the window where the inactivity clocks would have reached
+        # sleep_after_s, and the sensor stays awake
+        cfg = SensorConfig(averaging_window=2, inactive_grace_s=0.1, sleep_after_s=0.2)
+        profile = RouteProfile(routes=ROUTES, climbs=["a"], start_s=2.0, noise_g=0.12)
+
+        def observe(before, raw, after):
+            if before.mode is not Mode.ACTIVE or after.last_event_t != raw.t:
+                return  # not a window that transmitted
+            below = before.below_threshold_since
+            below = raw.t if below is None else below
+            inactive = before.inactive_since
+            if inactive is None and raw.t - below > cfg.inactive_grace_s:
+                inactive = below + cfg.inactive_grace_s
+            if inactive is not None and raw.t - inactive >= cfg.sleep_after_s:
+                hits.append(raw.t)
+
+        hits = []
+        assert_matches_reference(LINE5, profile, 0, cfg, on_step=observe)
+        assert len(hits) > 5
+
+    def test_awake_through_the_line_end(self):
+        # single-sample windows of heavy noise keep the gate opening, so no
+        # position sleeps again: the awake stretch spans many array chunks,
+        # the last one cut short by the line's end, and a batch still held
+        # back when the line ends is never transmitted
+        cfg = SensorConfig(group_size=3, averaging_window=1, sleep_after_s=2.0)
+        profile = RouteProfile(routes=ROUTES, climbs=["b"], start_s=2.0, noise_g=0.12)
+
+        def observe(before, raw, after):
+            last[before.position] = after
+
+        last = {}
+        assert_matches_reference(LINE5, profile, 9, cfg, on_step=observe)
+        assert all(state.mode is Mode.ACTIVE for state in last.values())
+        assert any(state.pending_batch for state in last.values())
+        sim = simulate_line(LINE5, profile, 9, cfg)
+        assert all(awake > sim.end_time - 5.0 for awake in sim.awake_s.values())
+
+    def test_round_half_away_equals_sensor_elementwise(self):
+        edges = [
+            0.5, 1.5, 126.5, 127.5, 0.0, 0.49999999999999994,
+            2.0**52 - 0.5, np.nextafter(2.0**52, 0.0), 2.0**52, 2.0**52 + 1.0, 2.0**53,
+            5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        ]
+        x = np.array(edges + [-v for v in edges])  # -0.0 among them
+        got = simulate._round_half_away(x)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sensor._round_half_away(v) for v in x.tolist()]
+
 
 class TestSimulateLine:
     PROFILE = RouteProfile(routes=ROUTES, climbs=["a", "b", "a"], climb_spacing_s=60.0)
@@ -344,6 +401,31 @@ class TestRouteValidation:
     def test_bad_route_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RouteSpec(name="bad", **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", ["clip_times", "amplitudes", "durations", "freq_hz", "amp_fatigue", "dt_fatigue"]
+    )
+    def test_non_finite_route_rejected(self, key, bad):
+        kwargs = dict(clip_times=(1.0, 2.0), amplitudes=(0.5, 0.5), durations=(1.0, 1.0))
+        kwargs[key] = (kwargs[key][0], bad) if key in kwargs else bad
+        with pytest.raises(ConfigError, match=f"route bad: {key} must be finite"):
+            RouteSpec(name="bad", **kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", ["climb_spacing_s", "start_s", "clip_jitter_s", "amp_jitter", "noise_g", "rest_g"]
+    )
+    def test_non_finite_profile_rejected(self, key, bad):
+        value = (0.0, bad, 1.0) if key == "rest_g" else bad
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RouteProfile(routes=ROUTES, climbs=["a"], **{key: value})
+
+    def test_negative_start_rejected(self):
+        # the line starts at t = 0: a climb before it would lose its clips
+        with pytest.raises(ConfigError, match="start_s must be >= 0"):
+            RouteProfile(routes=ROUTES, climbs=["a", "b"], start_s=-20.0)
+        assert RouteProfile(routes=ROUTES, climbs=["a"], start_s=0.0).start_s == 0.0
 
     def test_bad_profile_rejected(self):
         with pytest.raises(ConfigError):

@@ -86,7 +86,9 @@ DEFAULT_GMM_REG = 1e-6
 # less and ran slower.
 _CHUNK_FLOATS = 2**18
 # Floats of one block of center updates in _lloyd, and of differences in
-# _inertias: 512 KB.
+# _inertias: 512 KB. Updating every written center in one block ran slower
+# on replay_week's 100 restarts (200 x 571, k = 8; medians 76-94 ms against
+# 65-77 ms) and raised their tracemalloc peak from 9.1 to 11.1 MB.
 _BLOCK_FLOATS = 2**16
 # Restarts x points x padded width of one feature-count sweep chunk. It sets
 # the multiply-adds of one round's assignment GEMM (k times this) and bounds
@@ -236,6 +238,9 @@ def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
     return assign
 
 
+# Sharing terms pays on replay_week's 100 restarts (200 x 571, k = 8): 65-77 ms
+# against 84-94 ms for one einsum per restart; grouping centers by their bytes
+# alone, without the sum as a hash, took 76-89 ms and 0.7 MB more at the peak.
 def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Sum of squared distances to the assigned centers, per restart; each
     term rounds as the matching entry of ``_squared_distances``, and each

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .ingest import DEFAULT_GAP_S, LineConfig
 from .sensor import SensorConfig
 from .simulate import RouteProfile, RouteSpec
@@ -54,6 +54,7 @@ class PipelineConfig:
     pca_dims: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.n_clusters < 1:

@@ -20,14 +20,14 @@ firmware's output type, are made only where a caller asks for one, by
 indexing or iterating the columns; object inputs become columns through
 :meth:`EventColumns.from_events`.
 
-Parsing: :func:`parse_events` hands a seekable stream to numpy's C
-parser (``np.loadtxt``). It accepts a strict subset of what Python's
-``int``/``float`` accept (not ``1_0``, non-ASCII digits or integers beyond
-int64) and gives the same values on that subset, the same bits for
-timestamps. When it raises, or a row fails a check (a non-finite
-timestamp, a position below 1), the stream is parsed again from where it
-started, line by line with ``int``/``float``. That pass is the reference:
-it alone words the errors and numbers the lines.
+Parsing: :func:`parse_events` reads its source into a list of lines once
+and hands the list to numpy's C parser (``np.loadtxt``). It accepts a
+strict subset of what Python's ``int``/``float`` accept (not ``1_0``,
+non-ASCII digits or integers beyond int64) and gives the same values on
+that subset, the same bits for timestamps. When it raises, or a row fails
+a check (a non-finite timestamp, a position below 1), the same list is
+parsed again line by line with ``int``/``float``. That pass is the
+reference: it alone words the errors and numbers the lines.
 
 Segmentation: :func:`segment_climbs` sorts once on the wire key
 (:data:`wire_order`: timestamp, then position), splits climbs where
@@ -134,12 +134,6 @@ def _concat(parts: Sequence[EventColumns]) -> EventColumns:
     )
 
 
-def _wire_permutation(events: EventColumns) -> np.ndarray:
-    """The permutation that sorts ``events`` stably on the wire key, as
-    ``sorted(key=wire_order)`` does."""
-    return np.lexsort((events.position, events.t))
-
-
 @dataclass(frozen=True)
 class LineConfig:
     """A fixed sequence of quickdraw positions 1..ie on one wall line."""
@@ -172,11 +166,6 @@ class ClimbRecord:
     windows: dict[int, EventColumns]
     flagged: EventColumns = field(default_factory=lambda: EventColumns.from_events(()))
     ground_truth_route: Optional[str] = None
-
-    def all_events(self) -> EventColumns:
-        """Windows and flagged samples together, in wire order."""
-        events = _concat([*self.windows.values(), self.flagged])
-        return events[_wire_permutation(events)]
 
 
 def _parse_line(line: str) -> SampleEvent:
@@ -216,8 +205,8 @@ def _parse_lines(lines: Iterable[str]) -> EventColumns:
     return EventColumns.from_events(events)
 
 
-def _parse_stream(stream: TextIO) -> Optional[EventColumns]:
-    """The columns of ``stream`` from numpy's parser, or None where the
+def _parse_stream(lines: list[str]) -> Optional[EventColumns]:
+    """The columns of ``lines`` from numpy's parser, or None where the
     reference parse must decide: the parser raised or a row fails its checks.
 
     A deprecation warning is an error here: older numpy versions still read
@@ -227,7 +216,7 @@ def _parse_stream(stream: TextIO) -> Optional[EventColumns]:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            rows = np.loadtxt(stream, dtype=_WIRE_ROW, delimiter="\t", comments="#", ndmin=1)
+            rows = np.loadtxt(lines, dtype=_WIRE_ROW, delimiter="\t", comments="#", ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
     if not (np.isfinite(rows["t"]).all() and (rows["position"] >= 1).all()):
@@ -241,29 +230,19 @@ def parse_events(
     """Parse a sample-event stream, grouped by position and sorted by time.
 
     ``source`` is an open text file, an iterable of lines, or the file
-    content itself. A seekable stream (an open file, or the content in a
-    ``StringIO``) goes to numpy's parser first, and back to where it stood
-    for the line-by-line pass when that pass must decide; other iterables
-    of lines go line by line. Malformed lines are collected and reported together
-    with their line numbers; out-of-order events are re-sorted with a
-    warning; duplicate (position, timestamp) pairs and positions beyond
-    ``ie`` are validation errors. Each position's events are a slice of
-    one set of columns.
+    content itself. It is read once, from where it stands, into a list of
+    lines; numpy's parser reads that list first, and the reference pass
+    reads the same list when it must decide, numbering from its first
+    item. Malformed lines are collected and reported together with their
+    line numbers; out-of-order events are re-sorted with a warning;
+    duplicate (position, timestamp) pairs and positions beyond ``ie`` are
+    validation errors. Each position's events are a slice of one set of
+    columns.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    events = None
-    if hasattr(source, "seekable") and source.seekable():
-        try:
-            start = source.tell()
-        except OSError:  # a text file that is being iterated cannot tell
-            pass
-        else:
-            events = _parse_stream(source)
-            if events is None:
-                source.seek(start)
+    lines = io.StringIO(source).readlines() if isinstance(source, str) else list(source)
+    events = _parse_stream(lines)
     if events is None:
-        events = _parse_lines(source)
+        events = _parse_lines(lines)
 
     if ie is not None:
         unknown = np.unique(events.position[events.position > ie]).tolist()
@@ -352,10 +331,10 @@ def segment_climbs(
     position -> events, or one sequence of events; ``SampleEvent`` objects
     are converted to columns on entry.
     """
-    if gap_s <= 0:
+    if not gap_s > 0:  # also refuses NaN, which gap_s <= 0 lets through
         raise ConfigError("gap_s must be positive")
     events = _as_columns(events)
-    order = _wire_permutation(events)
+    order = np.lexsort((events.position, events.t))  # stable, as sorted(key=wire_order)
     position = events.position[order]
     outside = np.flatnonzero((position > line.ie) | (position < 1))
     if outside.size:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -300,17 +300,17 @@ def _anova_rows(XT: np.ndarray, labels: Sequence) -> np.ndarray:
     return f
 
 
-def score_features(matrix: FeatureMatrix, labels: Optional[Sequence] = None) -> list[FeatureScore]:
-    """ANOVA F score per column; constant columns score 0."""
-    if labels is None:
-        labels = matrix.labels
-    if labels is None:
+def score_features(matrix: FeatureMatrix) -> list[FeatureScore]:
+    """ANOVA F score per column against ``matrix.labels``, the ground-truth
+    routes; constant columns score 0. A matrix without labels raises
+    ``ValidationError``."""
+    if matrix.labels is None:
         raise ValidationError("feature scoring needs ground-truth labels")
     XT = np.ascontiguousarray(matrix.values.T)
     varying = XT.min(axis=1) != XT.max(axis=1)
     f = np.zeros(len(XT))
     if varying.any():
-        f[varying] = _anova_rows(XT[varying], list(labels))
+        f[varying] = _anova_rows(XT[varying], list(matrix.labels))
     return [FeatureScore(name, v) for name, v in zip(matrix.names, f.tolist())]
 
 

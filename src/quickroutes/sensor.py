@@ -285,15 +285,3 @@ def step(
         ),
         [],
     )
-
-
-def initial_state(position: int, rest_counts: Optional[Triple] = None) -> SensorState:
-    """State of a sensor freshly installed on the wall.
-
-    ``rest_counts`` primes the transmitted baseline, as if the sensor had
-    already reported its resting orientation during installation; without
-    it the very first sample wakes the sensor.
-    """
-    if position < 1:
-        raise ConfigError("positions are 1-based")
-    return SensorState(position=position, last_sent=rest_counts)

@@ -330,11 +330,7 @@ def _run_position(
         nonlocal noise, noise_from
         drawn = noise_from + len(noise)
         if stop > drawn:
-            fresh = (
-                rng.normal(0.0, profile.noise_g, size=(stop - drawn, 3))
-                if profile.noise_g != 0.0
-                else np.zeros((stop - drawn, 3))
-            )
+            fresh = rng.normal(0.0, profile.noise_g, size=(stop - drawn, 3))
             noise, noise_from = np.concatenate((noise[start - noise_from:], fresh)), start
         return noise[start - noise_from : stop - noise_from]
 

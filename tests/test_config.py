@@ -276,7 +276,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("kwargs", [
         dict(restarts=0), dict(n_clusters=0), dict(pca_dims=0), dict(max_features=0),
-        dict(gap_s=0.0),
+        dict(gap_s=0.0), dict(gap_s=float("nan")), dict(gap_s=float("inf")),
     ])
     def test_pipeline_config_validates_on_construction(self, kwargs):
         with pytest.raises(ConfigError):

@@ -146,6 +146,12 @@ class TestSegment:
         records = segment_climbs(events, LINE8, gap_s=300)
         assert len(records) == 1
 
+    @pytest.mark.parametrize("gap_s", [0.0, -1.0, float("nan")])
+    def test_gap_must_be_positive(self, small_sim, gap_s):
+        # a NaN gap would compare false everywhere and merge every climb into one
+        with pytest.raises(ConfigError, match="gap_s must be positive"):
+            segment_climbs(small_sim.streams, LINE8, gap_s=gap_s)
+
     def test_missing_interior_position_named(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         events = [e for e in climb_events(clips) if e.position != 3]
@@ -175,9 +181,13 @@ class TestSegment:
     def test_equal_timestamps_keep_wire_order(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         # position 2's straggler shares its timestamp with position 3's clip
-        events = [ev(2, 25.0)] + climb_events(clips)
+        straggler = ev(2, 25.0)
+        events = [straggler] + climb_events(clips)
         record = segment_climbs(events, LINE8, gap_s=120)[0]
-        assert list(record.all_events()) == sorted(events, key=wire_order)
+        assert record.clip_times[3] == 25.0
+        assert list(record.flagged) == [straggler]
+        kept = [e for group in (*record.windows.values(), record.flagged) for e in group]
+        assert sorted(kept, key=wire_order) == sorted(events, key=wire_order)
         beyond = [ev(10, 5.0), ev(9, 5.0)]
         with pytest.raises(ValidationError, match="event from position 9 but"):
             segment_climbs(events + beyond, LINE8, gap_s=120)
@@ -216,7 +226,10 @@ class TestSegment:
         assert total == len(small_sim.all_events())
 
     def test_round_trip_reproduces_records(self, small_records, small_line):
-        merged = [e for rec in small_records for e in rec.all_events()]
+        merged = [
+            e for rec in small_records for group in (*rec.windows.values(), rec.flagged)
+            for e in group
+        ]
         again = segment_climbs(merged, small_line, gap_s=120)
         assert len(again) == len(small_records)
         for a, b in zip(again, small_records):
@@ -472,10 +485,22 @@ class TestParseEquivalence:
             with pytest.raises(ValidationError, match="lines: line 2: invalid literal"):
                 parse_events(fh)
 
-    def test_iterable_of_lines_parsed_line_by_line(self):
+    def test_lines_without_newlines_parsed(self):
         lines = ["1\t0.100\t1\t2\t3", "# c", "1\t0.050\t4\t5\t6"]
         parsed = parse_events(lines)
         assert rows(parsed[1]) == rows([SampleEvent(1, 0.05, 4, 5, 6), SampleEvent(1, 0.1, 1, 2, 3)])
+
+    def test_generator_with_a_malformed_line_is_read_once(self):
+        # the reference pass must number the lines of what numpy's parser read
+        lines = ["# c\n", "1\t0.100\t1\t2\t3\n", "1\t0.2\tx\t2\t3\n", "2\t0.300\t1\t2\t3\n"]
+        with pytest.raises(ValidationError, match="^malformed event lines: line 3: invalid literal"):
+            parse_events(line for line in lines)
+
+    def test_generator_of_valid_lines_parsed_as_the_text(self, small_sim):
+        buf = io.StringIO()
+        write_events(buf, small_sim.all_events())
+        text = buf.getvalue()
+        assert parse_events(line for line in text.splitlines(keepends=True)) == parse_events(text)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,11 @@ def test_every_script_target_is_an_importable_callable():
 # public names that nothing in the package or the benchmark calls yet, and why they stay
 UNCALLED_ALLOWED = {
     "config.load_config": "the file entry point that the planned command line calls",
-    "sensor.initial_state": "part of the step-driven firmware spec the simulator tests use",
+    "cluster.repeated_kmeans": (
+        "the traced benchmark wraps it by name until ROADMAP item 2; "
+        "also the sweep tests' reference"
+    ),
+    "features.stat_features": "the traced benchmark wraps it by name until ROADMAP item 2",
 }
 
 
@@ -59,19 +63,19 @@ def _private_declarations(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name, attribute and string constant."""
+    """(name, line) of every name and attribute. A string that spells a
+    name is not a use: the benchmark's tracer looks names up by string,
+    and that must not keep alive a function that no code calls."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
 
 
 def _unused(declarations) -> set[str]:
-    """Qualified names of the package's ``declarations`` that no name,
-    attribute or string anywhere in the package or the benchmark reads,
+    """Qualified names of the package's ``declarations`` that no name or
+    attribute anywhere in the package or the benchmark reads,
     outside the declaration's own lines."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))

@@ -16,7 +16,6 @@ from quickroutes.sensor import (
     change_gate,
     counts_to_g,
     g_to_counts,
-    initial_state,
     step,
 )
 
@@ -99,7 +98,7 @@ REST = (0, 0, 63)
 
 
 def rested(position=1):
-    return initial_state(position, REST)
+    return SensorState(position, last_sent=REST)
 
 
 class TestAutomaton:
@@ -212,7 +211,7 @@ class TestAutomaton:
             step(state, RawSample(0.5, 40, 0, 63), CFG)
 
     def test_virgin_sensor_wakes_on_first_sample(self):
-        state, _ = step(initial_state(1), RawSample(0.0, 0, 0, 63), CFG)
+        state, _ = step(SensorState(1), RawSample(0.0, 0, 0, 63), CFG)
         assert state.mode is Mode.ACTIVE
 
     def test_sleep_buffers_empty_invariant(self, small_sim):

@@ -17,8 +17,8 @@ from quickroutes.sensor import (
     Mode,
     RawSample,
     SensorConfig,
+    SensorState,
     g_to_counts,
-    initial_state,
     step,
 )
 from quickroutes.simulate import (
@@ -84,7 +84,7 @@ def reference_run(position, bursts, profile, cfg, t_end, seed, on_step=None):
     noise = _NoiseStream(rng, profile.noise_g)
     rest = profile.rest_g
     rest_counts = tuple(g_to_counts(v, cfg) for v in rest)
-    state = initial_state(position, rest_counts)
+    state = SensorState(position, last_sent=rest_counts)
 
     sleep_ticks = max(1, round(cfg.active_rate_hz / cfg.sleep_rate_hz))
     dir_x, dir_y, dir_z = BURST_DIRECTION

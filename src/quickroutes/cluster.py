@@ -390,12 +390,11 @@ def kmeans_restarts(
     return results
 
 
-def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths: np.ndarray, *,
-           keep_centers: bool = True) -> tuple[np.ndarray, Optional[np.ndarray], list[int]]:
+def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
+           widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Lloyd rounds of one chunk of restarts, all advancing together; the
-    restarts' final assignments (A, n), their final centers (A, k, d), or
-    None without ``keep_centers``, and each one's number of rounds, in
-    seed order.
+    restarts' final assignments (A, n), their final centers (A, k, d) and
+    each one's number of rounds, in seed order.
 
     Restart a is the run of its seed on the prefix ``X[:, :widths[a]]``;
     row a of ``xnorm`` holds the norms of the rows at that width. A
@@ -428,11 +427,10 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
 
-    The restarts that stop in a round leave together: their rounds, and
-    their assignment when their centers did not move, are stored with one
-    indexing each. Their centers are stored only when kept, or when one
-    more assignment needs them. The centers block starts as the seed rows,
-    which ``max_iter=0`` assigns to.
+    The restarts that stop in a round leave together: their rounds, their
+    centers, and their assignment when their centers did not move, are
+    stored with one indexing each. The centers block starts as the seed
+    rows, which ``max_iter=0`` assigns to.
     """
     n, d = X.shape
     padded = bool((widths < d).any())
@@ -447,7 +445,7 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
         narrowest = int(widths.min())
     # every center so far is finite: a kept one shifts by exactly 0
     finite = bool(np.isfinite(X).all())
-    last = centers.copy()  # each restart's centers when it stopped, where needed
+    last = centers.copy()  # each restart's centers when it stopped
     final = np.empty((len(seeds), n), dtype=np.intp)  # each assignment, once known
     known = np.zeros(len(seeds), dtype=bool)
     rounds = np.zeros(len(seeds), dtype=int)
@@ -524,8 +522,7 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
             done = stop & unchanged
             final[live[done]] = assign[done]
             known[live[done]] = True
-            kept = stop if keep_centers else stop & ~unchanged
-            last[live[kept]] = centers[kept]
+            last[live[stop]] = centers[stop]
             keep = ~stop
             live = live[keep]
             if not live.size:
@@ -540,7 +537,7 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float, widths
     rounds = rounds.tolist()
     if work is not None:
         work.update(calls=1, rounds=max(rounds), max_iter_hits=rounds.count(max_iter))
-    return final, (last if keep_centers else None), rounds
+    return final, last, rounds
 
 
 def kmeans(
@@ -695,8 +692,7 @@ def _rand_stats(values: list[float]) -> RandStats:
 
 @dataclass
 class SweepEntry:
-    n_features: int
-    columns: tuple[str, ...]
+    n_features: int  # the entry clusters the columns ranking[:n_features] of its curve
     stats: RandStats
 
 
@@ -704,6 +700,7 @@ class SweepEntry:
 class SweepCurve:
     entries: list[SweepEntry]
     chosen_k: int  # smallest feature count reaching the best minimum rand
+    ranking: list[str]  # every column, best score first
 
     @property
     def chosen_entry(self) -> SweepEntry:
@@ -727,7 +724,8 @@ def sweep_feature_count(
     """Clustering quality as a function of how many top-scored columns stay.
 
     For each feature count w the top-w columns (by ANOVA F, ties by column
-    order) get ``restarts`` K-Means runs, each bit for bit the run of
+    order; the curve's ``ranking``, held once for every entry) get
+    ``restarts`` K-Means runs, each bit for bit the run of
     ``repeated_kmeans`` on those columns, so every entry holds the same
     ``RandStats``. Every count's restarts run in the one engine with their
     own prefix width, in chunks of consecutive widths, and clusters that
@@ -768,16 +766,12 @@ def sweep_feature_count(
             labelings[i] = assignments
     rand = _rand_indices(truth, labelings, adjusted)
     entries = [
-        SweepEntry(
-            n_features=w,
-            columns=tuple(ranking[:w]),
-            stats=_rand_stats(rand[(w - 1) * restarts:w * restarts]),
-        )
+        SweepEntry(n_features=w, stats=_rand_stats(rand[(w - 1) * restarts:w * restarts]))
         for w in range(1, limit + 1)
     ]
     best_min = max(entry.stats.minimum for entry in entries)
     chosen = next(e.n_features for e in entries if e.stats.minimum == best_min)
-    return SweepCurve(entries=entries, chosen_k=chosen)
+    return SweepCurve(entries=entries, chosen_k=chosen, ranking=ranking)
 
 
 def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterator[np.ndarray]:
@@ -807,8 +801,7 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
             last += 1
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
         yield from _lloyd(ranked[:, :last], np.sqrt(cumulative[widths - 1]), k,
-                          seeds * (last + 1 - first), DEFAULT_MAX_ITER, DEFAULT_TOL, widths,
-                          keep_centers=False)[0]
+                          seeds * (last + 1 - first), DEFAULT_MAX_ITER, DEFAULT_TOL, widths)[0]
         first = last + 1
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import MissingClipError, ValidationError
 from .ingest import ClimbRecord, LineConfig
-from .sensor import SensorConfig, counts_to_g
+from .sensor import SensorConfig
 
 STAT_NAMES = (
     "mean",
@@ -177,18 +177,22 @@ def axis_sets(counts: np.ndarray, cfg: SensorConfig) -> np.ndarray:
     """Transmitted counts as a (4, n) array of x, y, z and g series, in g.
 
     ``counts`` is the (n, 3) int64 x, y, z count array of one window, or of
-    several back to back; column i of the result is event i. Row 3 is each
-    sample's magnitude. Counts beyond the output range raise the
-    ``ValueError`` of :func:`counts_to_g`, for the first in x, y, z order.
+    several back to back; column i of the result is event i, each count
+    times ``full_scale_g / max_counts`` (an exact linear scale). Row 3 is
+    each sample's magnitude. A count beyond the output range raises
+    ``ValidationError``, naming the first in x, y, z order.
     """
     if not len(counts):
         raise ValidationError("empty sample window")
     counts = counts.T
     out_of_range = (counts > cfg.max_counts) | (counts < -cfg.max_counts)
     if out_of_range.any():
-        counts_to_g(int(counts[out_of_range][0]), cfg)  # raises
+        raise ValidationError(
+            f"counts {int(counts[out_of_range][0])} outside +/-{cfg.max_counts} "
+            f"for {cfg.output_bits}-bit output"
+        )
     series = np.empty((4, counts.shape[1]))
-    # the arithmetic of counts_to_g, on arrays
+    # counts * full_scale_g / max_counts, in that order
     np.multiply(counts, cfg.full_scale_g, out=series[:3])
     series[:3] /= cfg.max_counts
     x, y, z = series[:3]
@@ -304,8 +308,9 @@ def build_feature_matrix(
     Every climb needs a window of at least 2 samples and a clip time at
     each position 2..ie-1; the first climb and position without them raise
     (``MissingClipError`` when absent), a climb's windows checked before
-    its clip times. Counts beyond the output range raise ``ValueError``
-    once all climbs have passed that check.
+    its clip times. Counts beyond the output range raise
+    ``ValidationError`` (see :func:`axis_sets`) once all climbs have passed
+    that check.
     """
     if not records:
         raise ValidationError("no climbs to featurize")

@@ -8,17 +8,14 @@ pipeline is line-delimited UTF-8 text, one transmitted sample per line::
 ``#`` starts a comment, blank lines are ignored, timestamps are decimal
 seconds with at least millisecond precision. Positions and counts are
 integers that fit in int64; a wider one makes its line malformed, as a
-non-finite timestamp does, and an event object that carries one raises a
-``ValidationError`` when it becomes columns. Batching means events may be
-written out of arrival order; everything here orders by the embedded
-timestamp instead.
+non-finite timestamp does. Batching means events may be written out of
+arrival order; everything here orders by the embedded timestamp instead.
 
-Events travel from the file to the feature kernels as
-:class:`EventColumns`: a position array, a timestamp array and an (n, 3)
-int64 count array, aligned by index. ``SampleEvent`` objects, the
-firmware's output type, are made only where a caller asks for one, by
-indexing or iterating the columns; object inputs become columns through
-:meth:`EventColumns.from_events`.
+Events travel from the firmware kernel through the file to the feature
+kernels as :class:`EventColumns`: a position array, a timestamp array and
+an (n, 3) int64 count array, aligned by index. No event object is made on
+the way: event objects are the output of the firmware spec, ``sensor.step``,
+alone.
 
 Parsing: :func:`parse_events` reads its source into a list of lines once
 and hands the list to numpy's C parser (``np.loadtxt``). It accepts a
@@ -30,7 +27,7 @@ parsed again line by line with ``int``/``float``. That pass is the
 reference: it alone words the errors and numbers the lines.
 
 Segmentation: :func:`segment_climbs` sorts once on the wire key
-(:data:`wire_order`: timestamp, then position), splits climbs where
+(timestamp, then position), splits climbs where
 consecutive timestamps are ``gap_s`` apart, and groups each climb's events
 by position with a second stable sort, which keeps them in time order. A
 climb's windows are slices of those grouped columns.
@@ -43,37 +40,28 @@ import logging
 import math
 import os
 import warnings
-from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 import numpy as np
 
 from .errors import ConfigError, MissingClipError, ValidationError
-from .sensor import SampleEvent
 
 log = logging.getLogger(__name__)
 
 DEFAULT_GAP_S = 120.0
-wire_order = attrgetter("t", "position")  # sort key: timestamp, then position
 
-_POSITION = attrgetter("position")
-_TIME = attrgetter("t")
-_COUNTS = attrgetter("x_counts", "y_counts", "z_counts")
 _WIRE_ROW = np.dtype([("position", "i8"), ("t", "f8"), ("counts", "i8", (3,))])
 _INT64 = range(-(2**63), 2**63)
 
 
-class EventColumns(Sequence):
+class EventColumns:
     """Events as aligned columns: ``position`` (n,) int64, ``t`` (n,)
     float64 and ``counts`` (n, 3) int64 x, y, z.
 
-    A sequence of ``SampleEvent``: an integer index or iteration makes the
-    objects on request; a slice or an index array gives columns again,
-    views for a slice.
+    A slice or an index array gives columns again, views for a slice.
+    Columns are not iterable: no event object is made from them.
     """
 
     __slots__ = ("position", "t", "counts")
@@ -84,33 +72,24 @@ class EventColumns(Sequence):
         self.counts = counts
 
     @classmethod
-    def from_events(cls, events: Iterable[SampleEvent]) -> "EventColumns":
-        """The columns of ``events``, in their order."""
-        events = list(events)
-        n = len(events)
-        try:
-            position = np.fromiter(map(_POSITION, events), np.int64, n)
-            counts = np.fromiter(chain.from_iterable(map(_COUNTS, events)), np.int64, 3 * n)
-        except OverflowError as exc:
-            raise ValidationError("an event position or count does not fit in int64") from exc
+    def empty(cls) -> EventColumns:
+        return cls(np.empty(0, np.int64), np.empty(0), np.empty((0, 3), np.int64))
+
+    @classmethod
+    def concat(cls, parts: Iterable[EventColumns]) -> EventColumns:
+        """The events of ``parts`` one after another, in their order."""
+        parts = [cls.empty(), *parts]
         return cls(
-            position,
-            np.fromiter(map(_TIME, events), np.float64, n),
-            counts.reshape(n, 3),
+            np.concatenate([c.position for c in parts]),
+            np.concatenate([c.t for c in parts]),
+            np.concatenate([c.counts for c in parts]),
         )
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, index):
-        if not isinstance(index, (int, np.integer)):
-            return EventColumns(self.position[index], self.t[index], self.counts[index])
-        return SampleEvent(
-            int(self.position[index]), float(self.t[index]), *self.counts[index].tolist()
-        )
-
-    def __iter__(self) -> Iterator[SampleEvent]:
-        return map(SampleEvent, self.position.tolist(), self.t.tolist(), *self.counts.T.tolist())
+    def __getitem__(self, index) -> EventColumns:
+        return EventColumns(self.position[index], self.t[index], self.counts[index])
 
     def __eq__(self, other):
         if not isinstance(other, EventColumns):
@@ -122,16 +101,7 @@ class EventColumns(Sequence):
         )
 
     __hash__ = None
-
-
-def _concat(parts: Sequence[EventColumns]) -> EventColumns:
-    if not parts:
-        return EventColumns.from_events(())
-    return EventColumns(
-        np.concatenate([c.position for c in parts]),
-        np.concatenate([c.t for c in parts]),
-        np.concatenate([c.counts for c in parts]),
-    )
+    __iter__ = None  # else Python would iterate by integer indexing
 
 
 @dataclass(frozen=True)
@@ -164,11 +134,12 @@ class ClimbRecord:
     climb_id: int
     clip_times: dict[int, float]
     windows: dict[int, EventColumns]
-    flagged: EventColumns = field(default_factory=lambda: EventColumns.from_events(()))
+    flagged: EventColumns = field(default_factory=EventColumns.empty)
     ground_truth_route: Optional[str] = None
 
 
-def _parse_line(line: str) -> SampleEvent:
+def _parse_line(line: str) -> tuple[int, float, tuple[int, int, int]]:
+    """One wire line as a ``_WIRE_ROW`` row."""
     parts = line.split("\t")
     if len(parts) != 5:
         raise ValueError("expected 5 tab-separated fields")
@@ -182,27 +153,31 @@ def _parse_line(line: str) -> SampleEvent:
     for name, value in zip(("position", "x", "y", "z"), (position, x, y, z)):
         if value not in _INT64:
             raise ValueError(f"{name} {value} does not fit in int64")
-    return SampleEvent(position, t, x, y, z)
+    return position, t, (x, y, z)
 
 
 def _parse_lines(lines: Iterable[str]) -> EventColumns:
     """The reference parse: :func:`_parse_line` on each line, every
     malformed line reported with its number."""
-    events: list[SampleEvent] = []
+    rows: list[tuple] = []
     bad: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
-            events.append(_parse_line(text))
+            rows.append(_parse_line(text))
         except ValueError as exc:
             bad.append(f"line {lineno}: {exc}")
     if bad:
         shown = "; ".join(bad[:10])
         more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
         raise ValidationError(f"malformed event lines: {shown}{more}")
-    return EventColumns.from_events(events)
+    return _columns(np.array(rows, dtype=_WIRE_ROW))
+
+
+def _columns(rows: np.ndarray) -> EventColumns:
+    return EventColumns(rows["position"], rows["t"], rows["counts"])
 
 
 def _parse_stream(lines: list[str]) -> Optional[EventColumns]:
@@ -221,7 +196,7 @@ def _parse_stream(lines: list[str]) -> Optional[EventColumns]:
             return None
     if not (np.isfinite(rows["t"]).all() and (rows["position"] >= 1).all()):
         return None
-    return EventColumns(rows["position"], rows["t"], rows["counts"])
+    return _columns(rows)
 
 
 def parse_events(
@@ -253,18 +228,16 @@ def parse_events(
     if not len(events):
         return {}
 
-    order = np.argsort(events.position, kind="stable")
+    order = np.lexsort((events.t, events.position))  # stable: file order among equal times
     position, t = events.position[order], events.t[order]
     starts = np.flatnonzero(np.r_[True, position[1:] != position[:-1]])
-    first_seen = order[starts]
     same = position[1:] == position[:-1]
-    unsorted = set(position[1:][same & (t[1:] < t[:-1])].tolist())
-    if unsorted:
-        order = np.lexsort((events.t, events.position))
-        t = events.t[order]
+    # a position is out of order where its sorted events are not in file order
+    unsorted = set(position[1:][same & (order[1:] < order[:-1])].tolist())
     duplicates: dict[int, float] = {}
     for k in np.flatnonzero(same & (t[1:] == t[:-1])).tolist():
         duplicates.setdefault(int(position[k]), float(t[k + 1]))
+    first_seen = np.minimum.reduceat(order, starts)
     for p in position[starts[np.argsort(first_seen)]].tolist():
         if p in unsorted:
             log.warning("position %d: events out of order, re-sorting", p)
@@ -297,25 +270,19 @@ def open_text(target: Union[TextIO, str, os.PathLike], mode: str) -> Iterator[Te
         yield target
 
 
-def write_events(target: Union[TextIO, str, os.PathLike], events: Iterable[SampleEvent]) -> None:
-    """Write events in timestamp order in the wire format above."""
-    ordered = sorted(events, key=wire_order)
+def write_events(target: Union[TextIO, str, os.PathLike], events: EventColumns) -> None:
+    """Write events in the wire format above, in wire order: by timestamp,
+    then position, equal pairs in their order in ``events``."""
+    order = np.lexsort((events.position, events.t))
+    rows = zip(events.position[order].tolist(), events.t[order].tolist(),
+               events.counts[order].tolist())
     with open_text(target, "w") as fh:
-        for e in ordered:
-            fh.write(f"{e.position}\t{e.t:.3f}\t{e.x_counts}\t{e.y_counts}\t{e.z_counts}\n")
-
-
-def _as_columns(events) -> EventColumns:
-    """One set of columns from a mapping of position -> events, or from
-    events; each group is columns or ``SampleEvent`` objects."""
-    groups = events.values() if isinstance(events, Mapping) else [events]
-    return _concat([
-        g if isinstance(g, EventColumns) else EventColumns.from_events(g) for g in groups
-    ])
+        for position, t, (x, y, z) in rows:
+            fh.write(f"{position}\t{t:.3f}\t{x}\t{y}\t{z}\n")
 
 
 def segment_climbs(
-    events, line: LineConfig, gap_s: float = DEFAULT_GAP_S
+    streams: Mapping[int, EventColumns], line: LineConfig, gap_s: float = DEFAULT_GAP_S
 ) -> list[ClimbRecord]:
     """Split an event stream into climbs and per-position windows.
 
@@ -327,14 +294,14 @@ def segment_climbs(
     outside 1..ie raises first. Then the first climb that breaks a rule
     raises, a missing position before a clip order.
 
-    ``events`` is what :func:`parse_events` returns, or any mapping of
-    position -> events, or one sequence of events; ``SampleEvent`` objects
-    are converted to columns on entry.
+    ``streams`` maps each position to its events, as :func:`parse_events`
+    and ``simulate_line`` give them; the groups are read as one stream, in
+    wire order (equal pairs in the order of the mapping).
     """
     if not gap_s > 0:  # also refuses NaN, which gap_s <= 0 lets through
         raise ConfigError("gap_s must be positive")
-    events = _as_columns(events)
-    order = np.lexsort((events.position, events.t))  # stable, as sorted(key=wire_order)
+    events = EventColumns.concat(streams.values())
+    order = np.lexsort((events.position, events.t))  # stable: wire order
     position = events.position[order]
     outside = np.flatnonzero((position > line.ie) | (position < 1))
     if outside.size:

@@ -129,18 +129,19 @@ class QuantileScaler:
     function. Monotone non-decreasing per column; constant columns always
     map to 0.
 
-    ``references`` is one C-ordered (d, n_fit) block: row c holds column c
-    of the fit data in ascending order. When :func:`fit_quantile` builds
-    the scaler, one run scan over that block gives the ECDF knots of every
-    column, stored flat (column c's at ``_bounds[c]:_bounds[c + 1]``), and
-    each column's lowest and highest value and whether it is constant.
+    The scaler is the ECDF knots of every column, as :func:`_ecdf_knots`
+    gives them: the distinct fit values, stored flat (column c's at
+    ``bounds[c]:bounds[c + 1]``, ascending), and their mid-rank levels.
+    A column's lowest and highest value are its first and last knot; it is
+    constant when they are equal, so -0.0 beside 0.0 is constant and a
+    column with a NaN is not.
     """
 
     names: tuple[str, ...]
-    references: np.ndarray  # (d, n_fit), row c = column c sorted ascending
     n_fit: int
-    _knots: np.ndarray = field(init=False, repr=False)  # distinct values, flat
-    _levels: np.ndarray = field(init=False, repr=False)  # their mid-rank levels
+    knots: np.ndarray  # distinct fit values, flat
+    levels: np.ndarray  # their mid-rank levels
+    bounds: np.ndarray  # (d + 1,) column c's knots at bounds[c]:bounds[c + 1]
     _bounds: list[int] = field(init=False, repr=False)
     _lowest: np.ndarray = field(init=False, repr=False)
     _highest: np.ndarray = field(init=False, repr=False)
@@ -148,12 +149,10 @@ class QuantileScaler:
     _normal: np.ndarray = field(init=False, repr=False)  # ndtri(j / (2 n_fit)), j = 0..2 n_fit
 
     def __post_init__(self):
-        ref = self.references
-        self._knots, self._levels, bounds = _ecdf_knots(ref, self.n_fit)
-        self._bounds = bounds.tolist()
-        self._lowest = ref[:, 0]
-        self._highest = self._knots[bounds[1:] - 1]
-        self._constant = ref[:, 0] == ref[:, -1]
+        self._bounds = self.bounds.tolist()
+        self._lowest = self.knots[self.bounds[:-1]]
+        self._highest = self.knots[self.bounds[1:] - 1]
+        self._constant = self._lowest == self._highest
         steps = 2 * self.n_fit
         self._normal = ndtri(np.arange(steps + 1) / steps)
 
@@ -182,7 +181,7 @@ class QuantileScaler:
         if values.shape[1] != len(self.names):
             raise ValidationError("value width does not match the fitted scaler")
         columns = np.ascontiguousarray(values.T)
-        bounds, knots, levels = self._bounds, self._knots, self._levels
+        bounds, knots, levels = self._bounds, self.knots, self.levels
         # stacked once, not stored row by row; the reshape keeps a width of 0
         ecdf = np.array([
             np.interp(column, knots[a:b], levels[a:b])
@@ -245,14 +244,16 @@ def _ecdf_knots(block: np.ndarray, n_fit: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def fit_quantile(matrix: FeatureMatrix) -> QuantileScaler:
-    """Freeze the sorted fit values as the scaling reference: one sort of
-    the transposed matrix, one row per column."""
+    """Freeze the ECDF knots of the fit values as the scaling reference:
+    one sort of the transposed matrix, one row per column, and one run scan
+    over it; the sorted block is not kept."""
     if matrix.n_climbs < 2:
         raise ValidationError("quantile scaling needs at least 2 rows")
-    references = np.array(matrix.values.T, order="C")
-    references.sort(axis=1)
+    block = np.array(matrix.values.T, order="C")
+    block.sort(axis=1)
+    knots, levels, bounds = _ecdf_knots(block, matrix.n_climbs)
     return QuantileScaler(
-        names=matrix.names, references=references, n_fit=matrix.n_climbs
+        names=matrix.names, n_fit=matrix.n_climbs, knots=knots, levels=levels, bounds=bounds
     )
 
 

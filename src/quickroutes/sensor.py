@@ -149,15 +149,6 @@ class SensorState:
     last_event_t: Optional[float] = None
 
 
-def counts_to_g(counts: int, cfg: SensorConfig) -> float:
-    """Map a signed count back to acceleration in g (exact linear scale)."""
-    if abs(counts) > cfg.max_counts:
-        raise ValueError(
-            f"counts {counts} outside +/-{cfg.max_counts} for {cfg.output_bits}-bit output"
-        )
-    return counts * cfg.full_scale_g / cfg.max_counts
-
-
 def _round_half_away(x: float) -> int:
     # symmetric rounding keeps +/- readings comparable
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)

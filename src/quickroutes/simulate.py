@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SequencingError, require_finite
-from .ingest import LineConfig, wire_order
-from .sensor import SampleEvent, SensorConfig, g_to_counts
+from .ingest import EventColumns, LineConfig
+from .sensor import SensorConfig, g_to_counts
 # the spec _run_position matches, kept bound here for tools that wrap simulate.step
 from .sensor import step  # noqa: F401
 
@@ -129,20 +129,22 @@ class ClimbTruth:
 class LineSimulation:
     """Transmitted events and ground truth of one line, plus energy proxies.
 
-    ``radio_batches[p]`` counts the radio transmissions of position ``p``
-    (steps that emitted events) and ``awake_s[p]`` its time in active mode.
+    ``streams[p]`` holds the events position ``p`` transmitted, in time
+    order, in the shape :func:`ingest.parse_events` gives a file's positions.
+    ``radio_batches[p]`` counts its radio transmissions (steps that emitted
+    events) and ``awake_s[p]`` its time in active mode.
     """
 
-    streams: dict[int, list[SampleEvent]]
+    streams: dict[int, EventColumns]
     truth: list[ClimbTruth]
     end_time: float
     radio_batches: dict[int, int]
     awake_s: dict[int, float]
 
-    def all_events(self) -> list[SampleEvent]:
-        flat = [e for stream in self.streams.values() for e in stream]
-        flat.sort(key=wire_order)
-        return flat
+    def all_events(self) -> EventColumns:
+        """Every position's events in wire order: by timestamp, then position."""
+        events = EventColumns.concat(self.streams.values())
+        return events[np.lexsort((events.position, events.t))]
 
 
 def _plan_bursts(
@@ -293,7 +295,7 @@ def _run_position(
     cfg: SensorConfig,
     t_end: float,
     seed: int,
-) -> tuple[list[SampleEvent], int, float]:
+) -> tuple[EventColumns, int, float]:
     """One sensor's transmitted events, radio batches and seconds awake.
 
     Matches ``sensor.step`` driven tick by tick up to ``t_end`` (see the
@@ -314,6 +316,9 @@ def _run_position(
       with ``step``'s float comparisons.
 
     Noise row ``v`` belongs to the ``v``-th visited tick, not to tick ``v``.
+    An event that passes the gate is kept as plain floats and ints; the
+    first ``transmitted`` have gone out by radio, the rest wait for a full
+    batch or the flush before sleep.
     """
     rate = cfg.active_rate_hz
     n_ticks = _ticks_before(t_end, rate, inclusive=True)
@@ -365,9 +370,9 @@ def _run_position(
     grace, sleep_after, group_size = cfg.inactive_grace_s, cfg.sleep_after_s, cfg.group_size
 
     last_event_t: Optional[float] = None
-    events: list[SampleEvent] = []
-    pending: list[SampleEvent] = []
-    radio_batches = awake_ticks = 0
+    event_t: list[float] = []
+    event_counts: list[tuple[int, int, int]] = []
+    radio_batches = awake_ticks = transmitted = 0
     tick = visit = 0
     while tick < n_ticks:
         # asleep: find the first sample whose change gate opens
@@ -421,10 +426,10 @@ def _run_position(
                             f"not advance past t={last_event_t}"
                         )
                     sent_x, sent_y, sent_z = x, y, z
-                    pending.append(SampleEvent(position, t, x, y, z))
-                    if len(pending) >= group_size:
-                        events.extend(pending)
-                        pending = []
+                    event_t.append(t)
+                    event_counts.append((x, y, z))
+                    if len(event_t) - transmitted >= group_size:
+                        transmitted = len(event_t)
                         radio_batches += 1
                     below_since = inactive_since = None
                     last_event_t = t
@@ -436,9 +441,8 @@ def _run_position(
                     inactive_since = below_since + grace
                 if inactive_since is not None and t - inactive_since >= sleep_after:
                     # back to sleep: transmit whatever was held back
-                    if pending:
-                        events.extend(pending)
-                        pending = []
+                    if len(event_t) > transmitted:
+                        transmitted = len(event_t)
                         radio_batches += 1
                     asleep_at = tick + end - 1
                     break
@@ -452,6 +456,11 @@ def _run_position(
         awake_ticks += asleep_at - wake
         visit += asleep_at - tick + 1
         tick = asleep_at + sleep_ticks
+    events = EventColumns(
+        np.full(transmitted, position, dtype=np.int64),
+        np.array(event_t[:transmitted]),
+        np.array(event_counts[:transmitted], dtype=np.int64).reshape(transmitted, 3),
+    )
     return events, radio_batches, awake_ticks / rate
 
 
@@ -489,7 +498,7 @@ def simulate_line(
         ]
         edges = [-math.inf] + boundaries + [math.inf]
         for position, stream in streams.items():
-            times = [e.t for e in stream]
+            times = stream.t.tolist()
             for climb, lo, hi in zip(truth, edges, edges[1:]):
                 i = bisect_left(times, lo)
                 climb.clip_times[position] = times[i] if i < len(times) and times[i] < hi else None

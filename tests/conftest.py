@@ -2,11 +2,32 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quickroutes.ingest import LineConfig, attach_labels, segment_climbs
+from quickroutes.ingest import EventColumns, LineConfig, attach_labels, segment_climbs
 from quickroutes.sensor import SensorConfig
 from quickroutes.simulate import RouteProfile, RouteSpec, simulate_line
+
+
+def columns(events):
+    """``SampleEvent`` objects, or anything with their fields, as
+    ``EventColumns``, in their order."""
+    events = list(events)
+    return EventColumns(
+        np.array([e.position for e in events], dtype=np.int64),
+        np.array([e.t for e in events], dtype=float),
+        np.array([e.counts for e in events], dtype=np.int64).reshape(len(events), 3),
+    )
+
+
+def rows(events):
+    """``EventColumns`` as comparable (position, t, x, y, z) tuples, each
+    timestamp by its bits."""
+    return [
+        (p, t.hex(), x, y, z)
+        for p, t, (x, y, z) in zip(events.position.tolist(), events.t.tolist(), events.counts.tolist())
+    ]
 
 
 @pytest.fixture(scope="session")

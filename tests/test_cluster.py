@@ -1085,7 +1085,8 @@ class TestSweepFeatureCount:
         col_idx = [names.index(name) for name in ranking]
         prefixes = [values[:, col_idx[:w]] for w in range(1, limit + 1)]
         expected = [repeated_kmeans(X, self.TRUTH, 3, restarts=4) for X in prefixes]
-        assert [e.columns for e in curve.entries] == [tuple(ranking[:w]) for w in range(1, limit + 1)]
+        assert curve.ranking == ranking
+        assert [curve.ranking[:e.n_features] for e in curve.entries] == [ranking[:w] for w in range(1, limit + 1)]
         assert [e.stats for e in curve.entries] == expected
         # one scoring pass over every restart's assignment, each its prefix's own run
         (scored,) = labelings

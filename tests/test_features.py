@@ -29,8 +29,9 @@ from quickroutes.features import (
     feature_names,
     stat_features,
 )
+from conftest import columns
 from quickroutes.ingest import ClimbRecord, EventColumns, LineConfig, segment_climbs
-from quickroutes.sensor import SampleEvent, SensorConfig, counts_to_g
+from quickroutes.sensor import SampleEvent, SensorConfig
 
 # ---------------------------------------------------------------------------
 # naive oracles
@@ -171,7 +172,7 @@ class TestMagnitude:
     @staticmethod
     def g_of(x, y, z):
         cfg = SensorConfig(full_scale_g=127.0)  # max_counts 127
-        return axis_sets(EventColumns.from_events([SampleEvent(3, 0.0, x, y, z)]).counts, cfg)[3, 0]
+        return axis_sets(np.array([[x, y, z]], dtype=np.int64), cfg)[3, 0]
 
     def test_pythagorean_triple(self):
         assert self.g_of(3, 4, 0) == 5.0
@@ -544,9 +545,11 @@ def reference_assemble(climb, line, cfg):
     values = []
     for position in range(2, line.ie):
         window = climb.windows[position]
-        x = np.array([counts_to_g(e.x_counts, cfg) for e in window])
-        y = np.array([counts_to_g(e.y_counts, cfg) for e in window])
-        z = np.array([counts_to_g(e.z_counts, cfg) for e in window])
+        # each count times full_scale_g / max_counts, one Python float at a time
+        x, y, z = (
+            np.array([c * cfg.full_scale_g / cfg.max_counts for c in axis])
+            for axis in window.counts.T.tolist()
+        )
         g = np.sqrt(x * x + y * y + z * z)
         for series in (x, y, z, g):
             stats = reference_stat_features(series, prominence)
@@ -643,7 +646,7 @@ def short_record(climb_id, windows, ie=5, label=None):
     get a 3-sample window of their own."""
     full = {}
     for position in range(2, ie):
-        full[position] = EventColumns.from_events(windows.get(
+        full[position] = columns(windows.get(
             position,
             [SampleEvent(position, position + 0.1 * i, 10 * i, -5 * i, 60 - i) for i in range(3)],
         ))
@@ -664,7 +667,7 @@ def mixed_length_climbs(draw):
         for position in range(2, ie):
             n = int(rng.integers(2, 40))
             counts = rng.integers(-top, top + 1, size=(n, 3))
-            windows[position] = EventColumns.from_events(
+            windows[position] = columns(
                 SampleEvent(position, position + 0.01 * i, *map(int, c))
                 for i, c in enumerate(counts)
             )
@@ -694,7 +697,7 @@ class TestBatchedMatrix:
         good = short_record(0, {})
         first_gap = short_record(1, {})
         del first_gap.windows[3]
-        first_gap.windows[4] = EventColumns.from_events([])
+        first_gap.windows[4] = EventColumns.empty()
         later_gap = short_record(2, {})
         del later_gap.windows[2]
         with pytest.raises(MissingClipError) as err:
@@ -708,12 +711,12 @@ class TestBatchedMatrix:
 
     def test_out_of_range_count_rejected(self):
         record = short_record(0, {3: [SampleEvent(3, 30.0, 1, 2, 3), SampleEvent(3, 30.1, 1, -128, 3)]})
-        with pytest.raises(ValueError, match="counts -128 outside"):
+        with pytest.raises(ValidationError, match="counts -128 outside"):
             build_feature_matrix([record], LineConfig(ie=5))
 
     @pytest.mark.parametrize("count", [-(2**63), 2**63 - 1])
     def test_int64_extreme_count_rejected(self, count):
         # -2**63 has no int64 absolute value, so the range check is two-sided
         record = short_record(0, {3: [SampleEvent(3, 30.0, 1, 2, 3), SampleEvent(3, 30.1, count, 0, 3)]})
-        with pytest.raises(ValueError, match=f"counts {count} outside"):
+        with pytest.raises(ValidationError, match=f"counts {count} outside"):
             build_feature_matrix([record], LineConfig(ie=5))

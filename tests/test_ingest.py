@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import columns, rows
 from quickroutes import ingest
 from quickroutes.errors import ConfigError, MissingClipError, ValidationError
 from quickroutes.ingest import (
@@ -24,7 +25,6 @@ from quickroutes.ingest import (
     parse_events,
     read_events,
     segment_climbs,
-    wire_order,
     write_events,
 )
 from quickroutes.sensor import SampleEvent
@@ -36,6 +36,20 @@ def ev(position, t, x=20, y=0, z=63):
     return SampleEvent(position, t, x, y, z)
 
 
+def objects(events):
+    """``EventColumns`` as ``SampleEvent`` objects, in their order."""
+    return [
+        SampleEvent(p, t, x, y, z)
+        for p, t, (x, y, z) in zip(events.position.tolist(), events.t.tolist(), events.counts.tolist())
+    ]
+
+
+def by_position(events):
+    """``EventColumns`` grouped by position, first seen first: the mapping
+    that ``segment_climbs`` takes."""
+    return {p: events[events.position == p] for p in dict.fromkeys(events.position.tolist())}
+
+
 class TestParse:
     def test_empty_input(self):
         assert parse_events("") == {}
@@ -43,8 +57,8 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         text = "# header\n\n1\t0.100\t10\t-5\t63\n  # another\n"
         events = parse_events(text)
-        assert {p: list(group) for p, group in events.items()} == {
-            1: [SampleEvent(1, 0.1, 10, -5, 63)]
+        assert {p: rows(group) for p, group in events.items()} == {
+            1: rows(columns([SampleEvent(1, 0.1, 10, -5, 63)]))
         }
 
     def test_malformed_lines_reported_with_numbers(self):
@@ -67,7 +81,7 @@ class TestParse:
         text = "1\t2.000\t20\t0\t63\n1\t1.000\t40\t0\t63\n"
         with caplog.at_level(logging.WARNING):
             events = parse_events(text)
-        assert [e.t for e in events[1]] == [1.0, 2.0]
+        assert events[1].t.tolist() == [1.0, 2.0]
         assert any("out of order" in r.message for r in caplog.records)
 
     def test_duplicate_timestamp_rejected(self):
@@ -86,10 +100,9 @@ class TestParse:
         write_events(buf, small_sim.all_events())
         parsed = parse_events(buf.getvalue())
         for position, stream in small_sim.streams.items():
-            assert [e.counts for e in parsed[position]] == [e.counts for e in stream]
-            assert list(parsed[position]) == [
-                SampleEvent(e.position, round(e.t, 3), *e.counts) for e in stream
-            ]
+            assert parsed[position] == EventColumns(
+                stream.position, np.array([round(t, 3) for t in stream.t.tolist()]), stream.counts
+            )
 
     def test_path_round_trip(self, small_sim, tmp_path):
         path = tmp_path / "line.events"
@@ -119,15 +132,15 @@ def climb_events(clips, samples_per_position=3, spacing=1.0):
 class TestSegment:
     def test_single_climb_window_boundaries(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
-        records = segment_climbs(climb_events(clips), LINE8, gap_s=120)
+        records = segment_climbs(by_position(columns(climb_events(clips))), LINE8, gap_s=120)
         assert len(records) == 1
         rec = records[0]
         assert rec.clip_times == {i + 1: float(c) for i, c in enumerate(clips)}
         for position in range(1, 8):
             cutoff = clips[position]  # next position's clip
-            assert all(e.t < cutoff for e in rec.windows[position])
-        assert all(e.t >= 190 for e in rec.windows[8])
-        assert list(rec.flagged) == []
+            assert (rec.windows[position].t < cutoff).all()
+        assert (rec.windows[8].t >= 190).all()
+        assert len(rec.flagged) == 0
 
     def test_two_climbs_split_on_silence(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
@@ -135,15 +148,14 @@ class TestSegment:
         second = [
             SampleEvent(e.position, e.t + 800.0, *e.counts) for e in first
         ]
-        records = segment_climbs(first + second, LINE8, gap_s=120)
+        records = segment_climbs(by_position(columns(first + second)), LINE8, gap_s=120)
         assert len(records) == 2
         assert records[0].climb_id == 0
         assert records[1].clip_times[1] == 800.0
 
     def test_gap_not_reached_keeps_one_climb(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
-        events = climb_events(clips)
-        records = segment_climbs(events, LINE8, gap_s=300)
+        records = segment_climbs(by_position(columns(climb_events(clips))), LINE8, gap_s=300)
         assert len(records) == 1
 
     @pytest.mark.parametrize("gap_s", [0.0, -1.0, float("nan")])
@@ -156,26 +168,26 @@ class TestSegment:
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         events = [e for e in climb_events(clips) if e.position != 3]
         with pytest.raises(MissingClipError) as err:
-            segment_climbs(events, LINE8, gap_s=120)
+            segment_climbs(by_position(columns(events)), LINE8, gap_s=120)
         assert err.value.position == 3
 
     def test_missing_first_and_last_positions_tolerated(self):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         events = [e for e in climb_events(clips) if e.position not in (1, 8)]
-        records = segment_climbs(events, LINE8, gap_s=120)
+        records = segment_climbs(by_position(columns(events)), LINE8, gap_s=120)
         assert sorted(records[0].windows) == [2, 3, 4, 5, 6, 7]
 
     def test_clip_misorder_rejected(self):
         clips = [0, 30, 25, 45, 70, 100, 140, 190]  # position 3 before 2
         with pytest.raises(ValidationError) as err:
-            segment_climbs(climb_events(clips, samples_per_position=1), LINE8, gap_s=120)
+            segment_climbs(by_position(columns(climb_events(clips, samples_per_position=1))), LINE8, gap_s=120)
         assert "position 3" in str(err.value)
 
     def test_missing_position_reported_before_clip_order(self):
         clips = [0, 10, 25, 45, 40, 100, 140, 190]  # position 5 before 4
         events = [e for e in climb_events(clips, samples_per_position=1) if e.position != 3]
         with pytest.raises(MissingClipError) as err:
-            segment_climbs(events, LINE8, gap_s=120)
+            segment_climbs(by_position(columns(events)), LINE8, gap_s=120)
         assert (err.value.climb_id, err.value.position) == (0, 3)
 
     def test_equal_timestamps_keep_wire_order(self):
@@ -183,18 +195,17 @@ class TestSegment:
         # position 2's straggler shares its timestamp with position 3's clip
         straggler = ev(2, 25.0)
         events = [straggler] + climb_events(clips)
-        record = segment_climbs(events, LINE8, gap_s=120)[0]
+        record = segment_climbs(by_position(columns(events)), LINE8, gap_s=120)[0]
         assert record.clip_times[3] == 25.0
-        assert list(record.flagged) == [straggler]
-        kept = [e for group in (*record.windows.values(), record.flagged) for e in group]
-        assert sorted(kept, key=wire_order) == sorted(events, key=wire_order)
+        assert rows(record.flagged) == rows(columns([straggler]))
+        kept = EventColumns.concat([*record.windows.values(), record.flagged])
+        assert sorted(rows(kept)) == sorted(rows(columns(events)))
         beyond = [ev(10, 5.0), ev(9, 5.0)]
         with pytest.raises(ValidationError, match="event from position 9 but"):
-            segment_climbs(events + beyond, LINE8, gap_s=120)
+            segment_climbs(by_position(columns(events + beyond)), LINE8, gap_s=120)
 
     @pytest.mark.parametrize("position", [0, -3])
-    @pytest.mark.parametrize("as_columns", [False, True], ids=["objects", "columns"])
-    def test_position_below_1_rejected(self, position, as_columns):
+    def test_position_below_1_rejected(self, position):
         clips = [0, 10, 25, 45, 70, 100, 140, 190]
         below = f"event from position {position} but positions start at 1"
         cases = [
@@ -202,9 +213,7 @@ class TestSegment:
             ([ev(position, 30.0), ev(9, 20.0)], "event from position 9 but the line ends at ie=8"),
         ]
         for outside, message in cases:  # the first in wire order is named
-            events = climb_events(clips) + outside
-            if as_columns:
-                events = EventColumns.from_events(events)
+            events = by_position(columns(climb_events(clips) + outside))
             with pytest.raises(ValidationError, match=message):
                 segment_climbs(events, LINE8, gap_s=120)
 
@@ -213,10 +222,11 @@ class TestSegment:
         events = climb_events(clips)
         # a straggler from position 2 well inside position 4's window
         straggler = ev(2, 50.0)
-        records = segment_climbs(events + [straggler], LINE8, gap_s=120)
+        records = segment_climbs(by_position(columns(events + [straggler])), LINE8, gap_s=120)
         rec = records[0]
-        assert straggler in rec.flagged
-        assert straggler not in rec.windows[2]
+        (row,) = rows(columns([straggler]))
+        assert row in rows(rec.flagged)
+        assert row not in rows(rec.windows[2])
 
     def test_partition_every_event_kept_once(self, small_sim, small_line):
         records = segment_climbs(small_sim.streams, small_line, gap_s=120)
@@ -226,11 +236,10 @@ class TestSegment:
         assert total == len(small_sim.all_events())
 
     def test_round_trip_reproduces_records(self, small_records, small_line):
-        merged = [
-            e for rec in small_records for group in (*rec.windows.values(), rec.flagged)
-            for e in group
-        ]
-        again = segment_climbs(merged, small_line, gap_s=120)
+        merged = EventColumns.concat(
+            group for rec in small_records for group in (*rec.windows.values(), rec.flagged)
+        )
+        again = segment_climbs(by_position(merged), small_line, gap_s=120)
         assert len(again) == len(small_records)
         for a, b in zip(again, small_records):
             assert a.clip_times == b.clip_times
@@ -246,7 +255,7 @@ class TestSegment:
                 assert rec.clip_times[position] == pytest.approx(t_true, abs=0.02)
 
     def test_empty_stream(self):
-        assert segment_climbs([], LINE8) == []
+        assert segment_climbs({}, LINE8) == []
 
     def test_line_too_short_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,36 +264,36 @@ class TestSegment:
 
 class TestColumns:
     def test_events_round_trip_through_columns(self, small_sim):
+        # all_events holds every stream's events, in wire order
         events = small_sim.all_events()
-        columns = EventColumns.from_events(events)
-        assert len(columns) == len(events)
-        assert columns.counts.shape == (len(events), 3)
-        assert list(columns) == events
-        assert columns[5] == events[5]
-        assert [type(v) for v in vars(columns[5]).values()] == [int, float, int, int, int]
+        assert len(events) == sum(len(s) for s in small_sim.streams.values())
+        assert events.counts.shape == (len(events), 3)
+        assert (events.position.dtype, events.t.dtype, events.counts.dtype) == (np.int64, np.float64, np.int64)
+        assert rows(events) == sorted(rows(events), key=lambda r: (float.fromhex(r[1]), r[0]))
+        for position, stream in small_sim.streams.items():
+            assert events[events.position == position] == stream
 
     def test_slices_are_views(self, small_sim):
-        columns = EventColumns.from_events(small_sim.all_events())
+        columns = small_sim.all_events()
         part = columns[10:20]
         assert isinstance(part, EventColumns) and len(part) == 10
         assert np.shares_memory(part.counts, columns.counts)
-        assert part == EventColumns.from_events(small_sim.all_events()[10:20])
+        assert part == columns[np.arange(10, 20)]
 
     def test_no_events(self):
-        empty = EventColumns.from_events([])
+        empty = EventColumns.empty()
         assert len(empty) == 0 and not empty
         assert empty.counts.shape == (0, 3)
-        assert list(empty) == []
+        assert empty == EventColumns.concat([]) == ClimbRecord(0, {}, {}).flagged
 
-    @pytest.mark.parametrize("event", [
-        SampleEvent(3, 1.0, 2**70, 0, 0), SampleEvent(2**64, 1.0, 1, 2, 3),
+    @pytest.mark.parametrize("line, field", [
+        ("3\t1.000\t1180591620717411303424\t0\t0", "x 1180591620717411303424"),
+        ("18446744073709551616\t1.000\t1\t2\t3", "position 18446744073709551616"),
     ], ids=["count", "position"])
-    def test_value_beyond_int64_is_a_validation_error(self, event):
-        message = "an event position or count does not fit in int64"
-        with pytest.raises(ValidationError, match=message):
-            EventColumns.from_events([ev(2, 0.5), event])
-        with pytest.raises(ValidationError, match=message):
-            segment_climbs([event], LineConfig(ie=5))
+    def test_value_beyond_int64_is_a_validation_error(self, line, field):
+        # columns hold int64: the file is the one way in, and it refuses a wider value
+        with pytest.raises(ValidationError, match=f"^malformed event lines: line 2: {field} does not fit in int64$"):
+            parse_events(f"2\t0.500\t20\t0\t63\n{line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +310,11 @@ def reference_parse_events(text, ie, warned):
         if not body:
             continue
         try:
-            event = ingest._parse_line(body)
+            position, t, (x, y, z) = ingest._parse_line(body)
         except ValueError as exc:
             bad.append(f"line {lineno}: {exc}")
             continue
+        event = SampleEvent(position, t, x, y, z)
         by_pos.setdefault(event.position, []).append(event)
     if bad:
         shown = "; ".join(bad[:10])
@@ -324,11 +334,6 @@ def reference_parse_events(text, ie, warned):
         if dup is not None:
             raise ValidationError(f"position {position}: duplicate event timestamp t={dup}")
     return dict(sorted(by_pos.items()))
-
-
-def rows(events):
-    """Events as comparable tuples, timestamps by their bits."""
-    return [(e.position, e.t.hex(), e.x_counts, e.y_counts, e.z_counts) for e in events]
 
 
 class _Messages(logging.Handler):
@@ -366,7 +371,7 @@ def reference_outcome(text, ie):
         groups = reference_parse_events(text, ie, warned)
     except ValidationError as exc:
         return str(exc), warned
-    return {p: rows(g) for p, g in groups.items()}, warned
+    return {p: rows(columns(g)) for p, g in groups.items()}, warned
 
 
 INT64_EDGES = [-(2**63), 2**63 - 1]
@@ -473,8 +478,8 @@ class TestParseEquivalence:
         path.write_bytes(b"# c\r\n1\t0.100\t1\t2\t3\r\n2\t0.200\t1\t2\t3\r\n")
         with open(path, encoding="utf-8") as fh:
             assert {p: rows(g) for p, g in parse_events(fh).items()} == {
-                1: rows([SampleEvent(1, 0.1, 1, 2, 3)]),
-                2: rows([SampleEvent(2, 0.2, 1, 2, 3)]),
+                1: rows(columns([SampleEvent(1, 0.1, 1, 2, 3)])),
+                2: rows(columns([SampleEvent(2, 0.2, 1, 2, 3)])),
             }
         path.write_bytes(b"# c\n1\t0.100\t1\t2\t3\n1\t0.2\tx\t2\t3\n")
         with open(path, encoding="utf-8") as fh:
@@ -488,7 +493,7 @@ class TestParseEquivalence:
     def test_lines_without_newlines_parsed(self):
         lines = ["1\t0.100\t1\t2\t3", "# c", "1\t0.050\t4\t5\t6"]
         parsed = parse_events(lines)
-        assert rows(parsed[1]) == rows([SampleEvent(1, 0.05, 4, 5, 6), SampleEvent(1, 0.1, 1, 2, 3)])
+        assert rows(parsed[1]) == rows(columns([SampleEvent(1, 0.05, 4, 5, 6), SampleEvent(1, 0.1, 1, 2, 3)]))
 
     def test_generator_with_a_malformed_line_is_read_once(self):
         # the reference pass must number the lines of what numpy's parser read
@@ -503,19 +508,57 @@ class TestParseEquivalence:
         assert parse_events(line for line in text.splitlines(keepends=True)) == parse_events(text)
 
 
+@st.composite
+def wire_columns(draw):
+    """Events at positions 1..8 on a millisecond grid coarse enough that
+    times tie across positions, one per (position, time), counts within
+    +/-127, in any order."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 60)), unique=True, max_size=40))
+    day = draw(st.sampled_from([0, 86_400_000]))  # milliseconds
+    counts = draw(st.lists(
+        st.tuples(*[st.integers(-127, 127)] * 3), min_size=len(keys), max_size=len(keys)
+    ))
+    return EventColumns(
+        np.array([p for p, _ in keys], dtype=np.int64),
+        np.array([(day + ms) / 1000 for _, ms in keys]),
+        np.array(counts, dtype=np.int64).reshape(len(keys), 3),
+    )
+
+
+def wire_text(events):
+    buf = io.StringIO()
+    write_events(buf, events)
+    return buf.getvalue()
+
+
+class TestWireRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(wire_columns(), st.data())
+    def test_parse_gives_back_each_position_in_time_order(self, events, data):
+        text = wire_text(events)
+        with ingest_warnings() as warned:
+            parsed = parse_events(text)
+        assert warned == []  # written in wire order: nothing to re-sort
+        expected = {}
+        for p in set(events.position.tolist()):
+            mine = events[events.position == p]
+            expected[p] = rows(mine[np.argsort(mine.t)])
+        assert {p: rows(g) for p, g in parsed.items()} == expected
+        order = data.draw(st.permutations(range(len(events))), label="permutation")
+        assert wire_text(events[np.array(order, dtype=np.intp)]) == text
+
+
 # ---------------------------------------------------------------------------
 # segmentation: the column code against the object code, under faults
 # ---------------------------------------------------------------------------
 
-def reference_segment(events, line, gap_s=ingest.DEFAULT_GAP_S):
-    """The object segmentation ``segment_climbs`` replaced."""
+def reference_segment(streams, line, gap_s=ingest.DEFAULT_GAP_S):
+    """The object segmentation ``segment_climbs`` replaced, on the events
+    of ``streams`` as ``SampleEvent`` objects; windows come back as columns."""
     if gap_s <= 0:
         raise ConfigError("gap_s must be positive")
-    if isinstance(events, dict):
-        flat = [e for group in events.values() for e in group]
-    else:
-        flat = list(events)
-    flat.sort(key=wire_order)
+    flat = [e for group in streams.values() for e in objects(group)]
+    flat.sort(key=lambda e: (e.t, e.position))  # the wire order
     for e in flat:
         if e.position > line.ie:
             raise ValidationError(
@@ -550,15 +593,15 @@ def reference_segment(events, line, gap_s=ingest.DEFAULT_GAP_S):
         windows, flagged = {}, []
         for idx, p in enumerate(present):
             cutoff = clips[present[idx + 1]] if idx + 1 < len(present) else None
-            windows[p] = [e for e in by_pos[p] if cutoff is None or e.t < cutoff]
+            windows[p] = columns(e for e in by_pos[p] if cutoff is None or e.t < cutoff)
             flagged.extend(e for e in by_pos[p] if cutoff is not None and e.t >= cutoff)
-        records.append(ClimbRecord(climb_id, clips, windows, flagged))
+        records.append(ClimbRecord(climb_id, clips, windows, columns(flagged)))
     return records
 
 
-def segment_outcome(segment, events, line):
+def segment_outcome(segment, streams, line):
     try:
-        records = segment(events, line, 120.0)
+        records = segment(streams, line, 120.0)
     except ValidationError as exc:
         return type(exc), str(exc)
     return [
@@ -577,13 +620,13 @@ FAULTS = ["drop_first", "dead_sensor", "clock_shift", "duplicate_batch", "reorde
 
 def inject(sim, line, data):
     """``sim``'s events with one fault in one climb at one position."""
-    events = sim.all_events()
+    events = objects(sim.all_events())
     climbs = reference_segment(sim.streams, line, 120.0)
     climb = climbs[data.draw(st.integers(0, len(climbs) - 1), label="climb")]
     position = data.draw(st.integers(1, line.ie), label="position")
     fault = data.draw(st.sampled_from(FAULTS), label="fault")
-    mine = climb.windows[position]
-    at = [i for i, e in enumerate(events) if any(e is m for m in mine)]
+    mine = set(climb.windows[position].t.tolist())  # a position's timestamps are distinct
+    at = [i for i, e in enumerate(events) if e.position == position and e.t in mine]
     if fault == "drop_first":
         del events[at[0]]
     elif fault == "dead_sensor":
@@ -604,18 +647,13 @@ def inject(sim, line, data):
             for i, e in zip(batch, reversed(picked)):
                 events[i] = e
     else:
-        end = max(e.t for w in climb.windows.values() for e in w)
+        end = max(w.t.max() for w in climb.windows.values())
         t = data.draw(st.one_of(
             st.sampled_from(list(climb.clip_times.values())),  # exactly at a clip
             st.floats(climb.clip_times[position], end + 150.0),
         ))
         events.append(SampleEvent(position, t, 20, -3, 63))
-    if data.draw(st.booleans(), label="as mapping"):
-        grouped = {}
-        for e in events:
-            grouped.setdefault(e.position, []).append(e)
-        return grouped
-    return events
+    return by_position(columns(events))
 
 
 class TestSegmentFaults:
@@ -628,16 +666,14 @@ class TestSegmentFaults:
         )
 
     def test_clean_simulation_matches_the_object_reference(self, small_sim, small_line):
-        for events in (small_sim.streams, small_sim.all_events()):
-            assert segment_outcome(segment_climbs, events, small_line) == segment_outcome(
-                reference_segment, events, small_line
-            )
+        assert segment_outcome(segment_climbs, small_sim.streams, small_line) == segment_outcome(
+            reference_segment, small_sim.streams, small_line
+        )
 
     def test_parsed_stream_matches_the_object_reference(self, small_sim, small_line):
         buf = io.StringIO()
         write_events(buf, small_sim.all_events())
         parsed = parse_events(buf.getvalue(), ie=small_line.ie)
-        objects = {p: list(group) for p, group in parsed.items()}
         assert segment_outcome(segment_climbs, parsed, small_line) == segment_outcome(
-            reference_segment, objects, small_line
+            reference_segment, parsed, small_line
         )

@@ -104,3 +104,12 @@ def test_every_public_name_is_used_outside_its_definition():
 def test_every_private_module_name_is_used_outside_its_definition():
     # only the program counts as a reader: a helper that tests alone call is a leftover
     assert _unused(_private_declarations) == set()
+
+
+def test_sample_event_is_named_only_in_the_firmware_spec():
+    # the program carries events as ingest.EventColumns; the objects are sensor.step's output
+    naming = [
+        path.name for path in sorted((ROOT / "src/quickroutes").glob("*.py"))
+        if "SampleEvent" in path.read_text(encoding="utf-8")
+    ]
+    assert naming == ["sensor.py"]

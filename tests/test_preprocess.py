@@ -522,12 +522,13 @@ class TestScalerKnots:
         # only a hi that rounds off the grid j / (2 n) reaches ndtri
         assert set(passed) <= {scaler.hi}
 
-    def test_references_hold_each_column_sorted_in_one_c_ordered_block(self):
-        m = matrix_of({"a": [3.0, 1.0, 2.0], "b": [-1.0, 5.0, 0.0]})
+    def test_scaler_holds_each_column_knots_flat(self):
+        m = matrix_of({"a": [3.0, 1.0, 2.0, 1.0], "b": [-1.0, 5.0, 0.0, 5.0]})
         scaler = fit_quantile(m)
-        assert scaler.references.flags.c_contiguous
-        assert scaler.references.tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]]
-        assert m.values.tolist() == [[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]]  # sorted a copy
+        assert scaler.knots.tolist() == [1.0, 2.0, 3.0, -1.0, 0.0, 5.0]
+        assert scaler.levels.tolist() == [2 / 8, 5 / 8, 7 / 8, 1 / 8, 3 / 8, 6 / 8]
+        assert scaler.bounds.tolist() == [0, 3, 6]
+        assert m.values.tolist() == [[3.0, -1.0], [1.0, 5.0], [2.0, 0.0], [1.0, 5.0]]  # sorted a copy
 
     @settings(max_examples=150, deadline=None)
     @given(

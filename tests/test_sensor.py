@@ -3,23 +3,29 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quickroutes.errors import SequencingError
+from quickroutes.errors import SequencingError, ValidationError
+from quickroutes.features import axis_sets
 from quickroutes.sensor import (
     Mode,
     RawSample,
     SensorConfig,
     SensorState,
     change_gate,
-    counts_to_g,
     g_to_counts,
     step,
 )
 
 CFG = SensorConfig()
+
+
+def counts_to_g(counts, cfg):
+    """A count in g, as the feature path converts transmitted counts."""
+    return float(axis_sets(np.array([[counts, 0, 0]], dtype=np.int64), cfg)[0, 0])
 
 
 def make_stream(segments, dt=0.02, t0=0.0):
@@ -57,9 +63,9 @@ class TestQuantizer:
         assert abs(value - 0.240) < 0.005
 
     def test_out_of_range_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="counts 128 outside"):
             counts_to_g(128, CFG)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="counts -128 outside"):
             counts_to_g(-128, CFG)
 
     def test_inverse_endpoints_and_saturation(self):

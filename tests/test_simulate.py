@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import columns
 from quickroutes import sensor, simulate
 from quickroutes.errors import ConfigError
-from quickroutes.ingest import LineConfig, segment_climbs, write_events
+from quickroutes.ingest import EventColumns, LineConfig, segment_climbs, write_events
 from quickroutes.sensor import (
     Mode,
     RawSample,
@@ -133,12 +134,12 @@ def assert_matches_reference(line, profile, seed, cfg, positions=None, on_step=N
         events, batches, awake_s = reference_run(
             p, bursts[p], profile, cfg, sim.end_time, seed, on_step
         )
-        assert sim.streams[p] == events, f"position {p}"
+        assert sim.streams[p] == columns(events), f"position {p}"
         assert sim.radio_batches[p] == batches, f"position {p}"
         assert sim.awake_s[p] == awake_s, f"position {p}"
         expected.extend(events)
-    got = [e for p in positions for e in sim.streams[p]]
-    assert wire_bytes(got) == wire_bytes(expected)
+    got = EventColumns.concat(sim.streams[p] for p in positions)
+    assert wire_bytes(got) == wire_bytes(columns(expected))
 
 
 def short_route(name, amp, freq_hz=2.5):
@@ -371,7 +372,7 @@ class TestSimulateLine:
         edges = [-math.inf] + [0.5 * (a + b) for a, b in zip(starts, starts[1:])] + [math.inf]
         for climb, lo, hi in zip(sim.truth, edges, edges[1:]):
             for p, stream in sim.streams.items():
-                first = next((e.t for e in stream if lo <= e.t < hi), None)
+                first = next((t for t in stream.t.tolist() if lo <= t < hi), None)
                 assert climb.clip_times[p] == first
 
     def test_energy_proxies_cover_every_position(self, small_sim, small_line):

@@ -27,8 +27,9 @@ computed once per restart, from its final centers and assignment, and
 each distinct (row, center value) term of a chunk once. ``kmeans_restarts``
 runs restarts in chunks sized by memory: the (restarts, k, dimensions)
 centers block of a chunk holds at most 2 MB, or one restart's when that
-alone is larger. ``kmeans_restarts`` and the sweep each log the engine's
-work as one DEBUG line.
+alone is larger. ``kmeans_restarts`` and the sweep each count the engine's
+work in one ``EngineWork`` and log it as one DEBUG line. The engine reads
+its stopping rule, ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, at each call.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
@@ -58,9 +59,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -98,29 +96,34 @@ _BLOCK_FLOATS = 2**16
 # against 271 ms at 2**19 and 193 ms at 2**21 (2 vCPUs, one BLAS thread);
 # 2**21 held 1.5 MB more at its peak.
 _SWEEP_FLOATS = 2**20
-# The engine's work while a sweep or kmeans_restarts runs, logged at its end; else None
-_work: ContextVar[Optional[Counter]] = ContextVar("quickroutes_cluster_work", default=None)
 
 
-@contextmanager
-def _counting(caller: str) -> Iterator[None]:
-    """Count the engine's work in the block and log it as one DEBUG line:
-    ``_lloyd`` calls, Lloyd rounds, restarts stopped at ``max_iter``,
-    cluster sums computed and shared, rows that ``_assign`` decided in the
-    difference form, ``_repair`` calls, and inertia terms computed and
-    shared. Nothing is logged if the block raises."""
-    work: Counter = Counter()
-    token = _work.set(work)
-    try:
-        yield
-    finally:
-        _work.reset(token)
-    log.debug("%s: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at max_iter, %d cluster "
-              "sums computed, %d shared, %d rows assigned in the difference form, %d _repair "
-              "calls, %d inertia terms computed, %d shared",
-              caller, work["calls"], work["rounds"], work["max_iter_hits"], work["sums"],
-              work["shared"], work["fallback_rows"], work["repairs"], work["terms"],
-              work["shared_terms"])
+@dataclass
+class EngineWork:
+    """The restart engine's work in one ``kmeans_restarts`` or sweep call:
+    ``_lloyd`` calls, Lloyd rounds (the longest restart of each call),
+    restarts stopped at ``DEFAULT_MAX_ITER``, cluster sums computed and
+    shared, rows that ``_assign`` decided in the difference form,
+    ``_repair`` calls, and inertia terms computed and shared."""
+
+    calls: int = 0
+    rounds: int = 0
+    max_iter_hits: int = 0
+    sums: int = 0
+    shared: int = 0
+    fallback_rows: int = 0
+    repairs: int = 0
+    terms: int = 0
+    shared_terms: int = 0
+
+    def log(self, caller: str) -> None:
+        """One DEBUG line of every count; the record carries this one as ``work``."""
+        log.debug("%s: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at max_iter, %d "
+                  "cluster sums computed, %d shared, %d rows assigned in the difference form, %d "
+                  "_repair calls, %d inertia terms computed, %d shared",
+                  caller, self.calls, self.rounds, self.max_iter_hits, self.sums, self.shared,
+                  self.fallback_rows, self.repairs, self.terms, self.shared_terms,
+                  extra={"work": self})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,8 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.ndarray,
+            work: EngineWork) -> np.ndarray:
     """Nearest center per restart and row: ``argmin`` of ``_squared_distances``
     against each restart's centers, ties to the lowest index, without
     forming a difference tensor.
@@ -180,7 +184,8 @@ def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.nd
     factor 2 to spare, plus slack for subnormal rounding, has the same
     unique argmin in the difference form. Every other row, including ties
     and rows whose values hold inf or NaN (their gap is NaN, or their bound
-    inf), is decided by ``_squared_distances`` on the restart's own width.
+    inf), is decided by ``_squared_distances`` on the restart's own width;
+    ``work`` counts those rows.
     """
     A, k, d = centers.shape
     n = X.shape[0]
@@ -205,16 +210,11 @@ def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.nd
     bound *= 8.0 * _gamma(d + 4)
     bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
     unsure = ~(gap > bound)
-    if unsure.any():
-        redone = 0
-        for a in np.flatnonzero(unsure.any(axis=1)).tolist():
-            redo = np.flatnonzero(unsure[a])
-            w = widths[a]
-            assign[a, redo] = np.argmin(_squared_distances(X[redo, :w], centers[a, :, :w]), axis=1)
-            redone += redo.size
-        work = _work.get()
-        if work is not None:
-            work.update(fallback_rows=redone)
+    for a in np.flatnonzero(unsure.any(axis=1)).tolist():
+        redo = np.flatnonzero(unsure[a])
+        w = widths[a]
+        assign[a, redo] = np.argmin(_squared_distances(X[redo, :w], centers[a, :, :w]), axis=1)
+        work.fallback_rows += redo.size
     return assign
 
 
@@ -241,11 +241,12 @@ def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 # Sharing terms pays on replay_week's 100 restarts (200 x 571, k = 8): 65-77 ms
 # against 84-94 ms for one einsum per restart; grouping centers by their bytes
 # alone, without the sum as a hash, took 76-89 ms and 0.7 MB more at the peak.
-def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
+              work: EngineWork) -> np.ndarray:
     """Sum of squared distances to the assigned centers, per restart; each
     term rounds as the matching entry of ``_squared_distances``, and each
     restart's terms are summed in row order. ``keys`` is ``a * k +
-    assign[a]`` per restart a and row.
+    assign[a]`` per restart a and row; ``work`` counts the terms.
 
     Restarts that end near one partition share most of their terms, so each
     distinct (row, center value) term is computed once, ``_BLOCK_FLOATS``
@@ -279,9 +280,8 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray) -> np.ndarra
         # in place: a second block-sized array measured slower than the arithmetic
         np.subtract(X[rows[lo:lo + per_block]], diff, out=diff)
         squares[lo:lo + per_block] = np.einsum("pd,pd->p", diff, diff)
-    work = _work.get()
-    if work is not None:
-        work.update(terms=terms.size, shared_terms=keys.size - terms.size)
+    work.terms += terms.size
+    work.shared_terms += keys.size - terms.size
     return squares[which].reshape(A, n).sum(axis=1)
 
 
@@ -319,9 +319,6 @@ def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
         np.add.reduce(X[rows[end - size:end]], axis=0, out=means[i])
     # the arithmetic of each block's mean(axis=0), without its overhead
     means /= counts[:, None]
-    work = _work.get()
-    if work is not None:
-        work.update(sums=first.size, shared=written.size - first.size)
     return written, means, which
 
 
@@ -332,23 +329,25 @@ def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _seed_rows(n: int, k: int, seeds: tuple[int, ...]) -> np.ndarray:
-    """Row a: ``_initial_rows`` of ``seeds[a]``, read-only. Keyed by a
-    batch's distinct seeds, so a chunk draws each seed once, and every
-    chunk of a sweep, whatever its widths, reads one entry. Not keyed by
-    seed: chunks scan the seeds in order, so a per-seed cache with fewer
-    slots than seeds would miss on every lookup."""
+    """Row a: ``_initial_rows`` of ``seeds[a]``, read-only: the (A, k)
+    initial rows of ``_lloyd``. The cache serves repeated calls, which
+    would each build a generator per seed; a sweep draws its seeds once for
+    all its chunks. Not keyed by seed: chunks scan the seeds in order, so a
+    per-seed cache with fewer slots than seeds would miss on every lookup."""
     rows = np.array([_initial_rows(n, k, seed) for seed in seeds], dtype=np.intp)
     rows.flags.writeable = False
     return rows
 
 
-def kmeans_restarts(
-    points,
-    k: int,
-    seeds: Iterable[int],
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> list[KMeansResult]:
+def _check_restarts(k: int, n: int, seeds: list[int]) -> None:
+    """The checks that ``kmeans_restarts`` and the sweep share."""
+    if not 1 <= k <= n:
+        raise ValidationError(f"k={k} outside 1..n={n}")
+    if not seeds:
+        raise ValidationError("K-Means restarts need at least one seed")
+
+
+def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     """One K-Means run per seed (see ``kmeans``), in seed order.
 
     The restarts advance together: every Lloyd round assigns the points of
@@ -363,51 +362,49 @@ def kmeans_restarts(
     The results of a chunk are views of its assignment and centers blocks.
     Every restart here uses all d columns; the feature-count sweep gives
     each restart of the same engine its own prefix width. One DEBUG line
-    per call counts the engine's work (see ``_counting``).
+    per call counts the engine's work (see ``EngineWork``).
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} outside 1..n={n}")
     seeds = list(seeds)
-    if not seeds:
-        raise ValidationError("K-Means restarts need at least one seed")
-    if max_iter < 0:
-        raise ValidationError(f"max_iter={max_iter} is negative")
-    if not tol >= 0.0:
-        raise ValidationError(f"tol={tol} is negative or NaN")
+    _check_restarts(k, n, seeds)
     xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
     per_chunk = max(1, _CHUNK_FLOATS // max(1, k * d))
     results: list[KMeansResult] = []
-    with _counting("kmeans_restarts"):
-        for start in range(0, len(seeds), per_chunk):
-            chunk = seeds[start:start + per_chunk]
-            assigns, centers, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)), k, chunk,
-                                              max_iter, tol, np.full(len(chunk), d))
-            keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
-            inertias = _inertias(X, centers, keys).tolist()
-            results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
+    work = EngineWork()
+    for start in range(0, len(seeds), per_chunk):
+        chunk = seeds[start:start + per_chunk]
+        assigns, centers, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)),
+                                          _seed_rows(n, k, tuple(chunk)), np.full(len(chunk), d),
+                                          work)
+        keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
+        inertias = _inertias(X, centers, keys, work).tolist()
+        results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
+    work.log("kmeans_restarts")
     return results
 
 
-def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
-           widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
+           work: EngineWork) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Lloyd rounds of one chunk of restarts, all advancing together; the
     restarts' final assignments (A, n), their final centers (A, k, d) and
-    each one's number of rounds, in seed order.
+    each one's number of rounds, in the order of ``rows``. Each restart
+    stops when no center moves by ``DEFAULT_TOL`` or more, or after
+    ``DEFAULT_MAX_ITER`` rounds; both are read at each call. ``work``
+    counts the rounds, the sums and the repairs.
 
-    Restart a is the run of its seed on the prefix ``X[:, :widths[a]]``;
-    row a of ``xnorm`` holds the norms of the rows at that width. A
-    restart narrower than X keeps its centers zero beyond its width. Its
-    means sum whole rows of X column by column, which rounds as the prefix
-    does, and lose the columns past its width. At width 1 numpy sums a
-    one-column block pairwise instead, so a width-1 restart may only run
-    in a chunk where X has one column. Every step whose rounding depends
-    on the number of columns is taken on the restart's own slice: the
-    fallback of ``_assign``, ``_repair`` and a shift within a rounding
-    band of ``tol``. A restart's centers come back at the width of X, zero
-    past its own; the inertia is left to the caller, since the sweep reads
-    only the assignments.
+    Restart a starts from the centers ``X[rows[a]]`` and is the run of its
+    seed on the prefix ``X[:, :widths[a]]``; row a of ``xnorm`` holds the
+    norms of the rows at that width. A restart narrower than X keeps its
+    centers zero beyond its width. Its means sum whole rows of X column by
+    column, which rounds as the prefix does, and lose the columns past its
+    width. At width 1 numpy sums a one-column block pairwise instead, so a
+    width-1 restart may only run in a chunk where X has one column. Every
+    step whose rounding depends on the number of columns is taken on the
+    restart's own slice: the fallback of ``_assign``, ``_repair`` and a
+    shift within a rounding band of ``DEFAULT_TOL``. A restart's centers
+    come back at the width of X, zero past its own; the inertia is left to
+    the caller, since the sweep reads only the assignments.
 
     A round reads and writes only the clusters it rewrote: those whose
     members changed, because a row entered or left or ``_repair`` ran in
@@ -430,14 +427,14 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
     The restarts that stop in a round leave together: their rounds, their
     centers, and their assignment when their centers did not move, are
     stored with one indexing each. The centers block starts as the seed
-    rows, which ``max_iter=0`` assigns to.
+    rows, which a ``DEFAULT_MAX_ITER`` of 0 assigns to.
     """
+    max_iter, tol = DEFAULT_MAX_ITER, DEFAULT_TOL
     n, d = X.shape
+    A, k = rows.shape
     padded = bool((widths < d).any())
     columns = np.arange(d)
-    distinct = tuple(dict.fromkeys(seeds))
-    slot_of = {seed: i for i, seed in enumerate(distinct)}
-    centers = X[_seed_rows(n, k, distinct)[[slot_of[seed] for seed in seeds]]]
+    centers = X[rows]
     if padded:
         np.copyto(centers, 0.0, where=columns >= widths[:, None, None])
         # the sum of one shift can round differently padded than at its own width
@@ -446,15 +443,14 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
     # every center so far is finite: a kept one shifts by exactly 0
     finite = bool(np.isfinite(X).all())
     last = centers.copy()  # each restart's centers when it stopped
-    final = np.empty((len(seeds), n), dtype=np.intp)  # each assignment, once known
-    known = np.zeros(len(seeds), dtype=bool)
-    rounds = np.zeros(len(seeds), dtype=int)
-    live = np.arange(len(seeds))
+    final = np.empty((A, n), dtype=np.intp)  # each assignment, once known
+    known = np.zeros(A, dtype=bool)
+    rounds = np.zeros(A, dtype=int)
+    live = np.arange(A)
     live_xnorm, live_widths = xnorm, widths
     previous = None  # the live restarts' assignments in the last round
-    work = _work.get()
     for it in range(1, max_iter + 1):
-        assign = _assign(X, live_xnorm, centers, live_widths)
+        assign = _assign(X, live_xnorm, centers, live_widths, work)
         offsets = np.arange(0, len(live) * k, k)[:, None]
         keys = offsets + assign
         sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
@@ -465,8 +461,7 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
                 w = live_widths[a]
                 assign[a] = _repair(X[:, :w], centers[a, :, :w], assign[a])
             keys = offsets + assign
-            if work is not None:
-                work.update(repairs=len(empty))
+            work.repairs += len(empty)
         if previous is None:
             changed = np.ones(len(live) * k, dtype=bool)
         else:
@@ -477,6 +472,8 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
             for a in empty:
                 changed[a * k:(a + 1) * k] = True
         written, means, which = _means(X, centers, keys, changed)
+        work.sums += len(means)
+        work.shared += written.size - len(means)
         flat = centers.reshape(-1, d)
         if finite:
             squares = np.zeros(len(flat))
@@ -533,33 +530,28 @@ def _lloyd(X, xnorm, k: int, seeds: list[int], max_iter: int, tol: float,
     # restarts whose centers moved in their last round get one more assignment
     pending = np.flatnonzero(~known)
     if pending.size:
-        final[pending] = _assign(X, xnorm[pending], last[pending], widths[pending])
+        final[pending] = _assign(X, xnorm[pending], last[pending], widths[pending], work)
     rounds = rounds.tolist()
-    if work is not None:
-        work.update(calls=1, rounds=max(rounds), max_iter_hits=rounds.count(max_iter))
+    work.calls += 1
+    work.rounds += max(rounds)
+    work.max_iter_hits += rounds.count(max_iter)
     return final, last, rounds
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> KMeansResult:
+def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm from k distinct data points picked by the seed.
 
     Assignment ties break toward the lowest cluster index. If a cluster
     empties, the point currently farthest from its center becomes that
     cluster's new singleton center. A cluster whose members did not change
     keeps its center, which already is their mean. Stops when no center
-    moves more than ``tol``, when a round that repaired a cluster ends on
-    last round's assignment and on the centers it started from (a fixed
-    point that the repair's moved centers would hide from ``tol``), or
-    after ``max_iter`` rounds; the inertia is that of the final centers
-    and assignment. ``max_iter=0`` runs no round: the points are assigned
-    to the seed rows, the initial centers. A negative ``max_iter``, or a
-    negative or NaN ``tol``, raises ``ValidationError``.
+    moves by ``DEFAULT_TOL`` or more, when a round that repaired a cluster
+    ends on last round's assignment and on the centers it started from (a
+    fixed point that the repair's moved centers would hide from the
+    tolerance), or after ``DEFAULT_MAX_ITER`` rounds; the inertia is that
+    of the final centers and assignment. The engine reads both constants
+    at each call; with a ``DEFAULT_MAX_ITER`` of 0 it runs no round and
+    assigns the points to the seed rows, the initial centers.
 
     k clusters are not guaranteed to stay populated. With fewer than k
     distinct points, the farthest point already sits on a center, its
@@ -570,7 +562,7 @@ def kmeans(
     Input is copied to C order first, so a point set gives the same result
     in any memory layout. This is the one-seed call of ``kmeans_restarts``.
     """
-    return kmeans_restarts(points, k, [seed], max_iter, tol)[0]
+    return kmeans_restarts(points, k, [seed])[0]
 
 
 def best_kmeans(
@@ -732,7 +724,7 @@ def sweep_feature_count(
     hold the same rows in one round share one sum, whatever their seeds
     and widths (see ``_prefix_assignments``). All labelings are then
     scored in one ``_rand_indices`` call. One DEBUG line counts the
-    engine's work (see ``_counting``). The preferred operating point is
+    engine's work (see ``EngineWork``). The preferred operating point is
     the smallest w whose minimum rand index over restarts is maximal —
     the worst case is what must be good.
     """
@@ -754,16 +746,14 @@ def sweep_feature_count(
     index = column_index(names)
     ranked = np.ascontiguousarray(values[:, [index[n] for n in ranking[:limit]]])
 
-    if not 1 <= n_clusters <= len(ranked):
-        raise ValidationError(f"k={n_clusters} outside 1..n={len(ranked)}")
     seeds = list(range(seed0, seed0 + restarts))
-    if not seeds:
-        raise ValidationError("K-Means restarts need at least one seed")
+    _check_restarts(n_clusters, len(ranked), seeds)
     # one row per run, filled as the runs come: no list of every run's arrays
     labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
-    with _counting("sweep_feature_count"):
-        for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds)):
-            labelings[i] = assignments
+    work = EngineWork()
+    for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds, work)):
+        labelings[i] = assignments
+    work.log("sweep_feature_count")
     rand = _rand_indices(truth, labelings, adjusted)
     entries = [
         SweepEntry(n_features=w, stats=_rand_stats(rand[(w - 1) * restarts:w * restarts]))
@@ -774,7 +764,8 @@ def sweep_feature_count(
     return SweepCurve(entries=entries, chosen_k=chosen, ranking=ranking)
 
 
-def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterator[np.ndarray]:
+def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int],
+                        work: EngineWork) -> Iterator[np.ndarray]:
     """The assignments of ``kmeans_restarts(ranked[:, :w], k, seeds)`` for
     w = 1..d in turn, from a few ``_lloyd`` calls. A generator: the caller
     need not hold every chunk's results at once.
@@ -787,12 +778,13 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
     array of that size is formed (see ``_SWEEP_FLOATS``). In each round
     the chunk sums each distinct member set once: neighbouring widths of
     one seed, and often other seeds, hold the same clusters, and a sum of
-    whole padded rows serves every width. Every chunk reads one cached
-    draw of the seeds' initial rows, and each restart's squared row norms
-    come from one ``cumsum``.
+    whole padded rows serves every width. The seeds' initial rows are
+    drawn once and tiled over each chunk's widths, and each restart's
+    squared row norms come from one ``cumsum``.
     """
     n, d = ranked.shape
     cumulative = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
+    rows = _seed_rows(n, k, tuple(seeds))
     first = 1
     while first <= d:
         last = first
@@ -800,8 +792,8 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int]) -> Iterato
                 (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
             last += 1
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
-        yield from _lloyd(ranked[:, :last], np.sqrt(cumulative[widths - 1]), k,
-                          seeds * (last + 1 - first), DEFAULT_MAX_ITER, DEFAULT_TOL, widths)[0]
+        yield from _lloyd(ranked[:, :last], np.sqrt(cumulative[widths - 1]),
+                          np.tile(rows, (last + 1 - first, 1)), widths, work)[0]
         first = last + 1
 
 
@@ -818,11 +810,14 @@ class PcaModel:
 
 def pca_fit(points, dims: int) -> PcaModel:
     """Top principal axes of the centered data, from its thin SVD: the
-    eigenvectors of the sample covariance without forming it (d x d)."""
+    eigenvectors of the sample covariance without forming it (d x d).
+    Points holding NaN or inf raise ``ValidationError``."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = X.shape
     if not 1 <= dims <= min(n - 1, d):
         raise ValidationError(f"dims={dims} outside 1..min(n-1, d)={min(n - 1, d)}")
+    if not np.isfinite(X).all():
+        raise ValidationError("PCA needs finite points")
     mean = X.mean(axis=0)
     _, singular, vt = np.linalg.svd(X - mean, full_matrices=False)
     components = vt[:dims].copy()

@@ -275,13 +275,13 @@ class FeatureMatrix:
 
     def select(self, names: Sequence[str]) -> "FeatureMatrix":
         """The named columns in the given order; an unknown name raises
-        ``ValueError``."""
+        ``ValidationError``."""
         names = tuple(names)
         index = column_index(self.names)
         try:
             idx = [index[n] for n in names]
         except KeyError as exc:
-            raise ValueError(f"no column named {exc.args[0]!r}") from None
+            raise ValidationError(f"no column named {exc.args[0]!r}") from None
         return FeatureMatrix(
             names=names,
             values=self.values[:, idx],

@@ -40,23 +40,23 @@ import numpy as np
 from .errors import ValidationError
 from .features import FeatureMatrix
 
-# Cephes ndtri coefficients, highest power first; the Q tables omit the
-# leading 1 that p1evl supplies.
+# Cephes ndtri coefficients, highest power first; the Q tables write out the
+# leading 1 that Cephes' p1evl implies, and 1.0 * x is exact.
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
        1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
        -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
        1.59056225126211695515e1, -1.18331621121330003142e0)
 _P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
        4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
        -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
        1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
        -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
        1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
        3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 _SQRT_2PI = 2.50662827463100050242e0
@@ -66,14 +66,6 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2), where the tails begin
 def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
     """Cephes ``polevl``: Horner's rule from the highest coefficient."""
     ans = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
-    """Cephes ``p1evl``: ``polevl`` with an implied leading coefficient 1."""
-    ans = x + coefs[0]
     for c in coefs[1:]:
         ans = ans * x + c
     return ans
@@ -104,7 +96,7 @@ def ndtri(p) -> np.ndarray:
     centre = inside & (y > _EXP_M2)
     y0 = y[centre] - 0.5
     y2 = y0 * y0
-    x[centre] = (y0 + y0 * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _SQRT_2PI
+    x[centre] = (y0 + y0 * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _SQRT_2PI
 
     tail = inside & ~centre
     t = np.sqrt(-2.0 * _libm_log(y[tail]))
@@ -112,8 +104,8 @@ def ndtri(p) -> np.ndarray:
     z = 1.0 / t
     near = t < 8.0  # p > exp(-32)
     x1 = np.empty_like(t)
-    x1[near] = z[near] * _polevl(z[near], _P1) / _p1evl(z[near], _Q1)
-    x1[~near] = z[~near] * _polevl(z[~near], _P2) / _p1evl(z[~near], _Q2)
+    x1[near] = z[near] * _polevl(z[near], _P1) / _polevl(z[near], _Q1)
+    x1[~near] = z[~near] * _polevl(z[~near], _P2) / _polevl(z[~near], _Q2)
     x0 -= x1
     x[tail] = np.where(upper[tail], x0, -x0)
     return x[inverse].reshape(p.shape)

@@ -135,6 +135,14 @@ def fallback_spy():
         yield spy
 
 
+@contextmanager
+def engine_settings(max_iter=cluster.DEFAULT_MAX_ITER, tol=cluster.DEFAULT_TOL):
+    """The engine's round limit and shift tolerance set to these values in the block."""
+    with mock.patch.object(cluster, "DEFAULT_MAX_ITER", max_iter), \
+            mock.patch.object(cluster, "DEFAULT_TOL", tol):
+        yield
+
+
 # ---------------------------------------------------------------------------
 # Inputs for the kernel
 # ---------------------------------------------------------------------------
@@ -211,7 +219,8 @@ class TestKMeansKernel:
         centers = X[rows]
         xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers[None], [X.shape[1]])[0]
+            assign = cluster._assign(X, np.sqrt(xx), centers[None], [X.shape[1]],
+                                     cluster.EngineWork())[0]
         d2 = reference_squared_distances(X, centers)
         np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
         two = np.sort(d2, axis=1)[:, :2]
@@ -222,7 +231,8 @@ class TestKMeansKernel:
         X = np.array([[0.0], [1.0], [2.0]])
         xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1])[0]
+            assign = cluster._assign(X, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1],
+                                     cluster.EngineWork())[0]
         np.testing.assert_array_equal(assign, [1, 0, 0])
         (points, _), _ = spy.call_args
         np.testing.assert_array_equal(points, [[1.0]])
@@ -236,7 +246,7 @@ class TestKMeansKernel:
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-162, -150)
             centers = X[rng.choice(n, k, replace=False)]
             xx = np.einsum("nd,nd->n", X, X)[None]
-            assign = cluster._assign(X, np.sqrt(xx), centers[None], [d])[0]
+            assign = cluster._assign(X, np.sqrt(xx), centers[None], [d], cluster.EngineWork())[0]
             expected = np.argmin(reference_squared_distances(X, centers), axis=1)
             np.testing.assert_array_equal(assign, expected)
 
@@ -246,7 +256,7 @@ def assign_restarts(X, centers, widths):
     (restarts, k, d), zero past each width."""
     widths = np.asarray(widths)
     xx = np.cumsum(X * X, axis=1).T[widths - 1]
-    return cluster._assign(X, np.sqrt(xx), centers, widths)
+    return cluster._assign(X, np.sqrt(xx), centers, widths, cluster.EngineWork())
 
 
 def assert_nearest_per_restart(assign, X, centers, widths):
@@ -418,7 +428,8 @@ class TestKMeansRestarts:
            st.sampled_from([0.0, cluster.DEFAULT_TOL, 0.5]))
     def test_max_iter_and_tol_batches_match_reference(self, case, seeds, max_iter, tol):
         X, k, _ = case
-        results = kmeans_restarts(X, k, seeds, max_iter=max_iter, tol=tol)
+        with engine_settings(max_iter, tol):
+            results = kmeans_restarts(X, k, seeds)
         assert_restarts_match_reference(results, X, k, seeds, max_iter, tol)
 
     @settings(max_examples=30, deadline=None)
@@ -450,10 +461,31 @@ class TestKMeansRestarts:
         seeds = list(range(8))
         _, _, _, iterations, _ = zip(*(reference_kmeans(X, 4, s) for s in seeds))
         cap = sorted(iterations)[len(seeds) // 2]
-        results = kmeans_restarts(X, 4, seeds, max_iter=cap)
+        with engine_settings(cap):
+            results = kmeans_restarts(X, 4, seeds)
         hits = [result.iterations == cap for result in results]
         assert any(hits) and not all(hits)
         assert_restarts_match_reference(results, X, 4, seeds, cap)
+
+    @pytest.mark.parametrize("X, k, cap, expected", [
+        # the input above: half the restarts reach the cap, none repairs
+        (np.random.default_rng(5).standard_normal((40, 3)), 4, 6, (6, 4, 0)),
+        # the input below whose seed 3 repairs in round 2
+        (np.array([[0.18, 0.96], [-0.93, 0.06], [0.3, -1.12], [0.41, -0.98],
+                   [0.18, 0.62], [0.1, -1.19], [0.69, 0.72], [0.16, 0.81]]), 3, 3, (3, 6, 1)),
+    ])
+    def test_work_record_counts_rounds_max_iter_hits_and_repairs(self, caplog, X, k, cap,
+                                                                 expected):
+        seeds = list(range(8))
+        runs = [reference_kmeans(X, k, s, cap) for s in seeds]
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"), engine_settings(cap):
+            kmeans_restarts(X, k, seeds)
+        (record,) = caplog.records
+        work = record.work
+        assert (work.calls, work.rounds, work.max_iter_hits, work.repairs) == (1, *expected)
+        assert work.rounds == max(run[3] for run in runs)
+        assert work.max_iter_hits == sum(run[3] == cap for run in runs)
+        assert work.repairs == sum(repaired for run in runs for _, repaired in run[4])
 
     def test_repair_in_one_restart_while_others_continue(self):
         # seeds that pick two rows of one value start with two equal centers
@@ -501,7 +533,8 @@ class TestKMeansRestarts:
         seeds = list(range(4))
         assert all(all(repaired for _, repaired in reference_kmeans(X, 3, s, 5, 0.0)[4])
                    for s in seeds)
-        results = kmeans_restarts(X, 3, seeds, max_iter=5, tol=0.0)
+        with engine_settings(5, 0.0):
+            results = kmeans_restarts(X, 3, seeds)
         assert [result.iterations for result in results] == [2] * len(seeds)
         assert_restarts_match_reference(results, X, 3, seeds, 5, 0.0)
 
@@ -525,7 +558,7 @@ class TestKMeansRestarts:
         centers = np.array([[[0.0], [2.0]],    # row 1.0 is equidistant
                             [[0.5], [3.0]]])   # no ties
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers, [1, 1])
+            assign = cluster._assign(X, np.sqrt(xx), centers, [1, 1], cluster.EngineWork())
         (points, restart_centers), _ = spy.call_args
         assert spy.call_count == 1
         np.testing.assert_array_equal(points, [[1.0]])
@@ -586,18 +619,6 @@ class TestKMeansRestarts:
         with pytest.raises(ValidationError):
             best_kmeans(np.zeros((4, 2)), 2, restarts=0)
 
-    @pytest.mark.parametrize("max_iter, tol, message", [
-        (-1, cluster.DEFAULT_TOL, "max_iter=-1 is negative"),
-        (cluster.DEFAULT_MAX_ITER, -1.0, "tol=-1.0 is negative or NaN"),
-        (cluster.DEFAULT_MAX_ITER, math.nan, "tol=nan is negative or NaN"),
-    ])
-    def test_negative_max_iter_and_negative_or_nan_tol_rejected(self, max_iter, tol, message):
-        X = np.random.default_rng(0).standard_normal((6, 2))
-        with pytest.raises(ValidationError, match=message):
-            kmeans_restarts(X, 2, [0, 1], max_iter=max_iter, tol=tol)
-        with pytest.raises(ValidationError, match=message):
-            kmeans(X, 2, max_iter=max_iter, tol=tol)
-
     def test_logs_the_engines_work_at_debug(self, caplog):
         # two values for three clusters: every restart repairs, and rows tie
         X = np.array([0.0] * 5 + [1.0] * 5)[:, None]
@@ -624,7 +645,8 @@ class TestKMeansRestarts:
             X[5, 2] = bad
         seeds = list(range(8))
         with np.errstate(invalid="ignore", over="ignore"):
-            results = kmeans_restarts(X, 3, seeds, max_iter=20)
+            with engine_settings(20):
+                results = kmeans_restarts(X, 3, seeds)
             assert_restarts_match_reference_or_nan(results, X, 3, seeds, 20)
 
     def test_best_kmeans_keeps_lowest_tied_seed_across_chunks(self):
@@ -654,15 +676,14 @@ class TestKMeansRestarts:
         assert (stats.minimum, stats.maximum) == (min(expected), max(expected))
 
 
-def inertia_work(caplog, *args, **kwargs):
-    """``kmeans_restarts(*args, **kwargs)``, and the inertia terms its DEBUG
-    line reports computed and shared."""
+def inertia_work(caplog, *args):
+    """``kmeans_restarts(*args)``, and the inertia terms its work record
+    counts computed and shared."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
-        results = kmeans_restarts(*args, **kwargs)
-    (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kmeans")]
-    computed, shared = re.search(r"(\d+) inertia terms computed, (\d+) shared", message).groups()
-    return results, int(computed), int(shared)
+        results = kmeans_restarts(*args)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("kmeans")]
+    return results, record.work.terms, record.work.shared_terms
 
 
 def distinct_terms(results, by_value=True):
@@ -703,7 +724,8 @@ class TestInertias:
         # apart by their bytes, and each value held with -0.0 and with 0.0
         X = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [3.0, 0.5], [0.2, 3.0]])
         seeds = list(range(16))
-        results, computed, shared = inertia_work(caplog, X, 2, seeds, max_iter=max_iter)
+        with engine_settings(max_iter):
+            results, computed, shared = inertia_work(caplog, X, 2, seeds)
         if max_iter == 0:
             # the seed rows are the centers: some restarts hold -0.0 where others hold 0.0
             assert computed == distinct_terms(results) < distinct_terms(results, by_value=False)
@@ -716,7 +738,8 @@ class TestInertias:
         X[5, 2] = math.nan
         seeds = list(range(12))
         with np.errstate(invalid="ignore"):
-            results, computed, shared = inertia_work(caplog, X, 3, seeds, max_iter=max_iter)
+            with engine_settings(max_iter):
+                results, computed, shared = inertia_work(caplog, X, 3, seeds)
             nan_centers = [c.tobytes() for r in results for c in r.centers if np.isnan(c).any()]
             # equal NaN centers in two restarts still give two sets of terms
             assert len(nan_centers) > len(set(nan_centers))
@@ -842,7 +865,7 @@ class TestBatchedRandIndex:
 # Per-restart prefix widths and the feature-count sweep
 # ---------------------------------------------------------------------------
 
-def prefix_lloyd(X, k, seeds, widths, max_iter=cluster.DEFAULT_MAX_ITER, tol=cluster.DEFAULT_TOL):
+def prefix_lloyd(X, k, seeds, widths):
     """The engine with restart a on the prefix ``X[:, :widths[a]]``, as the
     sweep calls it. Each result holds the restart's centers on its own
     width, whose columns past it must be zero, and the inertia
@@ -850,12 +873,14 @@ def prefix_lloyd(X, k, seeds, widths, max_iter=cluster.DEFAULT_MAX_ITER, tol=clu
     X = np.ascontiguousarray(X, dtype=float)
     widths = np.asarray(widths)
     xx = np.cumsum(X * X, axis=1).T[widths - 1]
-    assigns, centers, rounds = cluster._lloyd(X, np.sqrt(xx), k, list(seeds), max_iter, tol, widths)
+    rows = cluster._seed_rows(len(X), k, tuple(seeds))
+    assigns, centers, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, cluster.EngineWork())
     results = []
     for assign, padded, iterations, seed, w in zip(assigns, centers, rounds, seeds, widths.tolist()):
         assert padded.shape == (k, X.shape[1]) and not padded[:, w:].any()
         own = padded[:, :w].copy()
-        (inertia,) = cluster._inertias(own_prefix(X, w), own[None], assign[None]).tolist()
+        (inertia,) = cluster._inertias(own_prefix(X, w), own[None], assign[None],
+                                       cluster.EngineWork()).tolist()
         results.append(cluster.KMeansResult(assign, own, inertia, iterations, seed))
     return results
 
@@ -873,7 +898,8 @@ class TestPerRestartWidths:
         assume(X.shape[1] >= 2)
         widths = data.draw(st.lists(st.integers(2, X.shape[1]), min_size=1, max_size=8))
         seeds = data.draw(st.lists(st.integers(0, 999), min_size=len(widths), max_size=len(widths)))
-        results = prefix_lloyd(X, k, seeds, widths, max_iter, tol)
+        with engine_settings(max_iter, tol):
+            results = prefix_lloyd(X, k, seeds, widths)
         assert [result.seed for result in results] == seeds
         for result, w, seed in zip(results, widths, seeds):
             assert_matches_reference(result, own_prefix(X, w), k, seed, max_iter, tol)
@@ -894,7 +920,8 @@ class TestPerRestartWidths:
                 break
         assert own != padded
         for tol in (own, padded):
-            (result,) = prefix_lloyd(X, k, [seed], [w], tol=tol)
+            with engine_settings(tol=tol):
+                (result,) = prefix_lloyd(X, k, [seed], [w])
             assert_matches_reference(result, own_prefix(X, w), k, seed, tol=tol)
 
     def test_fallback_decides_on_the_restarts_own_width(self):
@@ -904,7 +931,7 @@ class TestPerRestartWidths:
         xx = np.cumsum(X * X, axis=1).T[[1]]
         centers = np.array([[[0.0, 0.0, 0.0], [1.9999999999999998, 0.0, 0.0]]])
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers, np.array([2]))
+            assign = cluster._assign(X, np.sqrt(xx), centers, np.array([2]), cluster.EngineWork())
         assert spy.call_count == 1
         np.testing.assert_array_equal(assign, [[1]])
 
@@ -1042,19 +1069,19 @@ class TestSharedSums:
 def engine_spy():
     """Record the widths of every ``_lloyd`` call and the labelings of
     every ``_rand_indices`` call."""
-    widths, labelings = [], []
+    batches, labelings = [], []
     real_lloyd, real_rand = cluster._lloyd, cluster._rand_indices
 
-    def lloyd(X, *args, **kwargs):
-        widths.append((X.shape, args[-1].tolist()))
-        return real_lloyd(X, *args, **kwargs)
+    def lloyd(X, xnorm, rows, widths, work):
+        batches.append((X.shape, widths.tolist()))
+        return real_lloyd(X, xnorm, rows, widths, work)
 
     def rand(truth, rows, adjusted):
         labelings.append(rows.copy())
         return real_rand(truth, rows, adjusted)
 
     with mock.patch.object(cluster, "_lloyd", lloyd), mock.patch.object(cluster, "_rand_indices", rand):
-        yield widths, labelings
+        yield batches, labelings
 
 
 @st.composite
@@ -1463,6 +1490,13 @@ class TestPca:
                 pca_fit(X, dims)
         with pytest.raises(ValidationError):
             pca_fit(X[:3], 3)  # n - 1 = 2 limits dims
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            pca_fit(X, 2)
 
 
 # ---------------------------------------------------------------------------

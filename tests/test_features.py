@@ -456,8 +456,8 @@ class TestSelect:
         assert same_bits(from_generator.values, m.select(("c", "a")).values)
 
     @pytest.mark.parametrize("names", [("e",), ("a", "B"), ("a", "")])
-    def test_unknown_name_raises_value_error(self, names):
-        with pytest.raises(ValueError, match=repr(names[-1])):
+    def test_unknown_name_raises_validation_error(self, names):
+        with pytest.raises(ValidationError, match=repr(names[-1])):
             self.matrix().select(names)
 
     def test_column_index_keeps_the_first_of_a_repeated_name(self):

@@ -1,8 +1,9 @@
 """The package metadata declares only what exists, and the package
-declares no public name, and no private module-level name, that nothing
-uses."""
+declares no public name, no private module-level name and no defaulted
+parameter that nothing uses."""
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -73,15 +74,21 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def _unused(declarations) -> set[str]:
-    """Qualified names of the package's ``declarations`` that no name or
-    attribute anywhere in the package or the benchmark reads,
-    outside the declaration's own lines."""
-    trees = {
+@functools.lru_cache(maxsize=None)
+def _trees() -> dict[Path, ast.Module]:
+    """The parsed modules of the package and the benchmark."""
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src/quickroutes", "perfbench")
         for path in sorted((ROOT / folder).glob("*.py"))
     }
+
+
+def _unused(declarations) -> set[str]:
+    """Qualified names of the package's ``declarations`` that no name or
+    attribute anywhere in the package or the benchmark reads,
+    outside the declaration's own lines."""
+    trees = _trees()
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     unused = set()
     for path in sorted((ROOT / "src/quickroutes").glob("*.py")):
@@ -104,6 +111,51 @@ def test_every_public_name_is_used_outside_its_definition():
 def test_every_private_module_name_is_used_outside_its_definition():
     # only the program counts as a reader: a helper that tests alone call is a leftover
     assert _unused(_private_declarations) == set()
+
+
+def _unset_defaults() -> set[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    module-level function of the package that the package or the benchmark
+    calls, where none of those calls sets it, by keyword or by position. A
+    call with ``*`` or ``**`` arguments counts as setting every parameter;
+    functions of one name in two modules share their calls."""
+    functions: dict[str, list] = {}
+    for path, tree in _trees().items():
+        if path.parent.name == "quickroutes":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.setdefault(node.name, []).append((path.stem, node))
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in functions:
+                    calls.setdefault(name, []).append(node)
+    unset = set()
+    for name, found in calls.items():
+        for module, node in functions[name]:
+            positional = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+            defaulted = positional[len(positional) - len(node.args.defaults):] + [
+                arg.arg for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+            for parameter in defaulted:
+                index = positional.index(parameter) if parameter in positional else len(positional)
+                if not any(
+                    any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(keyword.arg in (None, parameter) for keyword in call.keywords)
+                    or len(call.args) > index
+                    for call in found
+                ):
+                    unset.add(f"{module}.{name}({parameter})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that only tests override is a knob the program does not have
+    assert _unset_defaults() == set()
 
 
 def test_sample_event_is_named_only_in_the_firmware_spec():

@@ -8,28 +8,32 @@ seeds, and results are merged in seed order.
 
 ``_lloyd`` is the one Lloyd loop. ``kmeans_restarts`` calls it, and
 ``kmeans``, ``best_kmeans``, ``repeated_kmeans`` and the GMM
-initialization call that; the feature-count sweep calls it directly. Its
-restarts are batched: each round assigns the points of every restart
-still running from one GEMM against all their centers, and a restart
-leaves the batch once it converges. Each restart's result is bit for bit
-that of running it alone: sums keep the rounding of the one-restart
-code, and assignments are certified against the difference form. The
-GEMM gives ``|c|^2 - 2 x.c`` per row and center, k-1 elementwise passes
-keep each row's best and runner-up value, and a row whose gap between
-them exceeds ``8 gamma_{d+4} (|x| + max|c|)^2`` keeps its best center;
-ties, near ties and non-finite values are decided in the difference form.
-A round costs what it changed: only clusters whose members changed get a
-new mean (any other center already is that mean), and only those
-clusters' shifts are computed and written. Restarts share that work:
-equal member sets give equal sums, so each round sums every distinct
-member set of the batch once, whichever restarts hold it. Inertia is
-computed once per restart, from its final centers and assignment, and
-each distinct (row, center value) term of a chunk once. ``kmeans_restarts``
-runs restarts in chunks sized by memory: the (restarts, k, dimensions)
-centers block of a chunk holds at most 2 MB, or one restart's when that
-alone is larger. ``kmeans_restarts`` and the sweep each count the engine's
-work in one ``EngineWork`` and log it as one DEBUG line. The engine reads
-its stopping rule, ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, at each call.
+initialization call that; the feature-count sweep calls it directly. Both
+entries apply the finite-norm rule (``_check_restarts``): a row norm at
+the widest width used that is not finite (NaN, +-inf, or |x| above about
+1.3e154, whose square overflows) raises ``ValidationError`` before any
+restart runs, so every center is finite. The restarts are batched: each
+round assigns the points of every restart still running from one GEMM
+against all their centers, and a restart leaves the batch once it
+converges. Each restart's result is bit for bit that of running it alone:
+sums keep the rounding of the one-restart code, and assignments are
+certified against the difference form. The GEMM gives ``|c|^2 - 2 x.c``
+per row and center, k-1 elementwise passes keep each row's best and
+runner-up value, and a row whose gap between them exceeds
+``8 gamma_{d+4} (|x| + max|c|)^2`` keeps its best center; ties, near ties
+and values that overflow are decided in the difference form. A round
+costs what it changed: only clusters whose members changed get a new mean
+(any other center already is that mean), and only those clusters' shifts
+are computed and written. Restarts share that work: equal member sets
+give equal sums, so each round sums every distinct member set of the
+batch once, whichever restarts hold it. Inertia is computed once per
+restart, from its final centers and assignment, and each distinct (row,
+center value) term of a chunk once. ``kmeans_restarts`` runs restarts in
+chunks sized by memory: the (restarts, k, dimensions) centers block of a
+chunk holds at most 2 MB, or one restart's when that alone is larger.
+``kmeans_restarts`` and the sweep each count the engine's work in one
+``EngineWork`` and log it as one DEBUG line. The engine reads its
+stopping rule, ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, at each call.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
@@ -172,33 +176,30 @@ def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.nd
 
     One GEMM against all A*k centers gives ``|c|^2 - 2 x.c``, the squared
     distance less ``|x|^2``; the zeros of a narrower restart's centers only
-    add exact zero products. It lies within ``gamma_{d+2} (|x| + |c|)^2``
-    of its exact value, and the difference form within as much of the
-    exact squared distance, in any summation order and at any width up to
-    d, so neither the width of the GEMM nor the padding can change a
-    decision. k-1 elementwise passes over the (A, n) values of one center
-    at a time keep each row's best value, its index (the lowest on ties)
-    and the runner-up value; ``np.minimum`` and ``np.maximum`` carry a NaN
-    into the runner-up. A row whose best beats the runner-up by more than
-    ``8 gamma_{d+4} (|x| + max|c|)^2``, twice the sum of both errors with a
-    factor 2 to spare, plus slack for subnormal rounding, has the same
-    unique argmin in the difference form. Every other row, including ties
-    and rows whose values hold inf or NaN (their gap is NaN, or their bound
-    inf), is decided by ``_squared_distances`` on the restart's own width;
-    ``work`` counts those rows.
+    add exact zero products. It lies within ``gamma_{d+2} (|x| + |c|)^2`` of
+    its exact value, and the difference form within as much of the exact
+    squared distance, in any summation order and at any width up to d, so
+    neither the width of the GEMM nor the padding can change a decision.
+    From center 0 and a runner-up of +inf, k-1 elementwise passes over the
+    (A, n) values of one center at a time keep each row's best value, its
+    index (the lowest on ties) and the runner-up value; ``np.minimum`` and
+    ``np.maximum`` carry a NaN into the runner-up. A row whose best beats
+    the runner-up by more than ``8 gamma_{d+4} (|x| + max|c|)^2``, twice the
+    sum of both errors with a factor 2 to spare, plus slack for subnormal
+    rounding, has the same unique argmin in the difference form. Every other
+    row, including ties and rows whose values overflow (their gap is NaN, or
+    their bound inf), is decided by ``_squared_distances`` on the restart's
+    own width; ``work`` counts those rows. At k = 1 every row gets center 0.
     """
     A, k, d = centers.shape
     n = X.shape[0]
-    if k == 1:
-        return np.zeros((A, n), dtype=np.intp)
     cc = np.einsum("akd,akd->ak", centers, centers)
     # block j holds every restart's value of center j: (k, A, n)
     values = (X @ centers.reshape(A * k, d).T).reshape(n, A, k).transpose(2, 1, 0)
     values *= -2.0
     values += cc.T[:, :, None]
-    best, second = np.minimum(values[0], values[1]), np.maximum(values[0], values[1])
-    assign = (values[1] < values[0]).astype(np.intp)
-    for j in range(2, k):
+    best, second, assign = values[0], np.full((A, n), np.inf), np.zeros((A, n), dtype=np.intp)
+    for j in range(1, k):
         closer = values[j] < best
         np.minimum(second, np.maximum(best, values[j]), out=second)
         np.minimum(best, values[j], out=best)
@@ -250,9 +251,9 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
 
     Restarts that end near one partition share most of their terms, so each
     distinct (row, center value) term is computed once, ``_BLOCK_FLOATS``
-    floats of differences at a time. Centers count as equal when their
-    values compare equal: the squared difference to -0.0 and to 0.0 is the
-    same, and a center that holds NaN matches no other.
+    floats of differences at a time. Centers, all finite, count as equal
+    when their values compare equal: the squared difference to -0.0 and to
+    0.0 is the same.
     """
     A, k, d = centers.shape
     n = len(X)
@@ -262,14 +263,9 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
     _, first, value = np.unique(flat.sum(axis=1), return_index=True, return_inverse=True)
     alone = np.flatnonzero(~(flat == flat[first[value]]).all(axis=1))
     if alone.size:
-        # centers that share a sum with an unequal one, or hold NaN: grouped
-        # by their bytes, -0.0 as 0.0, and a center holding NaN on its own
-        canonical = flat[alone] + 0.0  # -0.0 + 0.0 is 0.0
-        _, regroup = np.unique(canonical.view(np.dtype((np.void, 8 * d))).ravel(),
-                               return_inverse=True)
-        nan = np.flatnonzero(np.isnan(canonical).any(axis=1))
-        regroup[nan] = alone.size + np.arange(nan.size)
-        value[alone] = A * k + regroup
+        # centers that share a sum with an unequal one: grouped by bytes, -0.0 + 0.0 as 0.0
+        canonical = (flat[alone] + 0.0).view(np.dtype((np.void, 8 * d))).ravel()
+        value[alone] = A * k + np.unique(canonical, return_inverse=True)[1]
     terms, first, which = np.unique(value[keys] * n + np.arange(n), return_index=True,
                                     return_inverse=True)
     rows, centered = first % n, keys.ravel()[first]
@@ -339,12 +335,16 @@ def _seed_rows(n: int, k: int, seeds: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _check_restarts(k: int, n: int, seeds: list[int]) -> None:
-    """The checks that ``kmeans_restarts`` and the sweep share."""
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} outside 1..n={n}")
+def _check_restarts(k: int, norms: np.ndarray, seeds: list[int]) -> None:
+    """The door of ``kmeans_restarts`` and the sweep; ``norms`` are the row norms."""
+    if not 1 <= k <= len(norms):
+        raise ValidationError(f"k={k} outside 1..n={len(norms)}")
     if not seeds:
         raise ValidationError("K-Means restarts need at least one seed")
+    if min(seeds) < 0:
+        raise ValidationError(f"K-Means seeds must be >= 0, got {min(seeds)}")
+    if not np.isfinite(norms).all():
+        raise ValidationError("K-Means needs finite points whose squared norms do not overflow")
 
 
 def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
@@ -367,8 +367,8 @@ def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
     seeds = list(seeds)
-    _check_restarts(k, n, seeds)
     xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
+    _check_restarts(k, xnorm, seeds)
     per_chunk = max(1, _CHUNK_FLOATS // max(1, k * d))
     results: list[KMeansResult] = []
     work = EngineWork()
@@ -416,10 +416,9 @@ def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
     the means are written into the centers in place, ``_BLOCK_FLOATS``
     floats at a time in an unpadded chunk; a padded chunk's centers are at
     most k/n of ``_SWEEP_FLOATS``, and it keeps its steps for the band
-    check. A kept center's shift is an exact 0, or NaN once a center can
-    hold inf or NaN (then it is taken from the kept centers, as the
-    difference ``c - c`` would give it). A round's sums, means and steps
-    are released before the next round assigns.
+    check. A kept center's shift is an exact 0: under the finite-norm rule
+    every center is finite. A round's sums, means and steps are released
+    before the next round assigns.
     A repaired restart also stops on a fixed point: its assignment equals
     last round's and its new means equal the centers it started the round
     from. ``_repair`` moved those centers, so the shift cannot see it.
@@ -440,8 +439,6 @@ def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
         # the sum of one shift can round differently padded than at its own width
         band = 4.0 * _gamma(d + 2) * tol
         narrowest = int(widths.min())
-    # every center so far is finite: a kept one shifts by exactly 0
-    finite = bool(np.isfinite(X).all())
     last = centers.copy()  # each restart's centers when it stopped
     final = np.empty((A, n), dtype=np.intp)  # each assignment, once known
     known = np.zeros(A, dtype=bool)
@@ -475,12 +472,8 @@ def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
         work.sums += len(means)
         work.shared += written.size - len(means)
         flat = centers.reshape(-1, d)
-        if finite:
-            squares = np.zeros(len(flat))
-            differs = np.zeros(len(flat), dtype=bool)
-        else:
-            squares = ((flat - flat) ** 2).sum(axis=1)
-            differs = (flat != flat).any(axis=1)
+        squares = np.zeros(len(flat))
+        differs = np.zeros(len(flat), dtype=bool)
         per_block = max(1, written.size if padded else _BLOCK_FLOATS // d)
         for lo in range(0, written.size, per_block):
             rows = written[lo:lo + per_block]
@@ -500,15 +493,13 @@ def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
         unchanged = ~differs.reshape(-1, k).any(axis=1)
         stop = shift < tol
         if padded and written.size:
-            # with nothing written every shift is 0 or NaN, which the band cannot move
+            # with nothing written every shift is 0, which the band cannot move
             owner = written // k
             for a in np.flatnonzero((abs(shift - tol) <= band) & (live_widths < d)).tolist():
                 own = step[owner == a, :live_widths[a]].sum(axis=1)
                 stop[a] = np.sqrt(own).max(initial=0.0) < tol
         new = step = None
         stop |= it == max_iter
-        # a mean that is not finite has a shift that is not finite
-        finite = finite and bool(np.isfinite(squares[written]).all())
         if empty and previous is not None:
             stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
                 centers[empty] == started).all(axis=(1, 2))
@@ -560,7 +551,9 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     assignment is not repaired either.
 
     Input is copied to C order first, so a point set gives the same result
-    in any memory layout. This is the one-seed call of ``kmeans_restarts``.
+    in any memory layout. Points that break the finite-norm rule, and a
+    negative seed, raise ``ValidationError``. This is the one-seed call of
+    ``kmeans_restarts``.
     """
     return kmeans_restarts(points, k, [seed])[0]
 
@@ -747,11 +740,13 @@ def sweep_feature_count(
     ranked = np.ascontiguousarray(values[:, [index[n] for n in ranking[:limit]]])
 
     seeds = list(range(seed0, seed0 + restarts))
-    _check_restarts(n_clusters, len(ranked), seeds)
+    with np.errstate(over="ignore"):  # an overflowing row is refused by the check
+        squares = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
+    _check_restarts(n_clusters, np.sqrt(squares[-1]), seeds)
     # one row per run, filled as the runs come: no list of every run's arrays
     labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
     work = EngineWork()
-    for i, assignments in enumerate(_prefix_assignments(ranked, n_clusters, seeds, work)):
+    for i, assignments in enumerate(_prefix_assignments(ranked, squares, n_clusters, seeds, work)):
         labelings[i] = assignments
     work.log("sweep_feature_count")
     rand = _rand_indices(truth, labelings, adjusted)
@@ -764,7 +759,7 @@ def sweep_feature_count(
     return SweepCurve(entries=entries, chosen_k=chosen, ranking=ranking)
 
 
-def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int],
+def _prefix_assignments(ranked: np.ndarray, squares: np.ndarray, k: int, seeds: list[int],
                         work: EngineWork) -> Iterator[np.ndarray]:
     """The assignments of ``kmeans_restarts(ranked[:, :w], k, seeds)`` for
     w = 1..d in turn, from a few ``_lloyd`` calls. A generator: the caller
@@ -779,11 +774,10 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int],
     the chunk sums each distinct member set once: neighbouring widths of
     one seed, and often other seeds, hold the same clusters, and a sum of
     whole padded rows serves every width. The seeds' initial rows are
-    drawn once and tiled over each chunk's widths, and each restart's
-    squared row norms come from one ``cumsum``.
+    drawn once and tiled over each chunk's widths; row w - 1 of
+    ``squares`` holds the squared row norms at width w.
     """
     n, d = ranked.shape
-    cumulative = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
     rows = _seed_rows(n, k, tuple(seeds))
     first = 1
     while first <= d:
@@ -792,7 +786,7 @@ def _prefix_assignments(ranked: np.ndarray, k: int, seeds: list[int],
                 (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
             last += 1
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
-        yield from _lloyd(ranked[:, :last], np.sqrt(cumulative[widths - 1]),
+        yield from _lloyd(ranked[:, :last], np.sqrt(squares[widths - 1]),
                           np.tile(rows, (last + 1 - first, 1)), widths, work)[0]
         first = last + 1
 
@@ -900,20 +894,21 @@ def _covariances(X: np.ndarray, means: np.ndarray, resp: np.ndarray, nk: np.ndar
 def gmm_em(points, k: int, seed: int = 0) -> GmmResult:
     """Full-covariance Gaussian mixture fitted by EM.
 
-    Initialized from a K-Means run with the same seed (means = centers,
-    weights = cluster fractions, covariances = within-cluster scatter about
-    the centers plus ``DEFAULT_GMM_REG`` on the diagonal; an empty cluster
-    starts at that diagonal). EM stops at the first iteration whose
-    log-likelihood gain is below ``DEFAULT_GMM_TOL``, so every earlier
-    iteration gained at least that much, or after ``DEFAULT_MAX_ITER``
-    iterations. That last change can be negative: the ``DEFAULT_GMM_REG``
-    added to each covariance makes the M-step inexact. On unit-variance
-    data the loss stays below about 1e-9 (drops up to 1.5e-10 in 9 of 40
-    seeds of three blobs in 5-D); it grows as component variances approach
-    the regularization (up to 1.5e-2 on two 2-D blobs at sd 0.01 fitted
-    with three components). ``converged`` is True only when EM stopped on
-    a change in ``[-DEFAULT_GMM_TOL, DEFAULT_GMM_TOL)``; a run that stopped
-    on a larger loss, or at ``DEFAULT_MAX_ITER``, reports False.
+    Initialized from a K-Means run with the same seed, which refuses points
+    that break its finite-norm rule (means = centers, weights = cluster
+    fractions, covariances = within-cluster scatter about the centers plus
+    ``DEFAULT_GMM_REG`` on the diagonal; an empty cluster starts at that
+    diagonal). EM stops at the first iteration whose log-likelihood gain is
+    below ``DEFAULT_GMM_TOL``, so every earlier iteration gained at least
+    that much, or after ``DEFAULT_MAX_ITER`` iterations. That last change
+    can be negative: the ``DEFAULT_GMM_REG`` added to each covariance makes
+    the M-step inexact. On unit-variance data the loss stays below about
+    1e-9 (drops up to 1.5e-10 in 9 of 40 seeds of three blobs in 5-D); it
+    grows as component variances approach the regularization (up to 1.5e-2
+    on two 2-D blobs at sd 0.01 fitted with three components). ``converged``
+    is True only when EM stopped on a change in
+    ``[-DEFAULT_GMM_TOL, DEFAULT_GMM_TOL)``; a run that stopped on a larger
+    loss, or at ``DEFAULT_MAX_ITER``, reports False.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(X)

@@ -57,6 +57,8 @@ class PipelineConfig:
         require_finite(self)
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.seed0 < 0:
+            raise ConfigError("seed0 must be >= 0")
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be >= 1")
         if self.pca_dims < 1:
@@ -206,6 +208,8 @@ def parse_config(text: str, origin: str = "<config>") -> ProjectConfig:
     }
     simulate = _read(parser, "simulate", SECTIONS["simulate"], origin)
     seed = simulate.pop("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"{origin}: [simulate] seed must be >= 0")
 
     profile = None
     labels = line.get("labels")

@@ -310,9 +310,12 @@ def score_features(matrix: FeatureMatrix) -> list[FeatureScore]:
 def select_k_best(scores: Sequence[FeatureScore], k: int) -> list[str]:
     """Names of the k highest-scoring columns, best first.
 
-    Ties keep the original column order; +inf sorts above everything.
+    Ties keep the original column order; +inf sorts above everything. A
+    NaN score, which has no place in that order, raises ``ValidationError``.
     """
     if not 1 <= k <= len(scores):
         raise ValidationError(f"k={k} outside 1..{len(scores)}")
+    if unranked := [score.name for score in scores if math.isnan(score.f)]:
+        raise ValidationError(f"NaN F scores cannot be ranked: {', '.join(unranked)}")
     ranked = sorted(enumerate(scores), key=lambda it: (-it[1].f, it[0]))
     return [score.name for _, score in ranked[:k]]

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SequencingError, require_finite
+from .errors import ConfigError, require_finite
 from .ingest import EventColumns, LineConfig
 from .sensor import SensorConfig, g_to_counts
 # the spec _run_position matches, kept bound here for tools that wrap simulate.step
@@ -369,7 +369,8 @@ def _run_position(
     sleep_ticks = max(1, round(rate / cfg.sleep_rate_hz))
     grace, sleep_after, group_size = cfg.inactive_grace_s, cfg.sleep_after_s, cfg.group_size
 
-    last_event_t: Optional[float] = None
+    # event ticks strictly increase (``ends`` ascends, chunks advance by k, a wake follows
+    # the last sleep), and ticks far below 2**51 over one positive rate keep that order as floats
     event_t: list[float] = []
     event_counts: list[tuple[int, int, int]] = []
     radio_batches = awake_ticks = transmitted = 0
@@ -420,11 +421,6 @@ def _run_position(
             for end, t, (x, y, z) in zip(ends.tolist(), times.tolist(), averaged.tolist()):
                 if (abs(x - sent_x) >= threshold or abs(y - sent_y) >= threshold
                         or abs(z - sent_z) >= threshold):
-                    if last_event_t is not None and t <= last_event_t:
-                        raise SequencingError(
-                            f"position {position}: averaged sample at t={t} does "
-                            f"not advance past t={last_event_t}"
-                        )
                     sent_x, sent_y, sent_z = x, y, z
                     event_t.append(t)
                     event_counts.append((x, y, z))
@@ -432,7 +428,6 @@ def _run_position(
                         transmitted = len(event_t)
                         radio_batches += 1
                     below_since = inactive_since = None
-                    last_event_t = t
                     continue
                 # below the gate: step's inactivity clocks
                 if below_since is None:
@@ -476,6 +471,8 @@ def simulate_line(
     generator's ground truth: route label and first transmitted event per
     (climb, position). Deterministic given (line, profile, seed).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = cfg or SensorConfig()
     plan_rng = np.random.default_rng([seed, 0])
     truth, bursts = _plan_bursts(line, profile, plan_rng)

@@ -116,16 +116,6 @@ def assert_restarts_match_reference(results, X, k, seeds, max_iter=cluster.DEFAU
         assert_matches_reference(result, X, k, seed, max_iter, tol)
 
 
-def assert_restarts_match_reference_or_nan(results, X, k, seeds, max_iter):
-    """``assert_restarts_match_reference``, where a NaN inertia matches a NaN."""
-    for result, seed in zip(results, seeds):
-        assign, centers, inertia, iterations, _ = reference_kmeans(X, k, seed, max_iter)
-        np.testing.assert_array_equal(result.assignments, assign)
-        assert result.iterations == iterations
-        assert result.centers.tobytes() == centers.tobytes()
-        assert result.inertia == inertia or math.isnan(result.inertia) and math.isnan(inertia)
-
-
 @contextmanager
 def fallback_spy():
     """Counts calls of the difference-form distances (fallback and repair)."""
@@ -389,6 +379,17 @@ class TestKMeansContract:
 
 
 SEED_BATCHES = st.lists(st.integers(0, 999), min_size=1, max_size=8)
+# every entry into the restart engine, each on 12 points of 3 columns
+ENTRIES = {
+    kmeans: lambda X: kmeans(X, 3),
+    kmeans_restarts: lambda X: kmeans_restarts(X, 3, range(8)),
+    best_kmeans: lambda X: best_kmeans(X, 3, restarts=8),
+    repeated_kmeans: lambda X: repeated_kmeans(X, ["A", "B", "C"] * 4, 3, restarts=8),
+    sweep_feature_count: lambda X: sweep_feature_count(
+        X, ["a", "b", "c"], ["A", "B", "C"] * 4,
+        [FeatureScore(name, 1.0) for name in ("a", "b", "c")], restarts=8),
+    gmm_em: lambda X: gmm_em(X, 3),
+}
 
 
 def chunk_of(restarts, X, k):
@@ -635,19 +636,23 @@ class TestKMeansRestarts:
             "4 _repair calls, 20 inertia terms computed, 20 shared",
         ]
 
-    @pytest.mark.parametrize("scale, bad", [(1.0, math.nan), (1.0, math.inf), (1e308, None)])
-    def test_non_finite_centers_batches_match_reference(self, scale, bad):
-        # a kept center that is not finite shifts by NaN, as c - c does: a
-        # NaN or inf row, or finite rows whose sums overflow
-        rng = np.random.default_rng(15)
-        X = rng.uniform(-1.5, 1.5, (12, 3)) * scale
+    @pytest.mark.parametrize("scale, bad", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+                                            (1e308, None)], ids=["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=[entry.__name__ for entry in ENTRIES])
+    def test_non_finite_points_rejected_before_any_restart(self, entry, scale, bad):
+        # a NaN or inf row, or finite rows whose squared norms overflow
+        X = np.random.default_rng(15).uniform(-1.5, 1.5, (12, 3)) * scale
         if bad is not None:
             X[5, 2] = bad
-        seeds = list(range(8))
-        with np.errstate(invalid="ignore", over="ignore"):
-            with engine_settings(20):
-                results = kmeans_restarts(X, 3, seeds)
-            assert_restarts_match_reference_or_nan(results, X, 3, seeds, 20)
+        with mock.patch.object(cluster, "_lloyd", wraps=cluster._lloyd) as engine, \
+                pytest.raises(ValidationError, match="finite points"):
+            ENTRIES[entry](X)
+        assert engine.call_count == 0
+
+    def test_negative_seed_rejected(self):
+        X = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(ValidationError, match="seeds must be >= 0, got -1"):
+            best_kmeans(X, 2, restarts=3, seed0=-1)
 
     def test_best_kmeans_keeps_lowest_tied_seed_across_chunks(self):
         rng = np.random.default_rng(0)
@@ -688,17 +693,12 @@ def inertia_work(caplog, *args):
 
 def distinct_terms(results, by_value=True):
     """The (row, center) terms of these results' inertias, counted once:
-    centers that compare equal are one (by bytes, with ``by_value`` False),
-    and a center that holds NaN is one of its own."""
+    centers that compare equal are one (by bytes, with ``by_value`` False)."""
     terms = set()
-    for a, result in enumerate(results):
+    for result in results:
         for i, j in enumerate(result.assignments.tolist()):
             center = result.centers[j]
-            if np.isnan(center).any():
-                key = ("nan", a, j)
-            else:
-                key = tuple(center.tolist()) if by_value else center.tobytes()
-            terms.add((i, key))
+            terms.add((i, tuple(center.tolist()) if by_value else center.tobytes()))
     return len(terms)
 
 
@@ -731,20 +731,6 @@ class TestInertias:
             assert computed == distinct_terms(results) < distinct_terms(results, by_value=False)
         assert computed == distinct_terms(results)
         assert_restarts_match_reference(results, X, 2, seeds, max_iter)
-
-    @pytest.mark.parametrize("max_iter", [0, 3])
-    def test_a_nan_center_matches_no_other(self, caplog, max_iter):
-        X = np.random.default_rng(15).uniform(-1.5, 1.5, (12, 3))
-        X[5, 2] = math.nan
-        seeds = list(range(12))
-        with np.errstate(invalid="ignore"):
-            with engine_settings(max_iter):
-                results, computed, shared = inertia_work(caplog, X, 3, seeds)
-            nan_centers = [c.tobytes() for r in results for c in r.centers if np.isnan(c).any()]
-            # equal NaN centers in two restarts still give two sets of terms
-            assert len(nan_centers) > len(set(nan_centers))
-            assert computed == distinct_terms(results)
-            assert_restarts_match_reference_or_nan(results, X, 3, seeds, max_iter)
 
     def test_one_column(self, caplog):
         X = np.random.default_rng(3).integers(0, 5, size=(30, 1)) * 0.1

@@ -266,6 +266,8 @@ class TestErrors:
         ("line", "ie = 1", "a line needs at least 5 positions, got ie=1"),
         ("line", "gap_s = -1", "gap_s must be positive"),
         ("pipeline", "restarts = 0", "restarts must be >= 1"),
+        ("pipeline", "seed0 = -1", "seed0 must be >= 0"),
+        ("simulate", "seed = -3", "seed must be >= 0"),
         ("simulate", "climb_spacing_s = 0", "climb_spacing_s must be positive"),
         ("simulate", "climbs = a, z", "climbs reference undefined routes"),
         ("route:a", "durations = 2, 2, 0, 2, 2", "route a: durations must be positive"),
@@ -276,7 +278,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("kwargs", [
         dict(restarts=0), dict(n_clusters=0), dict(pca_dims=0), dict(max_features=0),
-        dict(gap_s=0.0), dict(gap_s=float("nan")), dict(gap_s=float("inf")),
+        dict(gap_s=0.0), dict(gap_s=float("nan")), dict(gap_s=float("inf")), dict(seed0=-1),
     ])
     def test_pipeline_config_validates_on_construction(self, kwargs):
         with pytest.raises(ConfigError):

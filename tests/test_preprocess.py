@@ -204,6 +204,12 @@ class TestSelectKBest:
         with pytest.raises(ValidationError):
             select_k_best(self.SCORES, 5)
 
+    def test_nan_score_rejected(self):
+        # sorted with a NaN key they rank a, b, c: the best column last
+        scores = [FeatureScore("a", 8.0), FeatureScore("b", math.nan), FeatureScore("c", 57.8)]
+        with pytest.raises(ValidationError, match="NaN F scores cannot be ranked: b"):
+            select_k_best(scores, 3)
+
     def test_constant_columns_score_zero(self):
         m = matrix_of(
             {"flat": [7.0, 7.0, 7.0, 7.0], "real": [1.0, 2.0, 1.0, 2.0]},

@@ -386,6 +386,10 @@ class TestSimulateLine:
         with pytest.raises(ConfigError):
             simulate_line(LineConfig(ie=6), self.PROFILE, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            simulate_line(LINE5, self.PROFILE, seed=-3)
+
 
 class TestRouteValidation:
     @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -969,7 +969,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 @dataclass
 class SilhouetteResult:
     scores: np.ndarray                     # per point, in [-1, 1]
-    profiles: dict[int, np.ndarray]        # per cluster, sorted descending
+    profiles: dict[Hashable, np.ndarray]   # per cluster label, sorted descending
     mean: float
 
 
@@ -984,7 +984,8 @@ _DISTANCE_FLOATS = 2**20
 
 
 def silhouette(points, assignments) -> SilhouetteResult:
-    """Per-point silhouette scores plus per-cluster sorted profiles.
+    """Per-point silhouette scores plus per-cluster sorted profiles, each
+    keyed by its cluster's label as a Python scalar (an int for K-Means ids).
 
     s = (b - a) / max(a, b) with a the mean distance to the point's own
     cluster (excluding itself) and b the smallest mean distance to another
@@ -1076,7 +1077,7 @@ def silhouette(points, assignments) -> SilhouetteResult:
     scores[order[scored]] = (b[scored] - a[scored]) / top[scored]
 
     profiles = {
-        int(c): np.sort(scores[labels == c])[::-1].copy() for c in clusters
+        c: np.sort(scores[codes == i])[::-1].copy() for i, c in enumerate(clusters.tolist())
     }
     return SilhouetteResult(scores=scores, profiles=profiles, mean=float(scores.mean()))
 

@@ -25,11 +25,14 @@ position order, and converts it in one :func:`axis_sets` call into a
 (4, n) array of the x, y, z and g series back to back, then groups the
 windows by length. Each length becomes an (m, L) block per series, and
 one kernel per statistic family runs on all its rows at once:
-``_stat_rows`` (the 13 statistics, with ``_peak_counts`` for the peaks)
-over the x, y, z and g blocks together, and ``_cross_rows`` for the
-correlations. The kernels reduce along axis 1 of C-ordered blocks, which
-rounds exactly as the same reduction of one series does, so the matrix
-is bit for bit what a per-series loop gives. ``_temporal_rows`` computes
+:func:`stat_features` (the 13 statistics, with ``_peak_counts`` for the
+peaks) over the x, y, z and g blocks together, and ``_cross_rows`` for
+the correlations. ``stat_features`` is called by its module-level name,
+once per distinct window length, so the benchmark's traced mode, which
+wraps it by that name, times the kernel itself. The kernels reduce along
+axis 1 of C-ordered blocks, which rounds exactly as the same reduction of
+one series does, so the matrix is bit for bit what a per-series loop
+gives. ``_temporal_rows`` computes
 the temporal block of all climbs from one (climbs, ie-2) array of clip
 times. These kernels are the only implementation of each statistic.
 """
@@ -62,8 +65,6 @@ STAT_NAMES = (
 )
 
 AXIS_SOURCES = ("x", "y", "z", "g")
-
-DEFAULT_PEAK_PROMINENCE_G = 2 * SensorConfig().resolution_g
 
 
 def _peak_bases(
@@ -100,9 +101,7 @@ def _peak_counts(S: np.ndarray, min_prominence: float) -> np.ndarray:
     whose prominence, the height above the higher of the two lowest points
     separating the peak from higher terrain or the series edge, reaches
     ``min_prominence``."""
-    m, n = S.shape
-    if n < 3:
-        return np.zeros(m)
+    m = S.shape[0]
     mid = S[:, 1:-1]
     rows, cols = np.nonzero((S[:, :-2] < mid) & (mid > S[:, 2:]))
     cols += 1
@@ -112,8 +111,9 @@ def _peak_counts(S: np.ndarray, min_prominence: float) -> np.ndarray:
     return np.bincount(rows[keep], minlength=m).astype(float)
 
 
-def _stat_rows(S: np.ndarray, peak_prominence: float) -> np.ndarray:
-    """The 13 statistics of every row of the 2-D ``S``, in STAT_NAMES order.
+def stat_features(S: np.ndarray, peak_prominence: float) -> np.ndarray:
+    """The 13 statistics of every row of the 2-D ``S``, as an (m, 13)
+    array whose columns follow STAT_NAMES; rows need at least one sample.
 
     Each statistic is a reduction along axis 1 of a C-ordered block, which
     rounds exactly as the same reduction of the row alone does.
@@ -135,27 +135,12 @@ def _stat_rows(S: np.ndarray, peak_prominence: float) -> np.ndarray:
     out[:, 6:10] = np.percentile(S, [5, 25, 75, 95], axis=1).T
     out[:, 10:12] = 0.0  # kurtosis and skew of constant rows
     moving = var != 0.0
-    if moving.any():
-        # standardize first so tiny variances cannot underflow
-        z = (S[moving] - mean[moving, None]) / std[moving, None]
-        out[moving, 10] = (z**4).mean(axis=1) - 3.0
-        out[moving, 11] = (z**3).mean(axis=1)
+    # standardize first so tiny variances cannot underflow
+    z = (S[moving] - mean[moving, None]) / std[moving, None]
+    out[moving, 10] = (z**4).mean(axis=1) - 3.0
+    out[moving, 11] = (z**3).mean(axis=1)
     out[:, 12] = _peak_counts(S, peak_prominence)
     return out
-
-
-def stat_features(
-    series: Sequence[float], peak_prominence: float = DEFAULT_PEAK_PROMINENCE_G
-) -> dict[str, float]:
-    """The 13 named statistics of one series, in STAT_NAMES order: one row
-    of ``_stat_rows`` at ``peak_prominence``. :func:`build_feature_matrix`
-    does not call it; the benchmark's traced mode wraps it by name.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.size == 0:
-        raise ValidationError("cannot compute statistics of an empty series")
-    row = _stat_rows(x.reshape(1, -1), peak_prominence)[0]
-    return dict(zip(STAT_NAMES, row.tolist()))
 
 
 def _cross_rows(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -216,7 +201,7 @@ def _window_features(series: np.ndarray, lengths: np.ndarray, prominence: float)
     for n in np.unique(lengths):
         which = np.flatnonzero(lengths == n)
         block = series[:, starts[which, None] + np.arange(n)]  # (4, m, n)
-        stats = _stat_rows(block.reshape(-1, n), prominence)  # x rows, then y, z, g
+        stats = stat_features(block.reshape(-1, n), prominence)  # x rows, then y, z, g
         out[which, :-3] = np.hstack(np.split(stats, 4))
         out[which, -3:] = _cross_rows(*block[:3])
     return out

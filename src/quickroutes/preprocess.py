@@ -12,12 +12,13 @@ The scaler works on the whole matrix: fitting is one sort of the
 transposed matrix into a (d, n) block of sorted columns and one scan of
 that block for the runs of equal values, which give every column's ECDF
 knots. Transforming interpolates column by column, since ``np.interp`` is
-one-dimensional, over contiguous rows of the transposed input; clipping,
-the out-of-range levels and the quantile function then run on the whole
-matrix at once. The fit data's levels all lie on the grid ``j / (2 n_fit)``,
-so the fit stores the quantile of every grid level once, and a transform
-looks levels up there; only levels off the grid, as new rows give, go
-through ``ndtri``.
+one-dimensional, over contiguous rows of the transposed input; its edge
+values give a value outside a column's fit range the out-of-range level.
+Clipping and the quantile function then run on the whole matrix at once.
+The fit data's levels all lie on the grid ``j / (2 n_fit)``, so the fit
+stores the quantile of every grid level once, and a transform looks
+levels up there; only levels off the grid, as new rows give, go through
+``ndtri``.
 
 The standard normal quantile function is :func:`ndtri`, a numpy port of
 Moshier's Cephes ``ndtri`` (the algorithm behind ``scipy.special.ndtri``):
@@ -135,16 +136,12 @@ class QuantileScaler:
     levels: np.ndarray  # their mid-rank levels
     bounds: np.ndarray  # (d + 1,) column c's knots at bounds[c]:bounds[c + 1]
     _bounds: list[int] = field(init=False, repr=False)
-    _lowest: np.ndarray = field(init=False, repr=False)
-    _highest: np.ndarray = field(init=False, repr=False)
     _constant: np.ndarray = field(init=False, repr=False)
     _normal: np.ndarray = field(init=False, repr=False)  # ndtri(j / (2 n_fit)), j = 0..2 n_fit
 
     def __post_init__(self):
         self._bounds = self.bounds.tolist()
-        self._lowest = self.knots[self.bounds[:-1]]
-        self._highest = self.knots[self.bounds[1:] - 1]
-        self._constant = self._lowest == self._highest
+        self._constant = self.knots[self.bounds[:-1]] == self.knots[self.bounds[1:] - 1]
         steps = 2 * self.n_fit
         self._normal = ndtri(np.arange(steps + 1) / steps)
 
@@ -174,14 +171,15 @@ class QuantileScaler:
             raise ValidationError("value width does not match the fitted scaler")
         columns = np.ascontiguousarray(values.T)
         bounds, knots, levels = self._bounds, self.knots, self.levels
-        # stacked once, not stored row by row; the reshape keeps a width of 0
+        lo, hi = self.lo, self.hi
+        # stacked once, not stored row by row; the reshape keeps a width of 0.
+        # Below a column's first knot interp gives lo, above its last hi; a
+        # NaN value or a NaN last knot fails both comparisons.
         ecdf = np.array([
-            np.interp(column, knots[a:b], levels[a:b])
+            np.interp(column, knots[a:b], levels[a:b], left=lo, right=hi)
             for column, a, b in zip(columns, bounds, bounds[1:])
         ]).reshape(columns.shape)
-        np.clip(ecdf, self.lo, self.hi, out=ecdf)
-        ecdf[columns < self._lowest[:, None]] = self.lo
-        ecdf[columns > self._highest[:, None]] = self.hi
+        np.clip(ecdf, lo, hi, out=ecdf)
         del columns  # before the lookup's temporaries, which set the peak
         # ndtri of each level. Every level of a fit row is a mid-rank level
         # j / (2 n_fit): a level that equals the grid level nearest it takes

@@ -28,6 +28,7 @@ from quickroutes.cluster import (
     kmeans_restarts,
     pca_fit,
     pca_project,
+    RandStats,
     rand_index,
     repeated_kmeans,
     silhouette,
@@ -1070,6 +1071,16 @@ def engine_spy():
         yield batches, labelings
 
 
+def reference_rand_stats(X, truth, k, restarts, seed0=0, adjusted=True):
+    """The sweep entry of columns ``X``: one ``rand_index`` per restart of
+    ``kmeans_restarts``, in seed order, and their min, mean and max."""
+    values = [
+        rand_index(truth, r.assignments.tolist(), adjusted)
+        for r in kmeans_restarts(X, k, range(seed0, seed0 + restarts))
+    ]
+    return RandStats(min(values), float(np.asarray(values).mean()), max(values), tuple(values))
+
+
 @st.composite
 def sweep_inputs(draw):
     """18 climbs of 3 routes in 9 columns: tied F scores or distinct ones,
@@ -1097,7 +1108,7 @@ class TestSweepFeatureCount:
         ranking = select_k_best(scores, len(names))
         col_idx = [names.index(name) for name in ranking]
         prefixes = [values[:, col_idx[:w]] for w in range(1, limit + 1)]
-        expected = [repeated_kmeans(X, self.TRUTH, 3, restarts=4) for X in prefixes]
+        expected = [reference_rand_stats(X, self.TRUTH, 3, restarts=4) for X in prefixes]
         assert curve.ranking == ranking
         assert [curve.ranking[:e.n_features] for e in curve.entries] == [ranking[:w] for w in range(1, limit + 1)]
         assert [e.stats for e in curve.entries] == expected
@@ -1131,7 +1142,7 @@ class TestSweepFeatureCount:
         truth = ["A", "B", "C"] * 20
         curve = sweep_feature_count(values, names, truth, scores, restarts=10, max_features=1)
         assert [e.n_features for e in curve.entries] == [1]
-        assert curve.entries[0].stats == repeated_kmeans(values[:, [1]], truth, 3, restarts=10)
+        assert curve.entries[0].stats == reference_rand_stats(values[:, [1]], truth, 3, restarts=10)
 
     def test_logs_the_engines_work_at_debug(self, caplog):
         # ranked columns in equal pairs; well-separated routes, so restarts
@@ -1169,7 +1180,7 @@ class TestSweepFeatureCount:
             curve = sweep_feature_count(values, names, ["A", "B", "C"] * 10, scores, restarts=300)
         assert len(batches) == 6
         assert sorted(seed for (_, _, seed), _ in draws.call_args_list) == list(range(300))
-        expected = repeated_kmeans(values[:, :4], ["A", "B", "C"] * 10, 3, restarts=300)
+        expected = reference_rand_stats(values[:, :4], ["A", "B", "C"] * 10, 3, restarts=300)
         assert curve.entries[3].stats == expected
 
     @pytest.mark.parametrize("restarts", [0, -1])
@@ -1342,6 +1353,16 @@ class TestSilhouette:
     def test_needs_two_clusters(self):
         with pytest.raises(ValidationError):
             silhouette(np.zeros((3, 2)), [1, 1, 1])
+
+    @pytest.mark.parametrize("labels", [[3, 3, 7, 7], [0.2, 0.2, 0.7, 0.7], ["b", "b", "a", "a"]])
+    def test_profiles_are_keyed_by_every_label(self, labels):
+        result = silhouette(np.array([[0.0], [0.1], [5.0], [5.3]]), labels)
+        # each label once, as the Python value it was given, in sorted order
+        assert list(result.profiles) == sorted(set(labels))
+        assert {type(c) for c in result.profiles} == {type(labels[0])}
+        for label, profile in result.profiles.items():
+            want = result.scores[[i for i, c in enumerate(labels) if c == label]]
+            np.testing.assert_array_equal(profile, np.sort(want)[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The oracle functions below deliberately avoid numpy and share no code
 with the package: plain loops and textbook formulas, so agreement is
 meaningful. The kernels are the package's only implementation; the
-one-series helpers here (``count_peaks``, ``cross_correlations``,
-``temporal_row``, ``assemble``) call them on one-row inputs. The kernels
-are held to a stricter standard at the end: bit for bit the per-series
-numpy code they replaced, kept here as the ``reference_*`` functions.
+one-series helpers here (``stat_row``, ``count_peaks``,
+``cross_correlations``, ``temporal_row``, ``assemble``) call them on
+one-row inputs. The kernels are held to a stricter standard at the end:
+bit for bit the per-series numpy code they replaced, kept here as the
+``reference_*`` functions.
 """
 
 import io
@@ -135,6 +136,16 @@ def close(a, b, rel=1e-9, abs_=1e-12):
 # one-row calls of the kernels
 # ---------------------------------------------------------------------------
 
+# the prominence floor the program uses: twice the quantizer resolution
+PROMINENCE = 2 * SensorConfig().resolution_g
+
+
+def stat_row(series, peak_prominence=PROMINENCE):
+    """The 13 named statistics of one series: row 0 of ``stat_features``."""
+    row = stat_features(np.asarray(series, dtype=float).reshape(1, -1), peak_prominence)[0]
+    return dict(zip(STAT_NAMES, row.tolist()))
+
+
 def count_peaks(series, min_prominence=0.0):
     """Peaks of one series, through ``_peak_counts``."""
     row = np.asarray(series, dtype=float).reshape(1, -1)
@@ -186,7 +197,7 @@ class TestMagnitude:
 
 class TestStatFeatures:
     def test_hand_arithmetic_1_2_3(self):
-        stats = stat_features([1, 2, 3])
+        stats = stat_row([1, 2, 3])
         assert stats["mean"] == 2
         assert stats["min"] == 1
         assert stats["max"] == 3
@@ -198,7 +209,7 @@ class TestStatFeatures:
         assert stats["p75"] == pytest.approx(2.5)
 
     def test_constant_series_degenerate_conventions(self):
-        stats = stat_features([5, 5, 5, 5])
+        stats = stat_row([5, 5, 5, 5])
         assert stats["variance"] == 0
         assert stats["std"] == 0
         assert stats["skew"] == 0
@@ -207,13 +218,9 @@ class TestStatFeatures:
         assert stats["p5"] == stats["p95"] == 5
 
     def test_all_13_statistics_present_in_order(self):
-        stats = stat_features([1.0, 2.0])
+        stats = stat_row([1.0, 2.0])
         assert tuple(stats) == STAT_NAMES
         assert len(STAT_NAMES) == 13
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValidationError):
-            stat_features([])
 
     def test_dual_implementation_oracle_50_series(self):
         rng = random.Random(1234)
@@ -221,7 +228,7 @@ class TestStatFeatures:
             n = rng.randint(5, 200)
             xs = [rng.gauss(0, 1) + 0.5 * math.sin(k / 3) for k in range(n)]
             prominence = 0.03
-            ours = stat_features(xs, peak_prominence=prominence)
+            ours = stat_row(xs, peak_prominence=prominence)
             naive = naive_all_stats(xs, prominence)
             for name in STAT_NAMES:
                 assert close(ours[name], naive[name]), (trial, name)
@@ -230,7 +237,7 @@ class TestStatFeatures:
         rng = random.Random(9)
         for _ in range(20):
             xs = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 60))]
-            stats = stat_features(xs)
+            stats = stat_row(xs)
             assert close(stats["rms"] ** 2, stats["variance"] + stats["mean"] ** 2)
 
     @settings(max_examples=100, deadline=None)
@@ -240,7 +247,7 @@ class TestStatFeatures:
         )
     )
     def test_percentile_monotonicity(self, xs):
-        stats = stat_features(xs)
+        stats = stat_row(xs)
         assert stats["min"] <= stats["p5"] <= stats["p25"]
         assert stats["p25"] <= stats["p75"] <= stats["p95"] <= stats["max"]
 
@@ -260,8 +267,8 @@ class TestStatFeatures:
         spread = max(xs) - min(xs)
         assume(spread == 0 or spread > 1e-6 * max(1.0, *(abs(v) for v in xs)))
         prom = 0.05
-        base = stat_features(xs, peak_prominence=prom)
-        scaled = stat_features([s * v for v in xs], peak_prominence=prom * s)
+        base = stat_row(xs, peak_prominence=prom)
+        scaled = stat_row([s * v for v in xs], peak_prominence=prom * s)
         for name in ("mean", "min", "max", "std", "rms", "p5", "p25", "p75", "p95"):
             assert close(scaled[name], s * base[name], rel=1e-7, abs_=1e-7)
         assert close(scaled["variance"], s * s * base["variance"], rel=1e-7, abs_=1e-7)
@@ -565,7 +572,7 @@ def same_bits(a, b):
 
 KERNEL_EXAMPLES = settings(max_examples=80, deadline=None)
 LENGTHS = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 128, 129]), st.integers(1, 300))
-PROMINENCES = st.sampled_from([0.0, features.DEFAULT_PEAK_PROMINENCE_G, 0.5])
+PROMINENCES = st.sampled_from([0.0, PROMINENCE, 0.5])
 
 
 @st.composite
@@ -590,18 +597,19 @@ class TestStatKernel:
     @KERNEL_EXAMPLES
     @given(series_blocks(), PROMINENCES)
     def test_rows_match_reference(self, S, prominence):
-        ours = features._stat_rows(S, prominence)
+        ours = stat_features(S, prominence)
+        assert ours.shape == (len(S), len(STAT_NAMES))
         for row, series in zip(ours, S):
             ref = reference_stat_features(series, prominence)
             assert same_bits(row, [ref[name] for name in STAT_NAMES])
-        assert same_bits(features._stat_rows(np.asfortranarray(S), prominence), ours)
+        assert same_bits(stat_features(np.asfortranarray(S), prominence), ours)
 
     @KERNEL_EXAMPLES
     @given(series_blocks(), PROMINENCES)
     def test_stat_features_on_a_strided_view(self, S, prominence):
-        strided = np.asfortranarray(S)[0]  # a row of an F-ordered block
-        ours = stat_features(strided, peak_prominence=prominence)
-        ref = reference_stat_features(strided, prominence)
+        strided = np.asfortranarray(S)[:1]  # a row of an F-ordered block
+        ours = dict(zip(STAT_NAMES, stat_features(strided, prominence)[0].tolist()))
+        ref = reference_stat_features(strided[0], prominence)
         assert same_bits([ours[n] for n in STAT_NAMES], [ref[n] for n in STAT_NAMES])
 
     @KERNEL_EXAMPLES

@@ -24,11 +24,7 @@ def test_every_script_target_is_an_importable_callable():
 # public names that nothing in the package or the benchmark calls yet, and why they stay
 UNCALLED_ALLOWED = {
     "config.load_config": "the file entry point that the planned command line calls",
-    "cluster.repeated_kmeans": (
-        "the traced benchmark wraps it by name until ROADMAP item 2; "
-        "also the sweep tests' reference"
-    ),
-    "features.stat_features": "the traced benchmark wraps it by name until ROADMAP item 2",
+    "cluster.repeated_kmeans": "the traced benchmark wraps it by name until ROADMAP item 2",
 }
 
 

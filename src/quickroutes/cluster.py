@@ -12,43 +12,48 @@ initialization call that; the feature-count sweep calls it directly. Both
 entries apply the finite-norm rule (``_check_restarts``): a row norm at
 the widest width used that is not finite (NaN, +-inf, or |x| above about
 1.3e154, whose square overflows) raises ``ValidationError`` before any
-restart runs, so every center is finite. The restarts are batched: each
-round assigns the points of every restart still running from one GEMM
-against all their centers, and a restart leaves the batch once it
-converges. Each restart's result is bit for bit that of running it alone:
-sums keep the rounding of the one-restart code, and assignments are
-certified against the difference form. The GEMM gives ``|c|^2 - 2 x.c``
-per row and center, k-1 elementwise passes keep each row's best and
-runner-up value, and a row whose gap between them exceeds
-``8 gamma_{d+4} (|x| + max|c|)^2`` keeps its best center; ties, near ties
-and values that overflow are decided in the difference form. A round
-costs what it changed: only clusters whose members changed get a new mean
-(any other center already is that mean), and only those clusters' shifts
-are computed and written. Restarts share that work: equal member sets
-give equal sums, so each round sums every distinct member set of the
-batch once, whichever restarts hold it. Inertia is computed once per
-restart, from its final centers and assignment, and each distinct (row,
-center value) term of a chunk once. ``kmeans_restarts`` runs restarts in
-chunks sized by memory: the (restarts, k, dimensions) centers block of a
-chunk holds at most 2 MB, or one restart's when that alone is larger.
-``kmeans_restarts`` and the sweep each count the engine's work in one
-``EngineWork`` and log it as one DEBUG line. The engine reads its
+restart runs, so every center is finite. The restarts are batched, and a
+restart leaves the batch once it converges. Each restart's result is bit
+for bit that of running it alone, as Lloyd's algorithm on explicit float
+centers computes it.
+
+During the rounds a restart's state is its assignment, not its centers:
+center j is the mean of its member rows (or, until the rows first gather
+around it, the one row it was set to), and the members are a row of a
+weight matrix W, 1/count on each member. One product a round gives
+``x.c`` for every row and every center whose members changed, across the
+batch: ``W G`` with the Gram matrix G of the rows when a restart is wider
+than there are rows, ``(W X) X^T`` otherwise (``_products``). From the
+products come the estimates ``|c|^2 - 2 x.c`` that assign
+the rows and the squared shifts of the clusters whose members changed,
+each within a stated rounding bound of what the float centers give
+(``_assign``, ``_lloyd``). A decision the estimate cannot certify -- a row
+near a tie, a shift near ``DEFAULT_TOL``, anything that overflows -- and
+every ``_repair`` are taken exactly as on explicit centers, from the float
+centers that ``_centers`` sums for that restart alone. So a round sums no
+cluster unless it needs one; the final centers of ``kmeans_restarts`` are
+summed once, each distinct member set of a chunk once, and its inertias
+are computed once, each distinct (row, center value) term once.
+``kmeans_restarts`` runs restarts in chunks sized by memory: the chunk's
+(restarts, k, max(n, d)) blocks hold at most 2 MB each, or one restart's
+when that alone is larger; the Gram matrix is n x n and is formed only
+when d > n. ``kmeans_restarts`` and the sweep each count the engine's work
+in one ``EngineWork`` and log it as one DEBUG line. The engine reads its
 stopping rule, ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, at each call.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The feature-count sweep uses this to cluster every prefix of the
-feature ranking in a few engine calls. A chunk holds consecutive widths,
-runs on the block padded to its widest, and keeps each restart's centers
-zero past its width; every step whose rounding depends on the width is
-taken on the restart's own columns, so its assignments and its centers on
-those columns are bit for bit those of its prefix alone. Width 1 runs on
-its own, because numpy sums a one-column block pairwise. Sums run over
-whole padded rows, so restarts of different widths that hold the same
-rows share one sum, and each zeroes its own columns past its width;
-neighbouring widths of one seed often reach the same clusters. A sweep
-chunk's restarts x points x padded width stays within ``_SWEEP_FLOATS``,
-each seed's initial rows are drawn once per sweep, and all its labelings
-are scored in one rand-index pass.
+feature ranking in a few engine calls. A chunk holds consecutive widths
+and runs on the block up to its widest; every step whose rounding depends
+on the width is taken on the restart's own columns, so its assignments are
+bit for bit those of its prefix alone. Width 1 runs on its own, because
+numpy sums a one-column block pairwise. Chunks wider than the rows take
+their products from a Gram matrix that grows from one chunk to the next,
+one block of columns at a time; a sweep chunk's restarts x points x the
+columns its products read stays within ``_SWEEP_FLOATS``. Each seed's
+initial rows are drawn once per sweep, and all its labelings are scored
+in one rand-index pass. The sweep reads only assignments, so it sums no
+final centers.
 
 The evaluation tail is in GEMM form too. ``silhouette`` takes the pairwise
 distances of a row block from one product of the column-centred points,
@@ -79,26 +84,26 @@ DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
-# Floats in the (restarts, k, d) centers block of one kmeans_restarts chunk:
-# 2 MB, 57 restarts at k = 8 and d = 571. A chunk's largest arrays are this
-# block, its results block and one round's distinct means; the GEMM's
-# (n, restarts, k) center values are n/d of it. The larger the chunk, the more
-# sums and inertia terms its restarts share: one 100-restart batch ran faster
-# but left the allocator holding about 4 MB more, and 28-restart chunks held
-# less and ran slower.
+# Floats in each (restarts, k, max(n, d)) block of one kmeans_restarts chunk:
+# 2 MB, 57 restarts at k = 8 and d = 571. Each round holds a few such blocks
+# of (restarts, k, n) weights, products and estimates; the chunk's final
+# centers are one (restarts, k, d) block. The larger the chunk, the more
+# final sums and inertia terms its restarts share. On replay_week's 100
+# restarts, one batch ran no faster (medians of 35 ms against 35-39 ms) and
+# raised the tracemalloc peak from 7.3 to 10.1 MB; 28-restart chunks held
+# 6.3 MB and ran 36-39 ms.
 _CHUNK_FLOATS = 2**18
-# Floats of one block of center updates in _lloyd, and of differences in
-# _inertias: 512 KB. Updating every written center in one block ran slower
-# on replay_week's 100 restarts (200 x 571, k = 8; medians 76-94 ms against
-# 65-77 ms) and raised their tracemalloc peak from 9.1 to 11.1 MB.
+# Floats of one block of differences in _inertias: 512 KB.
 _BLOCK_FLOATS = 2**16
-# Restarts x points x padded width of one feature-count sweep chunk. It sets
-# the multiply-adds of one round's assignment GEMM (k times this) and bounds
-# the chunk's largest arrays: k/n of it for the (restarts, k, width) centers,
-# k/width of it for the (n, restarts, k) center values (0.4 MB each at n = 60,
-# k = 3). With sums shared by member set, 2**20 ran a 60-climb sweep in 201 ms
-# against 271 ms at 2**19 and 193 ms at 2**21 (2 vCPUs, one BLAS thread);
-# 2**21 held 1.5 MB more at its peak.
+# Restarts x points x the columns a round's products read per restart, in
+# one feature-count sweep chunk: the padded width for (W X) X^T, or n plus
+# the widths past the narrowest for W G + (W X) X^T on a chunk wider than
+# the rows. A round's multiply-adds are k times this at most, twice for
+# (W X) X^T. The chunk's largest arrays are its (restarts, k, n) weights,
+# products and estimates, and its n x n Gram matrix. On the 60-climb sweep
+# 2**20 ran in medians of 61-63 ms against 65-71 ms at 2**19 and 62-66 ms
+# at 2**21, whose tracemalloc peak was 1.6 MB higher (2 vCPUs, one BLAS
+# thread).
 _SWEEP_FLOATS = 2**20
 
 
@@ -107,8 +112,11 @@ class EngineWork:
     """The restart engine's work in one ``kmeans_restarts`` or sweep call:
     ``_lloyd`` calls, Lloyd rounds (the longest restart of each call),
     restarts stopped at ``DEFAULT_MAX_ITER``, cluster sums computed and
-    shared, rows that ``_assign`` decided in the difference form,
-    ``_repair`` calls, and inertia terms computed and shared."""
+    shared (only for exact decisions and final centers: ``_centers``),
+    rows whose nearest center the estimate could not certify, so that the
+    difference form decided them, rounds whose stop a restart decided on
+    its float centers, ``_repair`` calls, and inertia terms computed and
+    shared."""
 
     calls: int = 0
     rounds: int = 0
@@ -116,6 +124,7 @@ class EngineWork:
     sums: int = 0
     shared: int = 0
     fallback_rows: int = 0
+    exact_stops: int = 0
     repairs: int = 0
     terms: int = 0
     shared_terms: int = 0
@@ -124,10 +133,10 @@ class EngineWork:
         """One DEBUG line of every count; the record carries this one as ``work``."""
         log.debug("%s: %d _lloyd calls, %d Lloyd rounds, %d restarts stopped at max_iter, %d "
                   "cluster sums computed, %d shared, %d rows assigned in the difference form, %d "
-                  "_repair calls, %d inertia terms computed, %d shared",
-                  caller, self.calls, self.rounds, self.max_iter_hits, self.sums, self.shared,
-                  self.fallback_rows, self.repairs, self.terms, self.shared_terms,
-                  extra={"work": self})
+                  "stops decided on float centers, %d _repair calls, %d inertia terms computed, "
+                  "%d shared", caller, self.calls, self.rounds, self.max_iter_hits, self.sums,
+                  self.shared, self.fallback_rows, self.exact_stops, self.repairs, self.terms,
+                  self.shared_terms, extra={"work": self})
 
 
 # ---------------------------------------------------------------------------
@@ -162,68 +171,111 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _assign(X: np.ndarray, xnorm: np.ndarray, centers: np.ndarray, widths: np.ndarray,
-            work: EngineWork) -> np.ndarray:
-    """Nearest center per restart and row: ``argmin`` of ``_squared_distances``
-    against each restart's centers, ties to the lowest index, without
-    forming a difference tensor.
+def _products(X: np.ndarray, gram: Optional[np.ndarray], base: int, weights: np.ndarray,
+              widths: np.ndarray) -> np.ndarray:
+    """``x_i . m`` for every row i and weighted mean m: (A, k, n) from the
+    (A, k, n) ``weights`` of A restarts, each on its prefix
+    ``X[:, :widths[a]]``, from BLAS products in the cheaper order. An entry
+    that overflows is inf or NaN, never a warning.
 
-    ``centers`` is (A, k, d), the centers of A restarts; the result is
-    (A, n). Restart a works on the prefix ``X[:, :widths[a]]``, and its
-    centers are zero beyond that width. Row a of ``xnorm`` holds each
-    row's norm at that width; ``|x|^2`` itself is common to all centers of
-    a row, so the comparison leaves it out.
+    ``gram``, when given, is the Gram matrix of the first ``base`` columns,
+    and no restart is narrower than ``base``: its part is ``W G``, n
+    multiply-adds per entry. The columns from ``base`` to a restart's
+    width, all of them without a Gram matrix, give ``(W X) X^T``; the
+    weighted sums ``W X`` are zeroed past each restart's width, so the
+    padding adds exact zeros. Either way an entry lies within
+    ``gamma_{n+d+2} |x_i| mu`` of ``x_i . m``, mu the weighted mean of the
+    members' norms at the restart's width (``_assign``).
+    """
+    A, k, n = weights.shape
+    d = X.shape[1]
+    flat = weights.reshape(A * k, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = None if gram is None else flat @ gram
+        if base < d:
+            sums = flat @ X[:, base:]
+            if (widths < d).any():
+                np.copyto(sums.reshape(A, k, d - base), 0.0,
+                          where=np.arange(base, d) >= widths[:, None, None])
+            rest = sums @ X[:, base:].T
+            products = rest if products is None else np.add(products, rest, out=products)
+    return products.reshape(A, k, n)
 
-    One GEMM against all A*k centers gives ``|c|^2 - 2 x.c``, the squared
-    distance less ``|x|^2``; the zeros of a narrower restart's centers only
-    add exact zero products. It lies within ``gamma_{d+2} (|x| + |c|)^2`` of
-    its exact value, and the difference form within as much of the exact
-    squared distance, in any summation order and at any width up to d, so
-    neither the width of the GEMM nor the padding can change a decision.
-    From center 0 and a runner-up of +inf, k-1 elementwise passes over the
+
+def _assign(X: np.ndarray, xnorm: np.ndarray, weights: np.ndarray, products: np.ndarray,
+            raw: np.ndarray, widths: np.ndarray, work: EngineWork) -> np.ndarray:
+    """Nearest center per restart and row: ``argmin`` of
+    ``_squared_distances`` against each restart's float centers, ties to
+    the lowest index, from the product of its weights alone.
+
+    Restart a works on the prefix ``X[:, :widths[a]]``, and row a of
+    ``xnorm`` holds each row's norm at that width. Its center j is the mean
+    of the rows ``weights[a, j]`` weights (each 1/count), or that one row
+    as is where ``raw[a, j]`` (``_centers``). ``products`` is
+    ``_products`` of ``weights``: ``x.m`` per row and center. The result
+    is (A, n).
+
+    ``|m|^2``, the weighted sum of a center's own products, less twice
+    ``x.m`` estimates ``|c|^2 - 2 x.c``, the squared distance less
+    ``|x|^2``, which is common to all centers of a row and left out. From
+    center 0 and a runner-up of +inf, k-1 elementwise passes over the
     (A, n) values of one center at a time keep each row's best value, its
     index (the lowest on ties) and the runner-up value; ``np.minimum`` and
-    ``np.maximum`` carry a NaN into the runner-up. A row whose best beats
-    the runner-up by more than ``8 gamma_{d+4} (|x| + max|c|)^2``, twice the
-    sum of both errors with a factor 2 to spare, plus slack for subnormal
-    rounding, has the same unique argmin in the difference form. Every other
-    row, including ties and rows whose values overflow (their gap is NaN, or
-    their bound inf), is decided by ``_squared_distances`` on the restart's
-    own width; ``work`` counts those rows. At k = 1 every row gets center 0.
+    ``np.maximum`` carry a NaN into the runner-up. With R the restart's
+    largest mean of its members' norms at the width, each estimate lies
+    within ``gamma_{2n+d+5} (|x| + R)^2`` of the exact ``|m|^2 - 2 x.m``:
+    the Gram entries or weighted sums, the member sums and the weights
+    round. The float center lies within ``gamma_n R`` of the exact mean,
+    which moves the value by at most ``2 gamma_n (|x| + R)^2``, and the
+    difference form lies within ``gamma_{d+2} (|x| + R)^2`` of its exact
+    value. A row whose best beats the runner-up by more than
+    ``8 gamma_{4n+2d+8} (|x| + R)^2``, twice the sum of those errors with
+    a factor 4 to spare, plus slack for subnormal rounding, has the same
+    unique argmin in the difference form. Every other row, including ties
+    and rows whose values overflow (their gap is
+    NaN, or their bound inf), is decided by ``_squared_distances`` on the
+    restart's own width against the float centers that ``_centers`` sums
+    for that restart; ``work`` counts those rows.
     """
-    A, k, d = centers.shape
-    n = X.shape[0]
-    cc = np.einsum("akd,akd->ak", centers, centers)
-    # block j holds every restart's value of center j: (k, A, n)
-    values = (X @ centers.reshape(A * k, d).T).reshape(n, A, k).transpose(2, 1, 0)
-    values *= -2.0
-    values += cc.T[:, :, None]
-    best, second, assign = values[0], np.full((A, n), np.inf), np.zeros((A, n), dtype=np.intp)
-    for j in range(1, k):
-        closer = values[j] < best
-        np.minimum(second, np.maximum(best, values[j]), out=second)
-        np.minimum(best, values[j], out=best)
-        assign[closer] = j
-    gap = np.subtract(second, best, out=second)
-    # in place: on tiny inputs the temporaries cost more than the arithmetic
-    bound = xnorm + np.sqrt(cc.max(axis=1))[:, None]
-    bound *= bound
-    bound *= 8.0 * _gamma(d + 4)
-    bound += 8.0 * (d + 4) * _SMALLEST_SUBNORMAL
-    unsure = ~(gap > bound)
-    for a in np.flatnonzero(unsure.any(axis=1)).tolist():
-        redo = np.flatnonzero(unsure[a])
-        w = widths[a]
-        assign[a, redo] = np.argmin(_squared_distances(X[redo, :w], centers[a, :, :w]), axis=1)
-        work.fallback_rows += redo.size
+    A, k, n = weights.shape
+    terms = 4 * n + 2 * X.shape[1] + 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = products * -2.0
+        values += np.einsum("akn,akn->ak", weights, products)[:, :, None]
+        # a contiguous start: the passes below read each center's values strided
+        best, second = values[:, 0].copy(), np.full((A, n), np.inf)
+        assign = np.zeros((A, n), dtype=np.intp)
+        for j in range(1, k):
+            closer = values[:, j] < best
+            np.minimum(second, np.maximum(best, values[:, j]), out=second)
+            np.minimum(best, values[:, j], out=best)
+            assign[closer] = j
+        gap = np.subtract(second, best, out=second)
+        # R: the largest weighted mean of member norms, which bounds every center's norm;
+        # in place: on tiny inputs the temporaries cost more than the arithmetic
+        bound = xnorm + np.einsum("akn,an->ak", weights, xnorm).max(axis=1)[:, None]
+        bound *= bound
+        bound *= 8.0 * _gamma(terms)
+        bound += 8.0 * terms * _SMALLEST_SUBNORMAL
+        unsure = ~(gap > bound)
+    redo = np.flatnonzero(unsure.any(axis=1))
+    if redo.size:
+        centers = _centers(X, weights[redo] > 0, raw[redo], widths[redo], work)
+        for a, own in zip(redo.tolist(), centers):
+            rows, w = np.flatnonzero(unsure[a]), widths[a]
+            assign[a, rows] = np.argmin(_squared_distances(X[rows, :w], own[:, :w]), axis=1)
+            work.fallback_rows += rows.size
     return assign
 
 
-def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+def _repair(X: np.ndarray, centers: np.ndarray,
+            assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep one restart's k clusters populated: hand the farthest point to
     each empty cluster in turn. Moves ``centers`` in place and returns the
-    new assignment."""
+    new assignment and, per cluster, the row it was last moved onto (-1
+    for none)."""
     n, k = len(X), len(centers)
+    placed = np.full(k, -1)
     d2 = _squared_distances(X, centers)
     for _ in range(k):
         sizes = np.bincount(assign, minlength=k)
@@ -234,9 +286,10 @@ def _repair(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
         point_d2 = d2[np.arange(n), assign]
         farthest = int(np.argmax(point_d2))
         centers[j] = X[farthest]
+        placed[j] = farthest
         d2 = _squared_distances(X, centers)
         assign = np.argmin(d2, axis=1)
-    return assign
+    return assign, placed
 
 
 # Sharing terms pays on replay_week's 100 restarts (200 x 571, k = 8): 65-77 ms
@@ -281,41 +334,58 @@ def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
     return squares[which].reshape(A, n).sum(axis=1)
 
 
-def _means(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
-           changed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean of each changed cluster's members, per restart, summed once per
-    distinct member set: the flat indices (``a * k + j``) of the clusters
-    it wrote, the distinct means, one row each, and per written cluster
-    the row of its mean. Every other cluster, and an empty one, keeps its
-    center, so only the written clusters are read or returned; ``centers``
-    gives the shape alone. ``keys`` as for ``_inertias``; ``changed``
-    flags each of the A*k clusters.
+def _means(X: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each member set, summed once per distinct set: the distinct
+    means, one row each, and per set the row of its mean. ``members`` is
+    (m, n), one non-empty set of rows per row.
 
-    Clusters of any restarts, and of any widths, that hold the same rows
-    have equal sums bit for bit: every sum runs over whole rows of X. So
-    the written clusters are grouped by their packed membership bitmaps,
-    with one ``np.unique`` over the bitmaps' bytes, and each group's rows,
-    gathered in row order, are the very C-ordered block ``X[assign[a] ==
-    j]`` is: each sum rounds as that one does, numpy's pairwise sum at
-    d = 1 included. ``np.add.reduceat`` over sorted rows would round
-    differently. Each distinct set is gathered on its own: one block of
-    every member would be as large as the chunk's (restarts, n, d).
+    Sets that hold the same rows, in any restarts and at any widths, have
+    equal sums bit for bit: every sum runs over whole rows of X. So the
+    sets are grouped by their packed bitmaps, with one ``np.unique`` over
+    the bitmaps' bytes, and each group's rows, gathered in row order, are
+    the very C-ordered block ``X[assign[a] == j]`` is: each sum rounds as
+    that one does, numpy's pairwise sum at d = 1 included.
+    ``np.add.reduceat`` over sorted rows would round differently. Each
+    distinct set is gathered on its own: one block of every member would be
+    as large as (sets, n, d).
     """
-    A, k, d = centers.shape
-    sizes = np.bincount(keys.ravel(), minlength=A * k)
-    written = np.flatnonzero(changed & (sizes > 0))
-    members = keys[written // k] == written[:, None]
     bitmaps = np.packbits(members, axis=1)
     _, first, which = np.unique(bitmaps.view(np.dtype((np.void, bitmaps.shape[1]))).ravel(),
                                 return_index=True, return_inverse=True)
-    rows = np.nonzero(members[first])[1]  # set by set, each in row order
-    counts = sizes[written[first]]
-    means = np.empty((first.size, d))
+    distinct = members[first]
+    rows = np.nonzero(distinct)[1]  # set by set, each in row order
+    counts = distinct.sum(axis=1)
+    means = np.empty((first.size, X.shape[1]))
     for i, (end, size) in enumerate(zip(counts.cumsum().tolist(), counts.tolist())):
         np.add.reduce(X[rows[end - size:end]], axis=0, out=means[i])
     # the arithmetic of each block's mean(axis=0), without its overhead
     means /= counts[:, None]
-    return written, means, which
+    return means, which
+
+
+def _centers(X: np.ndarray, members: np.ndarray, raw: np.ndarray, widths: np.ndarray,
+             work: EngineWork) -> np.ndarray:
+    """The float centers of A restarts, (A, k, d), as Lloyd's algorithm on
+    explicit centers holds them: center j of restart a is the mean of the
+    rows ``members[a, j]`` (``_means``; ``work`` counts the sums computed
+    and shared), or, where ``raw[a, j]``, its one member row as is: a seed
+    row or a row ``_repair`` moved an empty cluster onto, which no mean
+    has replaced. A mean of one row differs from the row only in the sign
+    of a zero. Columns past a restart's width are zero."""
+    A, k, n = members.shape
+    d = X.shape[1]
+    flat, raw = members.reshape(A * k, n), raw.ravel()
+    centers = np.empty((A * k, d))
+    centers[raw] = X[flat[raw].argmax(axis=1)]
+    if not raw.all():
+        means, which = _means(X, flat[~raw])
+        centers[~raw] = means[which]
+        work.sums += len(means)
+        work.shared += which.size - len(means)
+    centers = centers.reshape(A, k, d)
+    if (widths < d).any():
+        np.copyto(centers, 0.0, where=np.arange(d) >= widths[:, None, None])
+    return centers
 
 
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -350,33 +420,37 @@ def _check_restarts(k: int, norms: np.ndarray, seeds: list[int]) -> None:
 def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     """One K-Means run per seed (see ``kmeans``), in seed order.
 
-    The restarts advance together: every Lloyd round assigns the points of
-    all restarts still running from one GEMM, and a restart leaves the
-    batch when it converges. Batching changes no result: each one is bit
-    for bit the run of its seed alone. A cluster whose members did not
-    change in a round keeps its center, the mean of those same rows; the
-    clusters that changed are summed once per distinct member set across
-    the batch. Each restart's inertia is computed once, at the end, from
-    the chunk's distinct (row, center) terms. Restarts run in chunks whose
-    (restarts, k, d) centers blocks hold at most ``_CHUNK_FLOATS`` floats.
-    The results of a chunk are views of its assignment and centers blocks.
-    Every restart here uses all d columns; the feature-count sweep gives
-    each restart of the same engine its own prefix width. One DEBUG line
-    per call counts the engine's work (see ``EngineWork``).
+    The restarts advance together in ``_lloyd``: every Lloyd round assigns
+    the points of all restarts still running from one product of their
+    member weights, with the Gram matrix ``X X^T`` when d > n, and a
+    restart leaves the batch when it converges. Batching changes no
+    result: each one is bit for bit the run of its seed alone. The rounds
+    sum no centers but for the decisions they take exactly; each chunk's
+    final centers are summed once, each distinct member set once
+    (``_centers``), and each restart's inertia is computed once from them,
+    from the chunk's distinct (row, center) terms. Restarts run in chunks
+    whose (restarts, k, max(n, d)) blocks hold at most ``_CHUNK_FLOATS``
+    floats. The results of a chunk are views of its assignment and centers
+    blocks. Every restart here uses all d columns; the feature-count sweep
+    gives each restart of the same engine its own prefix width. One DEBUG
+    line per call counts the engine's work (see ``EngineWork``).
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     n, d = X.shape
     seeds = list(seeds)
     xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
     _check_restarts(k, xnorm, seeds)
-    per_chunk = max(1, _CHUNK_FLOATS // max(1, k * d))
+    with np.errstate(over="ignore"):  # an overflowing entry leaves its rows to the exact path
+        gram = X @ X.T if d > n else None
+    per_chunk = max(1, _CHUNK_FLOATS // (k * max(n, d)))
     results: list[KMeansResult] = []
     work = EngineWork()
     for start in range(0, len(seeds), per_chunk):
         chunk = seeds[start:start + per_chunk]
-        assigns, centers, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)),
-                                          _seed_rows(n, k, tuple(chunk)), np.full(len(chunk), d),
-                                          work)
+        widths = np.full(len(chunk), d)
+        assigns, members, raw, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)),
+                                               _seed_rows(n, k, tuple(chunk)), widths, gram, work)
+        centers = _centers(X, members, raw, widths, work)
         keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
         inertias = _inertias(X, centers, keys, work).tolist()
         results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
@@ -384,149 +458,175 @@ def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     return results
 
 
-def _lloyd(X, xnorm, rows: np.ndarray, widths: np.ndarray,
-           work: EngineWork) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Lloyd rounds of one chunk of restarts, all advancing together; the
-    restarts' final assignments (A, n), their final centers (A, k, d) and
-    each one's number of rounds, in the order of ``rows``. Each restart
-    stops when no center moves by ``DEFAULT_TOL`` or more, or after
+def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarray,
+           gram: Optional[np.ndarray],
+           work: EngineWork) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Lloyd rounds of one chunk of restarts, all advancing together: the
+    restarts' final assignments (A, n), the members (A, k, n) and ``raw``
+    flags (A, k) that define their final centers (``_centers``), and each
+    one's number of rounds, in the order of ``rows``. Each restart stops
+    when no center moves by ``DEFAULT_TOL`` or more, or after
     ``DEFAULT_MAX_ITER`` rounds; both are read at each call. ``work``
-    counts the rounds, the sums and the repairs.
+    counts the rounds, the exact stops and the repairs.
 
     Restart a starts from the centers ``X[rows[a]]`` and is the run of its
     seed on the prefix ``X[:, :widths[a]]``; row a of ``xnorm`` holds the
-    norms of the rows at that width. A restart narrower than X keeps its
-    centers zero beyond its width. Its means sum whole rows of X column by
-    column, which rounds as the prefix does, and lose the columns past its
-    width. At width 1 numpy sums a one-column block pairwise instead, so a
-    width-1 restart may only run in a chunk where X has one column. Every
-    step whose rounding depends on the number of columns is taken on the
-    restart's own slice: the fallback of ``_assign``, ``_repair`` and a
-    shift within a rounding band of ``DEFAULT_TOL``. A restart's centers
-    come back at the width of X, zero past its own; the inertia is left to
-    the caller, since the sweep reads only the assignments.
+    norms of the rows at that width. ``gram``, when given, is the Gram
+    matrix of the columns up to the narrowest width (``_products``). At
+    width 1 numpy sums a one-column block pairwise, so a width-1 restart
+    may only run in a chunk where X has one column.
 
-    A round reads and writes only the clusters it rewrote: those whose
-    members changed, because a row entered or left or ``_repair`` ran in
-    that restart. Any other cluster's center is already the mean of its
-    members, summed over the same rows in the same order. ``_means`` sums
-    the rewritten clusters once per distinct member set, whatever restart
-    or width they belong to, since the sums of whole rows of X are bit for
-    bit equal. Their shifts and comparisons are taken on those rows, and
-    the means are written into the centers in place, ``_BLOCK_FLOATS``
-    floats at a time in an unpadded chunk; a padded chunk's centers are at
-    most k/n of ``_SWEEP_FLOATS``, and it keeps its steps for the band
-    check. A kept center's shift is an exact 0: under the finite-norm rule
-    every center is finite. A round's sums, means and steps are released
-    before the next round assigns.
-    A repaired restart also stops on a fixed point: its assignment equals
-    last round's and its new means equal the centers it started the round
-    from. ``_repair`` moved those centers, so the shift cannot see it.
-
-    The restarts that stop in a round leave together: their rounds, their
-    centers, and their assignment when their centers did not move, are
-    stored with one indexing each. The centers block starts as the seed
-    rows, which a ``DEFAULT_MAX_ITER`` of 0 assigns to.
+    A restart's state is its members: center j is the mean of the rows
+    that held it last, or the row it was set to (a seed row, or a row
+    ``_repair`` moved it onto) until rows gather around it. A round
+    assigns the rows from the products of the weights (``_assign``), then
+    rewrites only the member sets that changed. A restart whose sets did
+    not change stops: its centers did not move, and its assignment is
+    final (with a ``DEFAULT_TOL`` of 0 or less, which a shift of 0 does not
+    pass, it counts the rounds up to ``DEFAULT_MAX_ITER`` that would
+    repeat this one). Otherwise one product of the changed clusters' new weights
+    gives their part of the next round's assignment and each one's squared
+    shift: the weights' difference D against the products' difference,
+    ``D G D^T``. That lies within ``8 gamma_{2n+d+6} R^2`` of the squared
+    shift of the float centers at the restart's width, R its largest row
+    norm. A restart continues when one changed cluster's estimate exceeds
+    ``tol^2`` by ``32 gamma_{2n+d+6} (R^2 + tol^2)``, a factor 4 to spare;
+    an estimate that overflows certifies nothing. Every other
+    restart with changed sets, and every restart that ran ``_repair``,
+    decides its stop as the explicit-center loop does, from the float
+    centers ``_centers`` sums before and after the round, on its own
+    columns; a repaired restart also stops on a fixed point: its
+    assignment equals last round's and its new centers equal the ones it
+    started the round from, which the shift against the moved centers
+    cannot see. A restart that stops with changed sets takes the
+    assignment against its new centers, which the product already gives.
+    The restarts that stop in a round leave together. The members start
+    as the seed rows, which a ``DEFAULT_MAX_ITER`` of 0 assigns to.
     """
     max_iter, tol = DEFAULT_MAX_ITER, DEFAULT_TOL
     n, d = X.shape
     A, k = rows.shape
-    padded = bool((widths < d).any())
-    columns = np.arange(d)
-    centers = X[rows]
-    if padded:
-        np.copyto(centers, 0.0, where=columns >= widths[:, None, None])
-        # the sum of one shift can round differently padded than at its own width
-        band = 4.0 * _gamma(d + 2) * tol
-        narrowest = int(widths.min())
-    last = centers.copy()  # each restart's centers when it stopped
-    final = np.empty((A, n), dtype=np.intp)  # each assignment, once known
-    known = np.zeros(A, dtype=bool)
+    base = 0 if gram is None else int(widths.min())
+    labels = np.arange(k)[:, None]
+    members = np.zeros((A, k, n), dtype=bool)
+    members[np.arange(A)[:, None], np.arange(k), rows] = True
+    raw = np.ones((A, k), dtype=bool)
+    weights = members.astype(float)
+    products = _products(X, gram, base, weights, widths)
+    assign = _assign(X, xnorm, weights, products, raw, widths, work)
+    reach = xnorm.max(axis=1)
+    margin = 32.0 * _gamma(2 * n + d + 6) * (reach * reach + tol * tol)
+    margin += 8.0 * (4 * n + 2 * d + 8) * _SMALLEST_SUBNORMAL
+    final, kept, kept_raw = assign, members, raw  # what a DEFAULT_MAX_ITER of 0 returns
+    if max_iter > 0:
+        final, kept, kept_raw = np.empty_like(assign), np.empty_like(members), np.empty_like(raw)
     rounds = np.zeros(A, dtype=int)
     live = np.arange(A)
     live_xnorm, live_widths = xnorm, widths
     previous = None  # the live restarts' assignments in the last round
     for it in range(1, max_iter + 1):
-        assign = _assign(X, live_xnorm, centers, live_widths, work)
-        offsets = np.arange(0, len(live) * k, k)[:, None]
-        keys = offsets + assign
-        sizes = np.bincount(keys.ravel(), minlength=len(live) * k).reshape(-1, k)
-        empty = np.flatnonzero(sizes.min(axis=1) == 0).tolist()
-        if empty:
-            started = centers[empty]  # a copy: _repair moves centers in place
-            for a in empty:
-                w = live_widths[a]
-                assign[a] = _repair(X[:, :w], centers[a, :, :w], assign[a])
-            keys = offsets + assign
-            work.repairs += len(empty)
-        if previous is None:
-            changed = np.ones(len(live) * k, dtype=bool)
-        else:
-            moved = assign != previous
-            changed = np.zeros(len(live) * k, dtype=bool)
-            changed[keys[moved]] = True
-            changed[(offsets + previous)[moved]] = True
-            for a in empty:
-                changed[a * k:(a + 1) * k] = True
-        written, means, which = _means(X, centers, keys, changed)
-        work.sums += len(means)
-        work.shared += written.size - len(means)
-        flat = centers.reshape(-1, d)
-        squares = np.zeros(len(flat))
-        differs = np.zeros(len(flat), dtype=bool)
-        per_block = max(1, written.size if padded else _BLOCK_FLOATS // d)
-        for lo in range(0, written.size, per_block):
-            rows = written[lo:lo + per_block]
-            new = means[which[lo:lo + per_block]]
-            if padded:
-                # only the columns past the chunk's narrowest width can be padding
-                np.copyto(new[:, narrowest:], 0.0,
-                          where=columns[narrowest:] >= live_widths[rows // k][:, None])
-            step = flat[rows]
-            differs[rows] = (new != step).any(axis=1)
-            # in place: the (rows, d) temporaries cost more than the arithmetic
-            np.square(np.subtract(new, step, out=step), out=step)
-            squares[rows] = step.sum(axis=1)
-            flat[rows] = new
-        means = None
-        shift = np.sqrt(squares.reshape(-1, k)).max(axis=1)
-        unchanged = ~differs.reshape(-1, k).any(axis=1)
-        stop = shift < tol
-        if padded and written.size:
-            # with nothing written every shift is 0, which the band cannot move
-            owner = written // k
-            for a in np.flatnonzero((abs(shift - tol) <= band) & (live_widths < d)).tolist():
-                own = step[owner == a, :live_widths[a]].sum(axis=1)
-                stop[a] = np.sqrt(own).max(initial=0.0) < tol
-        new = step = None
-        stop |= it == max_iter
-        if empty and previous is not None:
-            stop[empty] |= (assign[empty] == previous[empty]).all(axis=1) & (
-                centers[empty] == started).all(axis=(1, 2))
-        previous = assign
-        if stop.any():
-            rounds[live[stop]] = it
-            # the assignment is a function of the centers, which did not move
-            done = stop & unchanged
-            final[live[done]] = assign[done]
-            known[live[done]] = True
-            last[live[stop]] = centers[stop]
-            keep = ~stop
-            live = live[keep]
-            if not live.size:
-                break
-            centers, previous = centers[keep], assign[keep]
-            live_xnorm, live_widths = live_xnorm[keep], live_widths[keep]
+        new = assign[:, None, :] == labels
+        new_raw = np.zeros(raw.shape, dtype=bool)
+        repaired = ~new.any(axis=2).all(axis=1)
+        moved = {}
+        fixed = np.flatnonzero(repaired)
+        starts = _centers(X, members[fixed], raw[fixed], live_widths[fixed], work) \
+            if fixed.size else ()
+        for a, started in zip(fixed.tolist(), starts):
+            w = live_widths[a]
+            centers = started.copy()  # _repair moves centers in place
+            assign[a], placed = _repair(X[:, :w], centers[:, :w], assign[a])
+            new[a] = assign[a] == labels
+            for j in np.flatnonzero(~new[a].any(axis=1)).tolist():
+                if placed[j] < 0:
+                    new[a, j], new_raw[a, j] = members[a, j], raw[a, j]
+                else:
+                    new[a, j, placed[j]] = new_raw[a, j] = True
+            repeats = previous is not None and bool((assign[a] == previous[a]).all())
+            moved[a] = started, centers, repeats
+        work.repairs += len(moved)
+        changed = (new != members).any(axis=2)
+        unchanged = ~(changed.any(axis=1) | repaired)
+        moving = np.flatnonzero(~unchanged)
+        stop = np.ones(len(live), dtype=bool)
+        if moving.size:
+            # only the changed clusters get new weights and products, in place
+            rewritten = np.flatnonzero(changed.ravel())
+            owner = rewritten // k
+            fresh = new.reshape(-1, n)[rewritten] / np.count_nonzero(new, axis=2).ravel()[
+                rewritten, None]
+            estimates = _products(X, gram, base, fresh[:, None], live_widths[owner])[:, 0]
+            flat_weights, flat_products = weights.reshape(-1, n), products.reshape(-1, n)
+            step, moves = flat_weights[rewritten], flat_products[rewritten]
+            with np.errstate(over="ignore", invalid="ignore"):
+                shift2 = np.einsum("cn,cn->c", np.subtract(fresh, step, out=step),
+                                   np.subtract(estimates, moves, out=moves))
+                sure = (shift2 - margin[owner] > tol * tol) & np.isfinite(shift2)
+            flat_weights[rewritten], flat_products[rewritten] = fresh, estimates
+            fresh = estimates = step = moves = None
+            go = np.zeros(len(live), dtype=bool)
+            go[owner[sure]] = True
+            halt = np.full(moving.size, it == max_iter)
+            unsure = np.flatnonzero(~go[moving] | repaired[moving])
+            if it < max_iter and unsure.size:
+                halt[unsure] = _exact_stops(X, members, raw, new, new_raw, moving[unsure],
+                                            live_widths, moved, work)
+            # views, not copies, when every restart moved
+            part = slice(None) if moving.size == len(live) else moving
+            following = _assign(X, live_xnorm[part], weights[part], products[part],
+                                new_raw[part], live_widths[part], work)
+            stop[moving] = halt
+        # a restart whose sets did not change keeps its assignment; any other takes the next
+        done = live[stop]
+        final[done] = assign[stop]
+        if moving.size:
+            final[live[moving[halt]]] = following[halt]
+        kept[done], kept_raw[done] = new[stop], new_raw[stop]
+        rounds[done] = it
+        if not 0.0 < tol:
+            # a shift of 0 stops nothing: an unchanged restart repeats its round to the cap
+            rounds[live[unchanged]] = max_iter
+        keep = ~stop
+        live = live[keep]
+        if not live.size:
+            break
+        members, raw = new[keep], new_raw[keep]
+        weights, products = weights[keep], products[keep]
+        previous, assign = assign[keep], following[~halt]
+        live_xnorm, live_widths, margin = live_xnorm[keep], live_widths[keep], margin[keep]
 
-    # restarts whose centers moved in their last round get one more assignment
-    pending = np.flatnonzero(~known)
-    if pending.size:
-        final[pending] = _assign(X, xnorm[pending], last[pending], widths[pending], work)
     rounds = rounds.tolist()
     work.calls += 1
     work.rounds += max(rounds)
     work.max_iter_hits += rounds.count(max_iter)
-    return final, last, rounds
+    return final, kept, kept_raw, rounds
+
+
+def _exact_stops(X, members, raw, new, new_raw, restarts, widths, moved,
+                 work: EngineWork) -> np.ndarray:
+    """Whether each of ``restarts`` (indices of the live restarts) stops
+    this round, as the explicit-center loop decides it: the float centers
+    of its old sets (``members``, ``raw``) and new ones, summed together
+    (``_centers``), move by less than ``DEFAULT_TOL`` on its own columns.
+    A restart in ``moved`` ran ``_repair``, which gives the centers it
+    started from, the moved ones its shift is measured from, and whether
+    its assignment repeats last round's; it also stops on that fixed point
+    when its new centers are the ones it started from."""
+    tol = DEFAULT_TOL
+    plain = np.array([a for a in restarts.tolist() if a not in moved], dtype=np.intp)
+    both = _centers(X, np.concatenate([new[restarts], members[plain]]),
+                    np.concatenate([new_raw[restarts], raw[plain]]),
+                    np.concatenate([widths[restarts], widths[plain]]), work)
+    olds = dict(zip(plain.tolist(), both[restarts.size:]))
+    work.exact_stops += restarts.size
+    halt = np.empty(restarts.size, dtype=bool)
+    for i, a in enumerate(restarts.tolist()):
+        w = widths[a]
+        started, old, repeats = moved.get(a, (None, olds.get(a), False))
+        now = both[i, :, :w]
+        halt[i] = np.sqrt(np.square(now - old[:, :w]).sum(axis=1)).max() < tol or (
+            repeats and bool((now == started[:, :w]).all()))
+    return halt
 
 
 def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
@@ -713,13 +813,13 @@ def sweep_feature_count(
     ``restarts`` K-Means runs, each bit for bit the run of
     ``repeated_kmeans`` on those columns, so every entry holds the same
     ``RandStats``. Every count's restarts run in the one engine with their
-    own prefix width, in chunks of consecutive widths, and clusters that
-    hold the same rows in one round share one sum, whatever their seeds
-    and widths (see ``_prefix_assignments``). All labelings are then
-    scored in one ``_rand_indices`` call. One DEBUG line counts the
-    engine's work (see ``EngineWork``). The preferred operating point is
-    the smallest w whose minimum rand index over restarts is maximal —
-    the worst case is what must be good.
+    own prefix width, in chunks of consecutive widths (see
+    ``_prefix_assignments``); the sweep reads only their assignments, so
+    it sums no centers but for the decisions the engine takes exactly. All
+    labelings are then scored in one ``_rand_indices`` call. One DEBUG
+    line counts the engine's work (see ``EngineWork``). The preferred
+    operating point is the smallest w whose minimum rand index over
+    restarts is maximal — the worst case is what must be good.
     """
     values = np.asarray(values, dtype=float)
     names = list(names)
@@ -768,26 +868,36 @@ def _prefix_assignments(ranked: np.ndarray, squares: np.ndarray, k: int, seeds: 
     Width 1 runs on its own: numpy sums a one-column block pairwise, so
     its means cannot come from a wider one. The wider prefixes run in
     chunks of consecutive widths, every seed at each, on the columns up to
-    the chunk's widest. A chunk's restarts x n x padded width is at most
-    ``_SWEEP_FLOATS``, unless one width's restarts alone exceed it; no
-    array of that size is formed (see ``_SWEEP_FLOATS``). In each round
-    the chunk sums each distinct member set once: neighbouring widths of
-    one seed, and often other seeds, hold the same clusters, and a sum of
-    whole padded rows serves every width. The seeds' initial rows are
-    drawn once and tiled over each chunk's widths; row w - 1 of
-    ``squares`` holds the squared row norms at width w.
+    the chunk's widest. A chunk whose narrowest width exceeds n takes its
+    products from the Gram matrix of the columns up to that width, which
+    grows by the product of the columns added since the last such chunk,
+    plus the columns past that width (``_products``). A chunk's restarts x
+    n x the columns its products read is at most ``_SWEEP_FLOATS``, unless
+    one width's restarts alone exceed it; no array of that size is formed
+    (see ``_SWEEP_FLOATS``). The seeds' initial rows are drawn once and
+    tiled over each chunk's widths; row w - 1 of ``squares`` holds the
+    squared row norms at width w.
     """
     n, d = ranked.shape
     rows = _seed_rows(n, k, tuple(seeds))
+    gram, covered = None, 0  # the Gram matrix of the first `covered` columns
     first = 1
     while first <= d:
         last = first
-        while 1 < first and last < d and \
-                (last + 2 - first) * len(seeds) * n * (last + 1) <= _SWEEP_FLOATS:
+        # the columns a round's product reads per restart: the Gram matrix's n
+        # and the columns past the narrowest width, or every column up to the widest
+        while 1 < first and last < d and (last + 2 - first) * len(seeds) * n * (
+                n + last + 1 - first if first > n else last + 1) <= _SWEEP_FLOATS:
             last += 1
+        if first > n:
+            block = ranked[:, covered:first]
+            with np.errstate(over="ignore"):  # an overflowing entry leaves its rows to the exact path
+                gram = block @ block.T if gram is None else gram + block @ block.T
+            covered = first
         widths = np.repeat(np.arange(first, last + 1), len(seeds))
         yield from _lloyd(ranked[:, :last], np.sqrt(squares[widths - 1]),
-                          np.tile(rows, (last + 1 - first, 1)), widths, work)[0]
+                          np.tile(rows, (last + 1 - first, 1)), widths,
+                          gram if first > n else None, work)[0]
         first = last + 1
 
 

@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import logging
 import math
-import re
 import struct
 import time
 import tracemalloc
@@ -134,6 +133,36 @@ def engine_settings(max_iter=cluster.DEFAULT_MAX_ITER, tol=cluster.DEFAULT_TOL):
         yield
 
 
+def assign_to_sets(X, sets, widths=None):
+    """``_assign`` of restarts whose center j is the mean of the rows
+    ``sets[a][j]``, restart a on the prefix ``X[:, :widths[a]]`` (all
+    columns by default), from the product order the engine would pick; and
+    those centers as the reference computes them, (restarts, k, d), zero
+    past each width."""
+    X = np.ascontiguousarray(X, dtype=float)
+    n, d = X.shape
+    widths = np.full(len(sets), d) if widths is None else np.asarray(widths)
+    members = np.zeros((len(sets), len(sets[0]), n), dtype=bool)
+    centers = np.zeros(members.shape[:2] + (d,))
+    for a, restart in enumerate(sets):
+        for j, rows in enumerate(restart):
+            members[a, j, rows] = True
+            centers[a, j, :widths[a]] = X[members[a, j]].mean(axis=0)[:widths[a]]
+    weights = members / members.sum(axis=2, keepdims=True)
+    base = int(widths.min()) if widths.min() > n else 0
+    gram = X[:, :base] @ X[:, :base].T if base else None
+    products = cluster._products(X, gram, base, weights, widths)
+    xx = np.cumsum(X * X, axis=1).T[widths - 1]
+    raw = np.zeros(members.shape[:2], dtype=bool)
+    assign = cluster._assign(X, np.sqrt(xx), weights, products, raw, widths, cluster.EngineWork())
+    return assign, centers
+
+
+def singletons(rows):
+    """Member sets of one row each: centers that are those rows."""
+    return [[[r] for r in restart] for restart in rows]
+
+
 # ---------------------------------------------------------------------------
 # Inputs for the kernel
 # ---------------------------------------------------------------------------
@@ -207,24 +236,19 @@ class TestKMeansKernel:
     def test_assign_sends_every_tie_to_the_fallback(self, case, data):
         X, k, _ = case
         rows = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=k, max_size=k))
-        centers = X[rows]
-        xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers[None], [X.shape[1]],
-                                     cluster.EngineWork())[0]
-        d2 = reference_squared_distances(X, centers)
-        np.testing.assert_array_equal(assign, np.argmin(d2, axis=1))
+            assign, centers = assign_to_sets(X, singletons([rows]))
+        d2 = reference_squared_distances(X, centers[0])
+        np.testing.assert_array_equal(assign[0], np.argmin(d2, axis=1))
         two = np.sort(d2, axis=1)[:, :2]
         if k > 1 and (two[:, 0] == two[:, 1]).any():
             assert spy.call_count == 1
 
     def test_equidistant_point_goes_to_lowest_center(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        xx = np.einsum("nd,nd->n", X, X)[None]
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), np.array([[[2.0], [0.0]]]), [1],
-                                     cluster.EngineWork())[0]
-        np.testing.assert_array_equal(assign, [1, 0, 0])
+            assign, _ = assign_to_sets(X, singletons([[2, 0]]))
+        np.testing.assert_array_equal(assign[0], [1, 0, 0])
         (points, _), _ = spy.call_args
         np.testing.assert_array_equal(points, [[1.0]])
 
@@ -235,19 +259,11 @@ class TestKMeansKernel:
             n, d = int(rng.integers(2, 30)), int(rng.integers(1, 8))
             k = int(rng.integers(2, n + 1))
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-162, -150)
-            centers = X[rng.choice(n, k, replace=False)]
-            xx = np.einsum("nd,nd->n", X, X)[None]
-            assign = cluster._assign(X, np.sqrt(xx), centers[None], [d], cluster.EngineWork())[0]
-            expected = np.argmin(reference_squared_distances(X, centers), axis=1)
-            np.testing.assert_array_equal(assign, expected)
-
-
-def assign_restarts(X, centers, widths):
-    """``_assign`` of restarts on their own prefix widths; ``centers`` is
-    (restarts, k, d), zero past each width."""
-    widths = np.asarray(widths)
-    xx = np.cumsum(X * X, axis=1).T[widths - 1]
-    return cluster._assign(X, np.sqrt(xx), centers, widths, cluster.EngineWork())
+            sets = [[rng.choice(n, int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist()
+                     for _ in range(k)]]
+            assign, centers = assign_to_sets(X, sets)
+            expected = np.argmin(reference_squared_distances(X, centers[0]), axis=1)
+            np.testing.assert_array_equal(assign[0], expected)
 
 
 def assert_nearest_per_restart(assign, X, centers, widths):
@@ -256,28 +272,28 @@ def assert_nearest_per_restart(assign, X, centers, widths):
         np.testing.assert_array_equal(assign[a], expected)
 
 
-def padded_centers(X, rows, widths):
-    """Rows of X as centers, one (k, d) block per restart, zero past its width."""
-    centers = X[np.asarray(rows)]
-    np.copyto(centers, 0.0, where=np.arange(X.shape[1]) >= np.asarray(widths)[:, None, None])
-    return centers
+def member_sets(data, n, k, restarts):
+    """Per restart, k sets of one to three rows each, drawn with repetition."""
+    return data.draw(st.lists(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), min_size=k, max_size=k),
+        min_size=restarts, max_size=restarts))
 
 
 class TestRunnerUpPass:
-    """``_assign`` keeps each row's best and runner-up value of
+    """``_assign`` keeps each row's best and runner-up estimate of
     ``|c|^2 - 2 x.c`` over k-1 elementwise passes; every answer is the
-    difference form's argmin on the restart's own width."""
+    difference form's argmin against the float means, on the restart's own
+    width."""
 
     @EXAMPLES
     @given(grid_inputs(), st.data())
     def test_two_centers_match_reference(self, case, data):
         # one pass; grid rows and centers tie often
         X, _, _ = case
-        rows = data.draw(st.lists(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=2),
-                                  min_size=1, max_size=6))
-        widths = [X.shape[1]] * len(rows)
-        centers = padded_centers(X, rows, widths)
-        assert_nearest_per_restart(assign_restarts(X, centers, widths), X, centers, widths)
+        sets = member_sets(data, len(X), 2, data.draw(st.integers(1, 6)))
+        widths = [X.shape[1]] * len(sets)
+        assign, centers = assign_to_sets(X, sets, widths)
+        assert_nearest_per_restart(assign, X, centers, widths)
 
     @EXAMPLES
     @given(ANY_INPUT, st.data())
@@ -287,51 +303,53 @@ class TestRunnerUpPass:
         restarts = data.draw(st.integers(1, 6))
         widths = data.draw(st.lists(st.integers(1, X.shape[1]), min_size=restarts,
                                     max_size=restarts))
-        rows = data.draw(st.lists(st.lists(st.integers(0, len(X) - 1), min_size=k, max_size=k),
-                                  min_size=restarts, max_size=restarts))
-        centers = padded_centers(X, rows, widths)
-        assert_nearest_per_restart(assign_restarts(X, centers, widths), X, centers, widths)
+        assign, centers = assign_to_sets(X, member_sets(data, len(X), k, restarts), widths)
+        assert_nearest_per_restart(assign, X, centers, widths)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_well_separated_rows_never_reach_the_fallback(self, k):
         rng = np.random.default_rng(12)
         means = 20.0 * np.eye(k, 6)
         X = np.repeat(means, 10, axis=0) + rng.standard_normal((10 * k, 6))
-        # four restarts, each with its centers near the means in another order
-        centers = np.stack([(means + rng.normal(0, 0.5, means.shape))[rng.permutation(k)]
-                            for _ in range(4)])
+        # four restarts, each with its centers on the blobs in another order,
+        # each blob's center the mean of some of its rows
+        blobs = np.arange(10 * k).reshape(k, 10)
+        sets = [[rng.choice(blobs[j], int(rng.integers(1, 11)), replace=False).tolist()
+                 for j in rng.permutation(k)] for _ in range(4)]
         with fallback_spy() as spy:
-            assign = assign_restarts(X, centers, [6] * 4)
+            assign, centers = assign_to_sets(X, sets)
         assert spy.call_count == 0
         assert_nearest_per_restart(assign, X, centers, [6] * 4)
 
     def test_exact_tie_in_the_expanded_form_goes_to_the_difference_form(self):
         # 1e18 absorbs every other term: |c|^2 - 2 x.c reads -1e18 at both
-        # centers, while row 0 is nearer center 1 and row 1 nearer center 0
-        X = np.array([[1.0, 1e9], [-3.0, 1e9]])
-        centers = np.array([[[0.0, 1e9], [1.5, 1e9]]])
-        values = np.einsum("kd,kd->k", centers[0], centers[0]) - 2.0 * X @ centers[0].T
+        # centers, rows 2 and 3, while row 0 is nearer center 1 and row 1
+        # nearer center 0
+        X = np.array([[1.0, 1e9], [-3.0, 1e9], [0.0, 1e9], [1.5, 1e9]])
+        centers = X[2:]
+        values = np.einsum("kd,kd->k", centers, centers) - 2.0 * X[:2] @ centers.T
         assert (values[:, 0] == values[:, 1]).all()
         with fallback_spy() as spy:
-            assign = assign_restarts(X, centers, [2])
+            assign, _ = assign_to_sets(X, singletons([[2, 3]]))
         (points, _), _ = spy.call_args
-        np.testing.assert_array_equal(points, X)
-        np.testing.assert_array_equal(assign, [[1, 0]])
+        np.testing.assert_array_equal(points[:2], X[:2])
+        np.testing.assert_array_equal(assign, [[1, 0, 0, 1]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_and_center_go_to_the_difference_form(self, bad):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((12, 3))
         X[4, 1] = bad
-        centers = rng.standard_normal((3, 3, 3))
-        centers[1, 2, 0] = bad
+        good = [i for i in range(12) if i != 4]
+        sets = [[rng.choice(good, 2, replace=False).tolist() for _ in range(3)] for _ in range(3)]
+        sets[1][2] = [0, 4]  # a center that takes the bad row
         with np.errstate(invalid="ignore", over="ignore"), fallback_spy() as spy:
-            assign = assign_restarts(X, centers, [3, 3, 3])
+            assign, centers = assign_to_sets(X, sets)
             assert_nearest_per_restart(assign, X, centers, [3, 3, 3])
-        # the bad row in every restart; every row of the restart with the bad center
-        redone = [points for (points, _), _ in spy.call_args_list[:3]]
-        assert [len(points) for points in redone] == [1, 12, 1]
-        np.testing.assert_array_equal(redone[0], X[[4]])
+        # every product meets the bad row (0 times NaN or inf is NaN), so
+        # every row of every restart goes to the difference form
+        redone = [points for (points, _), _ in spy.call_args_list]
+        assert [len(points) for points in redone] == [12, 12, 12]
 
 
 class TestKMeansContract:
@@ -394,9 +412,9 @@ ENTRIES = {
 
 
 def chunk_of(restarts, X, k):
-    """A chunk size, in floats, that holds the centers of ``restarts``
-    restarts of k clusters on ``X``."""
-    return restarts * k * X.shape[1]
+    """A chunk size, in floats, that holds the (restarts, k, max(n, d))
+    blocks of ``restarts`` restarts of k clusters on ``X``."""
+    return restarts * k * max(X.shape)
 
 
 class TestKMeansRestarts:
@@ -512,9 +530,15 @@ class TestKMeansRestarts:
             return False
 
         assert any(keeps_one_and_moves_another(reference_kmeans(X, 3, s)[4]) for s in seeds)
+        assert_restarts_match_reference(kmeans_restarts(X, 3, seeds), X, 3, seeds)
+        # a round keeps the members of every cluster that did not change and
+        # sums no cluster: on a line without equidistant rows, where no round
+        # falls back, only the final centers are summed
+        X[4:, 0] = np.sort(np.random.default_rng(0).uniform(0, 10, 10))
+        assert any(keeps_one_and_moves_another(reference_kmeans(X, 3, s)[4]) for s in seeds)
         with mock.patch.object(cluster, "_means", wraps=cluster._means) as spy:
             results = kmeans_restarts(X, 3, seeds)
-        assert any(not changed.all() for (_, _, _, changed), _ in spy.call_args_list)
+        assert spy.call_count == 1
         assert_restarts_match_reference(results, X, 3, seeds)
 
     def test_repair_after_round_one_in_one_restart_of_a_batch(self):
@@ -556,18 +580,14 @@ class TestKMeansRestarts:
 
     def test_assign_falls_back_only_in_the_restart_with_a_tie(self):
         X = np.array([[0.0], [1.0], [2.0], [4.0]])
-        xx = np.repeat(np.einsum("nd,nd->n", X, X)[None], 2, axis=0)
-        centers = np.array([[[0.0], [2.0]],    # row 1.0 is equidistant
-                            [[0.5], [3.0]]])   # no ties
+        # centers 0 and 2: row 1.0 is equidistant; centers 0.5 and 3: no ties
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers, [1, 1], cluster.EngineWork())
+            assign, centers = assign_to_sets(X, [[[0], [2]], [[0, 1], [2, 3]]])
         (points, restart_centers), _ = spy.call_args
         assert spy.call_count == 1
         np.testing.assert_array_equal(points, [[1.0]])
         np.testing.assert_array_equal(restart_centers, centers[0])
-        for a in range(2):
-            expected = np.argmin(reference_squared_distances(X, centers[a]), axis=1)
-            np.testing.assert_array_equal(assign[a], expected)
+        assert_nearest_per_restart(assign, X, centers, [1, 1])
 
     def test_results_keep_no_other_restarts_arrays_alive(self):
         X = np.random.default_rng(5).standard_normal((40, 3))
@@ -630,11 +650,13 @@ class TestKMeansRestarts:
                 best_kmeans(X, 3, restarts=4, seed0=10)
         assert [r.getMessage() for r in caplog.records] == [
             "kmeans_restarts: 1 _lloyd calls, 1 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "2 cluster sums computed, 6 shared, 25 rows assigned in the difference form, "
-            "4 _repair calls, 10 inertia terms computed, 30 shared",
+            "6 cluster sums computed, 18 shared, 45 rows assigned in the difference form, "
+            "4 stops decided on float centers, 4 _repair calls, 10 inertia terms computed, "
+            "30 shared",
             "kmeans_restarts: 2 _lloyd calls, 2 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "4 cluster sums computed, 4 shared, 25 rows assigned in the difference form, "
-            "4 _repair calls, 20 inertia terms computed, 20 shared",
+            "12 cluster sums computed, 12 shared, 45 rows assigned in the difference form, "
+            "4 stops decided on float centers, 4 _repair calls, 20 inertia terms computed, "
+            "20 shared",
         ]
 
     @pytest.mark.parametrize("scale, bad", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
@@ -738,6 +760,78 @@ class TestInertias:
         seeds = list(range(10))
         results, computed, shared = inertia_work(caplog, X, 3, seeds)
         assert computed == distinct_terms(results) and shared > 0
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+
+@st.composite
+def order_inputs(draw):
+    """Points for both product orders, with as many columns as rows or
+    fewer (the weighted sums) or more (the Gram matrix): integer grids
+    whose distances tie, duplicate rows (fewer distinct rows than k
+    repairs), near-duplicate rows (members change while a center barely
+    moves), or rows near the finite-norm limit, whose estimates overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 24))
+    d = draw(st.sampled_from([1, 2, 3, n - 1, n, n + 1, 2 * n + 3]))
+    kind = draw(st.sampled_from(["grid", "duplicates", "near", "limit"]))
+    if kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "limit":
+        # norms of about 1.1e154 in one direction: 2 x.c overflows, |x - c| does not
+        X = (1.0 + 0.02 * rng.standard_normal((n, d))) * (1.1e154 / math.sqrt(d))
+    else:
+        base = rng.standard_normal((draw(st.integers(1, max(1, n // 2))), d))
+        X = base[rng.integers(0, len(base), size=n)]
+        if kind == "near":
+            X = X * (1.0 + 1e-15 * rng.integers(-2, 3, size=X.shape))
+    return X, draw(st.integers(1, n)), draw(SEED_BATCHES)
+
+
+class TestProductOrders:
+    """Both product orders, ``W G`` and ``(W X) X^T``, give every restart
+    bit for bit as the reference runs it on explicit centers; every
+    decision the estimates cannot certify goes to the exact path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(order_inputs(), st.sampled_from([1, 2, 3, cluster.DEFAULT_MAX_ITER]),
+           st.sampled_from([0.0, cluster.DEFAULT_TOL, 0.5]))
+    def test_both_orders_match_reference(self, case, max_iter, tol):
+        X, k, seeds = case
+        with engine_settings(max_iter, tol):
+            results = kmeans_restarts(X, k, seeds)
+        assert_restarts_match_reference(results, X, k, seeds, max_iter, tol)
+
+    @pytest.mark.parametrize("n, d", [(20, 5), (8, 30)], ids=["sums", "gram"])
+    def test_overflowing_estimates_go_to_the_exact_path(self, caplog, n, d):
+        rng = np.random.default_rng(21)
+        X = (1.0 + 0.02 * rng.standard_normal((n, d))) * (1.1e154 / math.sqrt(d))
+        seeds = list(range(6))
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+            results = kmeans_restarts(X, 3, seeds)
+        (record,) = caplog.records
+        # every row of the first assignment, at least, is decided on the float centers
+        assert record.work.fallback_rows >= n * len(seeds)
+        assert_restarts_match_reference(results, X, 3, seeds)
+
+    def test_rounds_that_decide_on_estimates_sum_nothing(self, caplog):
+        # well-separated blobs: no round repairs, falls back or stops on float
+        # centers, so the only sums are the final centers' distinct sets
+        rng = np.random.default_rng(22)
+        X = np.concatenate([rng.normal(c, 1.0, size=(10, 40)) for c in (0.0, 6.0, 12.0)])
+        seeds = list(range(12))
+        with caplog.at_level(logging.DEBUG, logger="quickroutes.cluster"):
+            results = kmeans_restarts(X, 3, seeds)
+            sweep_feature_count(X, [f"c{i}" for i in range(40)], ["A", "B", "C"] * 10,
+                                [FeatureScore(f"c{i}", 40.0 - i) for i in range(40)],
+                                restarts=4)
+        restarts, sweep = (record.work for record in caplog.records)
+        assert (restarts.fallback_rows, restarts.exact_stops, restarts.repairs) == (0, 0, 0)
+        final = {frozenset(np.flatnonzero(r.assignments == j).tolist())
+                 for r in results for j in range(3)}
+        assert restarts.sums == len(final)
+        assert restarts.sums + restarts.shared == len(seeds) * 3
+        assert (sweep.fallback_rows, sweep.exact_stops, sweep.repairs) == (0, 0, 0)
+        assert sweep.sums == sweep.shared == 0
         assert_restarts_match_reference(results, X, 3, seeds)
 
 
@@ -861,7 +955,11 @@ def prefix_lloyd(X, k, seeds, widths):
     widths = np.asarray(widths)
     xx = np.cumsum(X * X, axis=1).T[widths - 1]
     rows = cluster._seed_rows(len(X), k, tuple(seeds))
-    assigns, centers, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, cluster.EngineWork())
+    base = int(widths.min())
+    gram = X[:, :base] @ X[:, :base].T if base > len(X) else None
+    work = cluster.EngineWork()
+    assigns, members, raw, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, gram, work)
+    centers = cluster._centers(X, members, raw, widths, work)
     results = []
     for assign, padded, iterations, seed, w in zip(assigns, centers, rounds, seeds, widths.tolist()):
         assert padded.shape == (k, X.shape[1]) and not padded[:, w:].any()
@@ -914,13 +1012,11 @@ class TestPerRestartWidths:
     def test_fallback_decides_on_the_restarts_own_width(self):
         # a near tie at width 2 that center 1 wins; the padded column's
         # 1e16 would absorb both distances into an exact tie, won by center 0
-        X = np.array([[1.0, 0.0, 1e8]])
-        xx = np.cumsum(X * X, axis=1).T[[1]]
-        centers = np.array([[[0.0, 0.0, 0.0], [1.9999999999999998, 0.0, 0.0]]])
+        X = np.array([[1.0, 0.0, 1e8], [0.0, 0.0, 5.0], [1.9999999999999998, 0.0, 7.0]])
         with fallback_spy() as spy:
-            assign = cluster._assign(X, np.sqrt(xx), centers, np.array([2]), cluster.EngineWork())
+            assign, _ = assign_to_sets(X, singletons([[1, 2]]), [2])
         assert spy.call_count == 1
-        np.testing.assert_array_equal(assign, [[1]])
+        np.testing.assert_array_equal(assign, [[1, 0, 1]])
 
     def test_repair_runs_on_the_restarts_own_width(self):
         # seeds that pick two rows of one value start with two equal centers
@@ -956,40 +1052,27 @@ class TestPerRestartWidths:
 
 
 def reference_sharing(X, k, seeds, widths):
-    """Per Lloyd round of these restarts batched, the sums the engine needs
-    and how many clusters take another's, from the reference runs alone:
-    each live restart's non-empty clusters whose members changed (all of
-    them in round 1 and after a repair), grouped by member set."""
-    runs = [reference_kmeans(own_prefix(X, w), k, seed)[4] for seed, w in zip(seeds, widths)]
-    counts = []
-    for r in range(max(map(len, runs))):
-        sets = []
-        for run in runs:
-            if r >= len(run):
-                continue
-            assign, repaired = run[r]
-            if r == 0 or repaired:
-                changed = set(range(k))
-            else:
-                before = run[r - 1][0]
-                moved = assign != before
-                changed = set(assign[moved].tolist()) | set(before[moved].tolist())
-            sets += [frozenset(np.flatnonzero(assign == j).tolist()) for j in changed
-                     if (assign == j).any()]
-        counts.append((len(set(sets)), len(sets) - len(set(sets))))
-    return counts
+    """The sums of these restarts' final centers, batched, from the
+    reference runs alone: each restart's non-empty clusters of its last
+    round, grouped by member set, as (sums, clusters that take another's)."""
+    sets = []
+    for seed, w in zip(seeds, widths):
+        assign = reference_kmeans(own_prefix(X, w), k, seed)[4][-1][0]
+        sets += [frozenset(np.flatnonzero(assign == j).tolist()) for j in range(k)
+                 if (assign == j).any()]
+    return len(set(sets)), len(sets) - len(set(sets))
 
 
 def sharing_of(run, *args):
     """``run(*args)``, and per call of ``_means`` the cluster sums computed
-    and the written clusters that took one of them."""
+    and the member sets that took one of them."""
     counts = []
     real = cluster._means
 
     def means(*means_args):
-        written, sums, which = real(*means_args)
-        counts.append((len(sums), written.size - len(sums)))
-        return written, sums, which
+        sums, which = real(*means_args)
+        counts.append((len(sums), which.size - len(sums)))
+        return sums, which
 
     with mock.patch.object(cluster, "_means", means):
         return run(*args), counts
@@ -1003,12 +1086,14 @@ def agreeing_rounds(X, k, seed, narrow, wide):
 
 class TestSharedSums:
     """Clusters that hold the same rows, in any restarts and at any widths
-    of a chunk, are summed once per round; each result stays bit for bit
-    the run on its own prefix, and the sums match the reference model."""
+    of a chunk, share one sum: the rounds sum no clusters unless they
+    decide exactly, and the final centers sum each distinct member set
+    once. Each result stays bit for bit the run on its own prefix, and the
+    final sums match the reference model."""
 
     def check(self, X, k, seeds, widths):
         results, counts = sharing_of(prefix_lloyd, X, k, seeds, widths)
-        assert counts == reference_sharing(X, k, seeds, widths)
+        assert counts[-1] == reference_sharing(X, k, seeds, widths)
         for result, seed, w in zip(results, seeds, widths):
             assert_matches_reference(result, own_prefix(X, w), k, seed)
         return counts
@@ -1016,15 +1101,15 @@ class TestSharedSums:
     def test_restarts_that_agree_early_and_differ_later(self):
         X = np.random.default_rng(18).standard_normal((12, 4))
         assert agreeing_rounds(X, 3, 3, 2, 3) == [True, False, False, False]
-        # round 1: both widths hold the same three clusters; later no set repeats
-        assert self.check(X, 3, [3, 3], [2, 3]) == [(3, 3), (4, 0), (4, 0), (0, 0)]
+        # the rounds sum nothing; the two widths end on different clusters
+        assert self.check(X, 3, [3, 3], [2, 3]) == [(5, 1)]
 
     def test_restart_that_stops_first_leaves_the_others_sharing(self):
-        # width 4 stops after round 2; widths 2 and 3 share sums in round 3
+        # width 4 stops after round 2; widths 2 and 3 end on shared clusters
         X = np.random.default_rng(165).standard_normal((12, 4))
         assert [reference_kmeans(own_prefix(X, w), 3, 3)[3] for w in (2, 3, 4)] == [4, 4, 2]
         counts = self.check(X, 3, [3, 3, 3], [2, 3, 4])
-        assert len(counts) == 4 and counts[2][1] > 0
+        assert counts == [(6, 3)]
 
     def test_repaired_restarts_share_their_new_sums(self):
         # seeds 1 and 6 repair in round 2 onto one assignment, whose sums they share
@@ -1034,7 +1119,7 @@ class TestSharedSums:
         rounds = [reference_kmeans(X, 3, s)[4] for s in seeds]
         assert [s for s in seeds if len(rounds[s]) > 1 and rounds[s][1][1]] == [1, 6]
         with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as repairs:
-            assert self.check(X, 3, seeds, [3] * 8) == [(6, 18), (3, 3), (0, 0)]
+            assert self.check(X, 3, seeds, [3] * 8) == [(6, 6), (3, 3), (3, 3), (3, 21)]
         assert repairs.call_count > 2
 
     def test_two_seeds_reach_one_cluster_at_one_width(self):
@@ -1042,14 +1127,21 @@ class TestSharedSums:
         X = np.concatenate([rng.normal(c, 0.3, size=(6, 4)) for c in (0.0, 4.0, 8.0)])
         seeds = [0, 1, 2, 3]
         results, counts = sharing_of(kmeans_restarts, X, 3, seeds)
-        assert counts == reference_sharing(X, 3, seeds, [4] * 4) == [(10, 2), (3, 7), (0, 0)]
+        assert counts == [reference_sharing(X, 3, seeds, [4] * 4)] == [(3, 9)]
         assert_restarts_match_reference(results, X, 3, seeds)
 
     def test_restarts_of_different_widths_share_one_sum(self):
-        # seeds 1 and 2 at widths 2 and 4 reach the same two clusters in round 2
+        # seeds 1 and 2 at widths 2 and 4 end on the same clusters
         rng = np.random.default_rng(7)
         X = np.concatenate([rng.normal(c, 0.3, size=(6, 4)) for c in (0.0, 4.0, 8.0)])
-        assert self.check(X, 3, [1, 2], [2, 4]) == [(6, 0), (3, 2), (0, 0)]
+        assert self.check(X, 3, [1, 2], [2, 4]) == [(3, 3)]
+
+
+def product_columns(n, narrowest, widest):
+    """The columns a sweep chunk's products read per restart: n of the Gram
+    matrix plus those past its narrowest width when that exceeds n, else
+    every column up to its widest."""
+    return n + widest - narrowest if narrowest > n else widest
 
 
 @contextmanager
@@ -1059,9 +1151,9 @@ def engine_spy():
     batches, labelings = [], []
     real_lloyd, real_rand = cluster._lloyd, cluster._rand_indices
 
-    def lloyd(X, xnorm, rows, widths, work):
+    def lloyd(X, xnorm, rows, widths, gram, work):
         batches.append((X.shape, widths.tolist()))
-        return real_lloyd(X, xnorm, rows, widths, work)
+        return real_lloyd(X, xnorm, rows, widths, gram, work)
 
     def rand(truth, rows, adjusted):
         labelings.append(rows.copy())
@@ -1129,7 +1221,8 @@ class TestSweepFeatureCount:
             assert widths == [w for w in distinct for _ in range(4)]
             assert distinct == list(range(covered[-1] + 1, covered[-1] + 1 + len(distinct)))
             assert padded == distinct[-1]
-            assert len(distinct) == 1 or len(widths) * n * padded <= budget
+            assert len(distinct) == 1 or len(widths) * n * product_columns(
+                n, distinct[0], padded) <= budget
             covered += distinct
         assert covered == list(range(1, limit + 1))
 
@@ -1155,17 +1248,54 @@ class TestSweepFeatureCount:
             sweep_feature_count(values, names, self.TRUTH, scores, restarts=4)
             with mock.patch.object(cluster, "DEFAULT_MAX_ITER", 2):
                 sweep_feature_count(values, names, self.TRUTH, scores, restarts=4)
-        counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
-        assert counts == [
+        records = [r for r in caplog.records if r.getMessage().startswith("sweep")]
+        assert [r.getMessage() for r in records] == [
             "sweep_feature_count: 2 _lloyd calls, 12 Lloyd rounds, 0 restarts stopped at "
-            "max_iter, 104 cluster sums computed, 57 shared, 0 rows assigned in the difference "
-            "form, 1 _repair calls, 0 inertia terms computed, 0 shared",
+            "max_iter, 6 cluster sums computed, 0 shared, 0 rows assigned in the difference "
+            "form, 1 stops decided on float centers, 1 _repair calls, 0 inertia terms "
+            "computed, 0 shared",
             "sweep_feature_count: 2 _lloyd calls, 4 Lloyd rounds, 24 restarts stopped at "
-            "max_iter, 79 cluster sums computed, 41 shared, 0 rows assigned in the difference "
-            "form, 1 _repair calls, 0 inertia terms computed, 0 shared",
+            "max_iter, 3 cluster sums computed, 0 shared, 0 rows assigned in the difference "
+            "form, 0 stops decided on float centers, 1 _repair calls, 0 inertia terms "
+            "computed, 0 shared",
         ]
-        # restarts share sums: this fails if sharing stops
-        assert all(int(re.search(r"(\d+) shared", message)[1]) > 0 for message in counts)
+        # only the repair and the exact stop sum, k clusters before and k after each
+        for work in (r.work for r in records):
+            assert work.sums + work.shared <= 2 * 3 * (work.repairs + work.exact_stops)
+
+    def test_widths_across_the_row_count_use_both_orders(self):
+        # 12 rows and widths 1..30: the chunks up to 12 columns take weighted
+        # sums, the wider ones the Gram matrix grown from chunk to chunk
+        rng = np.random.default_rng(23)
+        truth = ["A", "B", "C"] * 4
+        values = rng.standard_normal((12, 30)) + np.repeat(np.eye(3), 4, axis=0) @ rng.normal(
+            0, 2, (3, 30))
+        values = values[[0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]]
+        names = [f"c{i}" for i in range(30)]
+        scores = [FeatureScore(name, float(30 - i)) for i, name in enumerate(names)]
+        grams = []
+        real = cluster._lloyd
+
+        def lloyd(X, xnorm, rows, widths, gram, work):
+            grams.append((int(widths.min()), int(widths.max()), len(widths), gram))
+            if gram is not None:
+                own = X[:, :widths.min()]
+                np.testing.assert_allclose(gram, own @ own.T, rtol=1e-12)
+            return real(X, xnorm, rows, widths, gram, work)
+
+        budget = 2**12
+        with mock.patch.object(cluster, "_SWEEP_FLOATS", budget), \
+                mock.patch.object(cluster, "_lloyd", lloyd):
+            curve = sweep_feature_count(values, names, truth, scores, restarts=6)
+        # several Gram chunks: each grows the last one's matrix
+        assert sum(gram is not None for *_, gram in grams) > 2
+        assert any(gram is None for *_, gram in grams)
+        for narrowest, widest, restarts, gram in grams:
+            assert (gram is not None) == (narrowest > 12)
+            assert narrowest == widest or restarts * 12 * product_columns(
+                12, narrowest, widest) <= budget
+        expected = [reference_rand_stats(values[:, :w], truth, 3, restarts=6) for w in range(1, 31)]
+        assert [e.stats for e in curve.entries] == expected
 
     def test_draws_each_seed_once(self):
         # 300 restarts, and one chunk per width: six chunks read the same draws

@@ -6,16 +6,17 @@ Everything is Euclidean and deterministic: each stochastic operation is a
 pure function of its inputs and an integer seed, restarts use consecutive
 seeds, and results are merged in seed order.
 
-``_lloyd`` is the one Lloyd loop. ``kmeans_restarts`` calls it, and
+``_lloyd`` is the one Lloyd loop and ``_runs`` the one driver that calls
+it. ``kmeans_restarts`` is the driver at the points' one width, and
 ``kmeans``, ``best_kmeans``, ``repeated_kmeans`` and the GMM
-initialization call that; the feature-count sweep calls it directly. Both
-entries apply the finite-norm rule (``_check_restarts``): a row norm at
-the widest width used that is not finite (NaN, +-inf, or |x| above about
-1.3e154, whose square overflows) raises ``ValidationError`` before any
-restart runs, so every center is finite. The restarts are batched, and a
-restart leaves the batch once it converges. Each restart's result is bit
-for bit that of running it alone, as Lloyd's algorithm on explicit float
-centers computes it.
+initialization call that; the feature-count sweep is the driver at every
+prefix width. The driver applies the finite-norm rule
+(``_check_restarts``): a row norm at the widest width that is not finite
+(NaN, +-inf, or |x| above about 1.3e154, whose square overflows) raises
+``ValidationError`` before any restart runs, so every center is finite.
+The restarts are batched, and a restart leaves the batch once it
+converges. Each restart's result is bit for bit that of running it alone,
+as Lloyd's algorithm on explicit float centers computes it.
 
 During the rounds a restart's state is its assignment, not its centers:
 center j is the mean of its member rows (or, until the rows first gather
@@ -33,27 +34,21 @@ every ``_repair`` are taken exactly as on explicit centers, from the float
 centers that ``_centers`` sums for that restart alone. So a round sums no
 cluster unless it needs one; the final centers of ``kmeans_restarts`` are
 summed once, each distinct member set of a chunk once, and its inertias
-are computed once, each distinct (row, center value) term once.
-``kmeans_restarts`` runs restarts in chunks sized by memory: the chunk's
-(restarts, k, max(n, d)) blocks hold at most 2 MB each, or one restart's
-when that alone is larger; the Gram matrix is n x n and is formed only
-when d > n. ``kmeans_restarts`` and the sweep each count the engine's work
-in one ``EngineWork`` and log it as one DEBUG line. The engine reads its
-stopping rule, ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, at each call.
+are computed once, each distinct (row, member set) term once.
 
 Each restart may have its own width: the run of its seed on the first w
-columns. The feature-count sweep uses this to cluster every prefix of the
-feature ranking in a few engine calls. A chunk holds consecutive widths
-and runs on the block up to its widest; every step whose rounding depends
-on the width is taken on the restart's own columns, so its assignments are
-bit for bit those of its prefix alone. Width 1 runs on its own, because
-numpy sums a one-column block pairwise. Chunks wider than the rows take
-their products from a Gram matrix that grows from one chunk to the next,
-one block of columns at a time; a sweep chunk's restarts x points x the
-columns its products read stays within ``_SWEEP_FLOATS``. Each seed's
-initial rows are drawn once per sweep, and all its labelings are scored
-in one rand-index pass. The sweep reads only assignments, so it sums no
-final centers.
+columns. The driver runs its (width, seed) pairs in width-major order, in
+chunks of consecutive pairs under one rule for both callers: a chunk's
+(restarts, k, max(n, widest)) blocks hold at most ``_CHUNK_FLOATS``
+floats, and a chunk of several widths reads at most ``_SWEEP_FLOATS``
+restarts x points x columns in a round's products. Every step whose
+rounding depends on the width is taken on the restart's own columns, so
+its assignments are bit for bit those of its prefix alone. Each driver
+call counts the engine's work in one ``EngineWork`` and logs it as one
+DEBUG line; the engine reads its stopping rule, ``DEFAULT_TOL`` and
+``DEFAULT_MAX_ITER``, at each call. The sweep reads only assignments, so
+it sums no final centers, and it scores all its labelings in one
+rand-index pass.
 
 The evaluation tail is in GEMM form too. ``silhouette`` takes the pairwise
 distances of a row block from one product of the column-centred points,
@@ -84,39 +79,40 @@ DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_GMM_TOL = 1e-8
 DEFAULT_GMM_REG = 1e-6
-# Floats in each (restarts, k, max(n, d)) block of one kmeans_restarts chunk:
-# 2 MB, 57 restarts at k = 8 and d = 571. Each round holds a few such blocks
-# of (restarts, k, n) weights, products and estimates; the chunk's final
-# centers are one (restarts, k, d) block. The larger the chunk, the more
-# final sums and inertia terms its restarts share. On replay_week's 100
-# restarts, one batch ran no faster (medians of 35 ms against 35-39 ms) and
-# raised the tracemalloc peak from 7.3 to 10.1 MB; 28-restart chunks held
-# 6.3 MB and ran 36-39 ms.
+# The memory limit of every engine chunk (_runs): floats in each (restarts,
+# k, max(n, widest width)) block, 2 MB, 57 restarts at k = 8 and d = 571.
+# Each round holds a few such blocks of (restarts, k, n) weights, products
+# and estimates; the final centers of a kmeans_restarts chunk are one
+# (restarts, k, d) block. The larger the chunk, the more final sums and
+# inertia terms its restarts share. On replay_week's 100 restarts, one
+# batch ran no faster (medians of 35 ms against 35-39 ms) and raised the
+# tracemalloc peak from 7.3 to 10.1 MB; 28-restart chunks held 6.3 MB and
+# ran 36-39 ms.
 _CHUNK_FLOATS = 2**18
 # Floats of one block of differences in _inertias: 512 KB.
 _BLOCK_FLOATS = 2**16
-# Restarts x points x the columns a round's products read per restart, in
-# one feature-count sweep chunk: the padded width for (W X) X^T, or n plus
-# the widths past the narrowest for W G + (W X) X^T on a chunk wider than
-# the rows. A round's multiply-adds are k times this at most, twice for
-# (W X) X^T. The chunk's largest arrays are its (restarts, k, n) weights,
-# products and estimates, and its n x n Gram matrix. On the 60-climb sweep
-# 2**20 ran in medians of 61-63 ms against 65-71 ms at 2**19 and 62-66 ms
-# at 2**21, whose tracemalloc peak was 1.6 MB higher (2 vCPUs, one BLAS
-# thread).
+# The padding limit of an engine chunk that spans several widths (the
+# feature-count sweep): restarts x points x the columns a round's products
+# read per restart, the padded width for (W X) X^T, or n plus the widths
+# past the narrowest for W G + (W X) X^T on a chunk wider than the rows. A
+# round's multiply-adds are k times this at most, twice for (W X) X^T. On
+# the 60-climb sweep, with whole widths per chunk, 2**20 ran in medians of
+# 61-63 ms against 65-71 ms at 2**19 and 62-66 ms at 2**21, whose
+# tracemalloc peak was 1.6 MB higher (2 vCPUs, one BLAS thread).
 _SWEEP_FLOATS = 2**20
 
 
 @dataclass
 class EngineWork:
-    """The restart engine's work in one ``kmeans_restarts`` or sweep call:
-    ``_lloyd`` calls, Lloyd rounds (the longest restart of each call),
-    restarts stopped at ``DEFAULT_MAX_ITER``, cluster sums computed and
-    shared (only for exact decisions and final centers: ``_centers``),
-    rows whose nearest center the estimate could not certify, so that the
-    difference form decided them, rounds whose stop a restart decided on
-    its float centers, ``_repair`` calls, and inertia terms computed and
-    shared."""
+    """The restart engine's work in one run of its driver, ``_runs``, by
+    ``kmeans_restarts`` or the sweep: ``_lloyd`` calls (one per chunk),
+    Lloyd rounds (the longest restart of each call), restarts stopped at
+    ``DEFAULT_MAX_ITER``, cluster sums computed and shared (only for exact
+    decisions and final centers: ``_centers``), rows whose nearest center
+    the estimate could not certify, so that the difference form decided
+    them, rounds whose stop a restart decided on its float centers,
+    ``_repair`` calls, and inertia terms computed and shared, one per
+    distinct (row, member set) of a chunk (``_inertias``)."""
 
     calls: int = 0
     rounds: int = 0
@@ -260,7 +256,7 @@ def _assign(X: np.ndarray, xnorm: np.ndarray, weights: np.ndarray, products: np.
         unsure = ~(gap > bound)
     redo = np.flatnonzero(unsure.any(axis=1))
     if redo.size:
-        centers = _centers(X, weights[redo] > 0, raw[redo], widths[redo], work)
+        centers, _ = _centers(X, weights[redo] > 0, raw[redo], widths[redo], work)
         for a, own in zip(redo.tolist(), centers):
             rows, w = np.flatnonzero(unsure[a]), widths[a]
             assign[a, rows] = np.argmin(_squared_distances(X[rows, :w], own[:, :w]), axis=1)
@@ -293,33 +289,25 @@ def _repair(X: np.ndarray, centers: np.ndarray,
 
 
 # Sharing terms pays on replay_week's 100 restarts (200 x 571, k = 8): 65-77 ms
-# against 84-94 ms for one einsum per restart; grouping centers by their bytes
-# alone, without the sum as a hash, took 76-89 ms and 0.7 MB more at the peak.
-def _inertias(X: np.ndarray, centers: np.ndarray, keys: np.ndarray,
+# against 84-94 ms for one einsum per restart.
+def _inertias(X: np.ndarray, centers: np.ndarray, sets: np.ndarray, assigns: np.ndarray,
               work: EngineWork) -> np.ndarray:
     """Sum of squared distances to the assigned centers, per restart; each
     term rounds as the matching entry of ``_squared_distances``, and each
-    restart's terms are summed in row order. ``keys`` is ``a * k +
-    assign[a]`` per restart a and row; ``work`` counts the terms.
+    restart's terms are summed in row order. ``centers`` and ``sets`` are
+    what ``_centers`` gives for A restarts of one width, ``assigns`` their
+    (A, n) assignments; ``work`` counts the terms.
 
-    Restarts that end near one partition share most of their terms, so each
-    distinct (row, center value) term is computed once, ``_BLOCK_FLOATS``
-    floats of differences at a time. Centers, all finite, count as equal
-    when their values compare equal: the squared difference to -0.0 and to
-    0.0 is the same.
+    Restarts that end near one partition share most of their terms. At one
+    width a center is a function of its member-set id, so each distinct
+    (row, set id) term is computed once, ``_BLOCK_FLOATS`` floats of
+    differences at a time.
     """
     A, k, d = centers.shape
     n = len(X)
     flat = centers.reshape(A * k, d)
-    # the sum of a center is a hash of its values: equal centers have equal
-    # sums, and -0.0 and 0.0 sort as one
-    _, first, value = np.unique(flat.sum(axis=1), return_index=True, return_inverse=True)
-    alone = np.flatnonzero(~(flat == flat[first[value]]).all(axis=1))
-    if alone.size:
-        # centers that share a sum with an unequal one: grouped by bytes, -0.0 + 0.0 as 0.0
-        canonical = (flat[alone] + 0.0).view(np.dtype((np.void, 8 * d))).ravel()
-        value[alone] = A * k + np.unique(canonical, return_inverse=True)[1]
-    terms, first, which = np.unique(value[keys] * n + np.arange(n), return_index=True,
+    keys = np.arange(0, A * k, k)[:, None] + assigns  # each row's center in ``flat``
+    terms, first, which = np.unique(sets.ravel()[keys] * n + np.arange(n), return_index=True,
                                     return_inverse=True)
     rows, centered = first % n, keys.ravel()[first]
     squares = np.empty(terms.size)
@@ -364,28 +352,33 @@ def _means(X: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centers(X: np.ndarray, members: np.ndarray, raw: np.ndarray, widths: np.ndarray,
-             work: EngineWork) -> np.ndarray:
+             work: EngineWork) -> tuple[np.ndarray, np.ndarray]:
     """The float centers of A restarts, (A, k, d), as Lloyd's algorithm on
-    explicit centers holds them: center j of restart a is the mean of the
-    rows ``members[a, j]`` (``_means``; ``work`` counts the sums computed
-    and shared), or, where ``raw[a, j]``, its one member row as is: a seed
-    row or a row ``_repair`` moved an empty cluster onto, which no mean
-    has replaced. A mean of one row differs from the row only in the sign
-    of a zero. Columns past a restart's width are zero."""
+    explicit centers holds them, and each one's member-set id, (A, k).
+    Center j of restart a is the mean of the rows ``members[a, j]``
+    (``_means``; ``work`` counts the sums computed and shared), with id n
+    plus its distinct set's ``which``, or, where ``raw[a, j]``, its one
+    member row r as is, with id r: a seed row or a row ``_repair`` moved an
+    empty cluster onto, which no mean has replaced. A mean of one row
+    differs from the row only in the sign of a zero. Columns past a
+    restart's width are zero; centers of one id and one width are equal."""
     A, k, n = members.shape
     d = X.shape[1]
     flat, raw = members.reshape(A * k, n), raw.ravel()
     centers = np.empty((A * k, d))
-    centers[raw] = X[flat[raw].argmax(axis=1)]
+    sets = np.empty(A * k, dtype=np.intp)
+    sets[raw] = flat[raw].argmax(axis=1)
+    centers[raw] = X[sets[raw]]
     if not raw.all():
         means, which = _means(X, flat[~raw])
         centers[~raw] = means[which]
+        sets[~raw] = n + which
         work.sums += len(means)
         work.shared += which.size - len(means)
     centers = centers.reshape(A, k, d)
     if (widths < d).any():
         np.copyto(centers, 0.0, where=np.arange(d) >= widths[:, None, None])
-    return centers
+    return centers, sets.reshape(A, k)
 
 
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -395,18 +388,19 @@ def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _seed_rows(n: int, k: int, seeds: tuple[int, ...]) -> np.ndarray:
-    """Row a: ``_initial_rows`` of ``seeds[a]``, read-only: the (A, k)
-    initial rows of ``_lloyd``. The cache serves repeated calls, which
-    would each build a generator per seed; a sweep draws its seeds once for
-    all its chunks. Not keyed by seed: chunks scan the seeds in order, so a
-    per-seed cache with fewer slots than seeds would miss on every lookup."""
+    """Row a: ``_initial_rows`` of ``seeds[a]``, read-only: the initial
+    rows of every seed of one ``_runs`` call, which draws them once for all
+    its chunks and widths. The cache serves repeated calls, which would
+    each build a generator per seed. Not keyed by seed: a call scans its
+    seeds in order, so a per-seed cache with fewer slots than seeds would
+    miss on every lookup."""
     rows = np.array([_initial_rows(n, k, seed) for seed in seeds], dtype=np.intp)
     rows.flags.writeable = False
     return rows
 
 
 def _check_restarts(k: int, norms: np.ndarray, seeds: list[int]) -> None:
-    """The door of ``kmeans_restarts`` and the sweep; ``norms`` are the row norms."""
+    """The door of ``_runs``; ``norms`` are the row norms at the widest width."""
     if not 1 <= k <= len(norms):
         raise ValidationError(f"k={k} outside 1..n={len(norms)}")
     if not seeds:
@@ -420,42 +414,87 @@ def _check_restarts(k: int, norms: np.ndarray, seeds: list[int]) -> None:
 def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     """One K-Means run per seed (see ``kmeans``), in seed order.
 
-    The restarts advance together in ``_lloyd``: every Lloyd round assigns
-    the points of all restarts still running from one product of their
-    member weights, with the Gram matrix ``X X^T`` when d > n, and a
-    restart leaves the batch when it converges. Batching changes no
-    result: each one is bit for bit the run of its seed alone. The rounds
-    sum no centers but for the decisions they take exactly; each chunk's
-    final centers are summed once, each distinct member set once
-    (``_centers``), and each restart's inertia is computed once from them,
-    from the chunk's distinct (row, center) terms. Restarts run in chunks
-    whose (restarts, k, max(n, d)) blocks hold at most ``_CHUNK_FLOATS``
-    floats. The results of a chunk are views of its assignment and centers
-    blocks. Every restart here uses all d columns; the feature-count sweep
-    gives each restart of the same engine its own prefix width. One DEBUG
-    line per call counts the engine's work (see ``EngineWork``).
+    The engine's driver, ``_runs``, at the points' one width d: the
+    restarts advance together in ``_lloyd``, in chunks whose (restarts, k,
+    max(n, d)) blocks hold at most ``_CHUNK_FLOATS`` floats, with the Gram
+    matrix ``X X^T`` when d > n. Batching changes no result: each one is
+    bit for bit the run of its seed alone. Each chunk's final centers are
+    summed once, each distinct member set once (``_centers``), and each
+    restart's inertia once from them, each distinct (row, member set) term
+    of the chunk once (``_inertias``). The results of a chunk are views of
+    its assignment and centers blocks. One DEBUG line per call counts the
+    engine's work (see ``EngineWork``).
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-    n, d = X.shape
     seeds = list(seeds)
-    xnorm = np.sqrt(np.einsum("nd,nd->n", X, X))
-    _check_restarts(k, xnorm, seeds)
-    with np.errstate(over="ignore"):  # an overflowing entry leaves its rows to the exact path
-        gram = X @ X.T if d > n else None
-    per_chunk = max(1, _CHUNK_FLOATS // (k * max(n, d)))
     results: list[KMeansResult] = []
     work = EngineWork()
-    for start in range(0, len(seeds), per_chunk):
-        chunk = seeds[start:start + per_chunk]
-        widths = np.full(len(chunk), d)
-        assigns, members, raw, rounds = _lloyd(X, np.broadcast_to(xnorm, (len(chunk), n)),
-                                               _seed_rows(n, k, tuple(chunk)), widths, gram, work)
-        centers = _centers(X, members, raw, widths, work)
-        keys = np.arange(0, len(chunk) * k, k)[:, None] + assigns
-        inertias = _inertias(X, centers, keys, work).tolist()
-        results += map(KMeansResult, assigns, centers, inertias, rounds, chunk)
+    for widths, (assigns, members, raw, rounds) in _runs(X, k, seeds, X.shape[1], work):
+        centers, sets = _centers(X, members, raw, widths, work)
+        inertias = _inertias(X, centers, sets, assigns, work).tolist()
+        results += map(KMeansResult, assigns, centers, inertias, rounds, seeds[len(results):])
     work.log("kmeans_restarts")
     return results
+
+
+def _runs(X: np.ndarray, k: int, seeds: list[int], first: int,
+          work: EngineWork) -> Iterator[tuple[np.ndarray, tuple]]:
+    """The engine's one driver: the run of every seed on every prefix
+    ``X[:, :w]``, w = ``first``..d, from a few ``_lloyd`` calls. Yields
+    each chunk's restart widths and ``_lloyd`` result, so the caller need
+    not hold every chunk's results at once.
+
+    The (width, seed) pairs run in width-major order, in chunks of
+    consecutive pairs, each on the columns up to its widest width. A chunk
+    grows while its (restarts, k, max(n, widest)) blocks hold at most
+    ``_CHUNK_FLOATS`` floats and, once it spans several widths, while its
+    restarts x n x the columns its products read stay within
+    ``_SWEEP_FLOATS``; a single pair may exceed both. Width 1 runs alone:
+    numpy sums a one-column block pairwise. A chunk whose narrowest width
+    exceeds n takes its products from the Gram matrix of the columns up to
+    that width, grown by the columns added since the last such chunk, plus
+    the columns past that width (``_products``). The row norms at every
+    width come from one einsum over the first ``first`` columns and the
+    running sum of the squares past them, so a one-width call forms no
+    (n, d) temporary; those at the widest width pass ``_check_restarts``
+    before any chunk runs. The seeds' initial rows are drawn once.
+    """
+    n, d = X.shape
+    norms = np.empty((d + 1 - first, n))  # row w - first: the row norms at width w
+    with np.errstate(over="ignore"):  # an overflowing row is refused by the check
+        norms[0] = np.einsum("nd,nd->n", X[:, :first], X[:, :first])
+        np.square(X[:, first:].T, out=norms[1:])
+        np.cumsum(norms, axis=0, out=norms)
+    np.sqrt(norms, out=norms)
+    _check_restarts(k, norms[-1], seeds)
+    rows, per_width = _seed_rows(n, k, tuple(seeds)), len(seeds)
+    gram, covered = None, 0  # the Gram matrix of the first `covered` columns
+    start = 0
+    while start < len(norms) * per_width:
+        narrowest = widest = first + start // per_width
+        end = min(start + max(1, _CHUNK_FLOATS // (k * max(n, widest))),
+                  (widest + 1 - first) * per_width)
+        # take the next width's pairs while the last one's are all in
+        while 1 < narrowest and widest < d and end == (widest + 1 - first) * per_width:
+            columns = n + widest + 1 - narrowest if narrowest > n else widest + 1
+            most = min(_CHUNK_FLOATS // (k * max(n, widest + 1)), _SWEEP_FLOATS // (n * columns))
+            if start + most <= end:
+                break
+            widest += 1
+            end = min(start + most, (widest + 1 - first) * per_width)
+        if narrowest > n and covered < narrowest:
+            block = X[:, covered:narrowest]
+            with np.errstate(over="ignore"):  # an overflowing entry leaves its rows to the exact path
+                gram = block @ block.T if gram is None else gram + block @ block.T
+            covered = narrowest
+        pairs = np.arange(start, end)
+        widths = first + pairs // per_width
+        # one width's norms as a view: a copy per restart would add to the peak
+        xnorm = norms[widths - first] if narrowest < widest else np.broadcast_to(
+            norms[narrowest - first], (len(pairs), n))
+        yield widths, _lloyd(X[:, :widest], xnorm, rows[pairs % per_width], widths,
+                             gram if narrowest > n else None, work)
+        start = end
 
 
 def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarray,
@@ -530,7 +569,7 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
         repaired = ~new.any(axis=2).all(axis=1)
         moved = {}
         fixed = np.flatnonzero(repaired)
-        starts = _centers(X, members[fixed], raw[fixed], live_widths[fixed], work) \
+        starts = _centers(X, members[fixed], raw[fixed], live_widths[fixed], work)[0] \
             if fixed.size else ()
         for a, started in zip(fixed.tolist(), starts):
             w = live_widths[a]
@@ -614,9 +653,9 @@ def _exact_stops(X, members, raw, new, new_raw, restarts, widths, moved,
     when its new centers are the ones it started from."""
     tol = DEFAULT_TOL
     plain = np.array([a for a in restarts.tolist() if a not in moved], dtype=np.intp)
-    both = _centers(X, np.concatenate([new[restarts], members[plain]]),
-                    np.concatenate([new_raw[restarts], raw[plain]]),
-                    np.concatenate([widths[restarts], widths[plain]]), work)
+    both, _ = _centers(X, np.concatenate([new[restarts], members[plain]]),
+                       np.concatenate([new_raw[restarts], raw[plain]]),
+                       np.concatenate([widths[restarts], widths[plain]]), work)
     olds = dict(zip(plain.tolist(), both[restarts.size:]))
     work.exact_stops += restarts.size
     halt = np.empty(restarts.size, dtype=bool)
@@ -812,10 +851,10 @@ def sweep_feature_count(
     order; the curve's ``ranking``, held once for every entry) get
     ``restarts`` K-Means runs, each bit for bit the run of
     ``repeated_kmeans`` on those columns, so every entry holds the same
-    ``RandStats``. Every count's restarts run in the one engine with their
-    own prefix width, in chunks of consecutive widths (see
-    ``_prefix_assignments``); the sweep reads only their assignments, so
-    it sums no centers but for the decisions the engine takes exactly. All
+    ``RandStats``. Every count's restarts run in the engine's one driver
+    with their own prefix width, in chunks of consecutive (width, seed)
+    pairs (see ``_runs``); the sweep reads only their assignments, so it
+    sums no centers but for the decisions the engine takes exactly. All
     labelings are then scored in one ``_rand_indices`` call. One DEBUG
     line counts the engine's work (see ``EngineWork``). The preferred
     operating point is the smallest w whose minimum rand index over
@@ -840,14 +879,13 @@ def sweep_feature_count(
     ranked = np.ascontiguousarray(values[:, [index[n] for n in ranking[:limit]]])
 
     seeds = list(range(seed0, seed0 + restarts))
-    with np.errstate(over="ignore"):  # an overflowing row is refused by the check
-        squares = np.cumsum(ranked * ranked, axis=1).T  # row w - 1: the squared norms at width w
-    _check_restarts(n_clusters, np.sqrt(squares[-1]), seeds)
     # one row per run, filled as the runs come: no list of every run's arrays
     labelings = np.empty((limit * len(seeds), len(ranked)), dtype=np.intp)
     work = EngineWork()
-    for i, assignments in enumerate(_prefix_assignments(ranked, squares, n_clusters, seeds, work)):
-        labelings[i] = assignments
+    done = 0
+    for widths, (assigns, *_) in _runs(ranked, n_clusters, seeds, 1, work):
+        labelings[done:done + len(widths)] = assigns
+        done += len(widths)
     work.log("sweep_feature_count")
     rand = _rand_indices(truth, labelings, adjusted)
     entries = [
@@ -857,48 +895,6 @@ def sweep_feature_count(
     best_min = max(entry.stats.minimum for entry in entries)
     chosen = next(e.n_features for e in entries if e.stats.minimum == best_min)
     return SweepCurve(entries=entries, chosen_k=chosen, ranking=ranking)
-
-
-def _prefix_assignments(ranked: np.ndarray, squares: np.ndarray, k: int, seeds: list[int],
-                        work: EngineWork) -> Iterator[np.ndarray]:
-    """The assignments of ``kmeans_restarts(ranked[:, :w], k, seeds)`` for
-    w = 1..d in turn, from a few ``_lloyd`` calls. A generator: the caller
-    need not hold every chunk's results at once.
-
-    Width 1 runs on its own: numpy sums a one-column block pairwise, so
-    its means cannot come from a wider one. The wider prefixes run in
-    chunks of consecutive widths, every seed at each, on the columns up to
-    the chunk's widest. A chunk whose narrowest width exceeds n takes its
-    products from the Gram matrix of the columns up to that width, which
-    grows by the product of the columns added since the last such chunk,
-    plus the columns past that width (``_products``). A chunk's restarts x
-    n x the columns its products read is at most ``_SWEEP_FLOATS``, unless
-    one width's restarts alone exceed it; no array of that size is formed
-    (see ``_SWEEP_FLOATS``). The seeds' initial rows are drawn once and
-    tiled over each chunk's widths; row w - 1 of ``squares`` holds the
-    squared row norms at width w.
-    """
-    n, d = ranked.shape
-    rows = _seed_rows(n, k, tuple(seeds))
-    gram, covered = None, 0  # the Gram matrix of the first `covered` columns
-    first = 1
-    while first <= d:
-        last = first
-        # the columns a round's product reads per restart: the Gram matrix's n
-        # and the columns past the narrowest width, or every column up to the widest
-        while 1 < first and last < d and (last + 2 - first) * len(seeds) * n * (
-                n + last + 1 - first if first > n else last + 1) <= _SWEEP_FLOATS:
-            last += 1
-        if first > n:
-            block = ranked[:, covered:first]
-            with np.errstate(over="ignore"):  # an overflowing entry leaves its rows to the exact path
-                gram = block @ block.T if gram is None else gram + block @ block.T
-            covered = first
-        widths = np.repeat(np.arange(first, last + 1), len(seeds))
-        yield from _lloyd(ranked[:, :last], np.sqrt(squares[widths - 1]),
-                          np.tile(rows, (last + 1 - first, 1)), widths,
-                          gram if first > n else None, work)[0]
-        first = last + 1
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +934,10 @@ def pca_fit(points, dims: int) -> PcaModel:
 
 
 def pca_project(model: PcaModel, points) -> np.ndarray:
+    """Points on the model's axes, (n, dims); another width raises ``ValidationError``."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
+    if X.shape[1] != model.mean.size:
+        raise ValidationError(f"points have {X.shape[1]} columns, the PCA model {model.mean.size}")
     return (X - model.mean) @ model.components.T
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
+from .cluster import DEFAULT_RESTARTS
 from .errors import ConfigError, require_finite
 from .ingest import DEFAULT_GAP_S, LineConfig
 from .sensor import SensorConfig
@@ -46,7 +47,7 @@ class PipelineConfig:
     """Knobs of the end-to-end run: ``[line] gap_s`` and ``[pipeline]``."""
 
     gap_s: float = DEFAULT_GAP_S
-    restarts: int = 100
+    restarts: int = DEFAULT_RESTARTS
     seed0: int = 0
     rand_adjusted: bool = True
     n_clusters: int = 3

@@ -82,8 +82,11 @@ def ndtri(p) -> np.ndarray:
 
     0 maps to -inf, 1 to +inf, and NaN or a value outside [0, 1] to NaN
     (numpy's NaN; scipy flips the sign bit of a NaN input).
-    The approximation runs once per distinct value: a scaled matrix holds
-    few distinct ECDF levels.
+    The approximation runs once per distinct value (``np.unique``). The
+    scaler calls it once at fit time on its 2 n_fit + 1 grid levels, all
+    distinct, and after that only on off-grid levels (new rows), where the
+    pass spares the repeats: equal values of new rows, and every value at
+    a ``hi`` that rounds off the grid.
     """
     p = np.asarray(p, dtype=float)
     levels, inverse = np.unique(p, return_inverse=True)

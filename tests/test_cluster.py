@@ -725,8 +725,25 @@ def distinct_terms(results, by_value=True):
     return len(terms)
 
 
+def member_set_terms(X, k, seeds, max_iter=cluster.DEFAULT_MAX_ITER):
+    """The (row, member set) terms of the inertias of these restarts'
+    reference runs, counted once: a center is its seed row when no round
+    ran, else the rows of its cluster in the last round."""
+    terms = set()
+    for seed in seeds:
+        final, _, _, _, rounds = reference_kmeans(X, k, seed, max_iter)
+        if rounds:
+            last = rounds[-1][0]
+            assert len(set(last.tolist())) == k  # every cluster holds rows: none is a raw row
+            sets = [frozenset(np.flatnonzero(last == j).tolist()) for j in range(k)]
+        else:
+            sets = [("row", r) for r in cluster._initial_rows(len(X), k, seed)]
+        terms.update((i, sets[j]) for i, j in enumerate(final.tolist()))
+    return len(terms)
+
+
 class TestInertias:
-    """Each distinct (row, center value) term of a chunk's inertias is
+    """Each distinct (row, member set) term of a chunk's inertias is
     computed once; every inertia stays bit for bit the reference's."""
 
     def test_restarts_on_one_partition_under_permuted_labels(self, caplog):
@@ -743,16 +760,17 @@ class TestInertias:
 
     @pytest.mark.parametrize("max_iter", [0, cluster.DEFAULT_MAX_ITER])
     def test_centers_that_differ_only_in_the_sign_of_a_zero(self, caplog, max_iter):
-        # four centers of one sum, so that the values of two of them are told
-        # apart by their bytes, and each value held with -0.0 and with 0.0
+        # rows that differ only in the sign of a zero: terms are shared by
+        # member set, so centers of one value from two sets are two terms
         X = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [3.0, 0.5], [0.2, 3.0]])
         seeds = list(range(16))
         with engine_settings(max_iter):
             results, computed, shared = inertia_work(caplog, X, 2, seeds)
+        assert computed == member_set_terms(X, 2, seeds, max_iter)
+        assert computed + shared == len(seeds) * len(X)
         if max_iter == 0:
             # the seed rows are the centers: some restarts hold -0.0 where others hold 0.0
-            assert computed == distinct_terms(results) < distinct_terms(results, by_value=False)
-        assert computed == distinct_terms(results)
+            assert computed > distinct_terms(results)
         assert_restarts_match_reference(results, X, 2, seeds, max_iter)
 
     def test_one_column(self, caplog):
@@ -959,12 +977,13 @@ def prefix_lloyd(X, k, seeds, widths):
     gram = X[:, :base] @ X[:, :base].T if base > len(X) else None
     work = cluster.EngineWork()
     assigns, members, raw, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, gram, work)
-    centers = cluster._centers(X, members, raw, widths, work)
+    centers, sets = cluster._centers(X, members, raw, widths, work)
     results = []
-    for assign, padded, iterations, seed, w in zip(assigns, centers, rounds, seeds, widths.tolist()):
+    for assign, padded, ids, iterations, seed, w in zip(assigns, centers, sets, rounds, seeds,
+                                                        widths.tolist()):
         assert padded.shape == (k, X.shape[1]) and not padded[:, w:].any()
         own = padded[:, :w].copy()
-        (inertia,) = cluster._inertias(own_prefix(X, w), own[None], assign[None],
+        (inertia,) = cluster._inertias(own_prefix(X, w), own[None], ids[None], assign[None],
                                        cluster.EngineWork()).tolist()
         results.append(cluster.KMeansResult(assign, own, inertia, iterations, seed))
     return results
@@ -1212,19 +1231,17 @@ class TestSweepFeatureCount:
             e.n_features for e in curve.entries
             if e.stats.minimum == max(x.stats.minimum for x in curve.entries)
         )
-        # width 1 alone on one column; then consecutive widths, each block
-        # within the budget unless it holds a single width
+        # width 1 alone on one column; then consecutive (width, seed) pairs,
+        # each chunk on the columns up to its widest and within the budget
+        # unless it holds a single width
         assert batches[0] == ((18, 1), [1] * 4)
-        covered = [1]
-        for (n, padded), widths in batches[1:]:
-            distinct = sorted(set(widths))
-            assert widths == [w for w in distinct for _ in range(4)]
-            assert distinct == list(range(covered[-1] + 1, covered[-1] + 1 + len(distinct)))
-            assert padded == distinct[-1]
-            assert len(distinct) == 1 or len(widths) * n * product_columns(
-                n, distinct[0], padded) <= budget
-            covered += distinct
-        assert covered == list(range(1, limit + 1))
+        pairs = []
+        for (n, padded), widths in batches:
+            assert padded == max(widths)
+            assert len(set(widths)) == 1 or len(widths) * n * product_columns(
+                n, widths[0], padded) <= budget
+            pairs += widths
+        assert pairs == [w for w in range(1, limit + 1) for _ in range(4)]
 
     def test_width_one_sums_pairwise_like_its_own_run(self):
         # at d = 1 numpy sums a cluster's members pairwise, not row by row
@@ -1340,6 +1357,80 @@ class TestSweepFeatureCount:
         with pytest.raises(ValidationError, match="max_features must be >= 1"):
             sweep_feature_count(np.zeros((6, 2)), ["a", "b"], ["x", "y"] * 3, scores,
                                 max_features=max_features)
+
+
+def driver_chunks(X, k, seeds, first):
+    """The ``_lloyd`` calls of ``_runs(X, k, seeds, first)``, which are not
+    run: each one's columns, norms, restart widths, initial rows and Gram
+    matrix."""
+    calls = []
+
+    def lloyd(X, xnorm, rows, widths, gram, work):
+        calls.append((X.shape[1], xnorm, widths.tolist(), rows, gram))
+
+    with mock.patch.object(cluster, "_lloyd", lloyd):
+        for _ in cluster._runs(X, k, seeds, first, cluster.EngineWork()):
+            pass
+    return calls
+
+
+class TestDriverChunks:
+    """The one chunk rule of the engine's driver, for both of its callers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 14), st.data(),
+           st.integers(1, 6), st.integers(1, 400), st.integers(1, 4000))
+    def test_chunks_follow_the_one_rule(self, data_seed, n, d, data, restarts, chunk_floats,
+                                        sweep_floats):
+        X = np.random.default_rng(data_seed).standard_normal((n, d))
+        k = data.draw(st.integers(1, n))
+        first = data.draw(st.sampled_from([1, d, data.draw(st.integers(1, d))]))
+        seeds = data.draw(st.lists(st.integers(0, 999), min_size=restarts, max_size=restarts))
+        with mock.patch.object(cluster, "_CHUNK_FLOATS", chunk_floats), \
+                mock.patch.object(cluster, "_SWEEP_FLOATS", sweep_floats):
+            calls = driver_chunks(X, k, seeds, first)
+
+        def allowed(widths):
+            if 1 in widths and set(widths) != {1}:
+                return False  # width 1 runs alone
+            narrowest, widest = min(widths), max(widths)
+            return len(widths) * k * max(n, widest) <= chunk_floats and (
+                narrowest == widest
+                or len(widths) * n * product_columns(n, narrowest, widest) <= sweep_floats)
+
+        # every (width, seed) pair once, in width-major order
+        pairs = [(w, s) for w in range(first, d + 1) for s in range(len(seeds))]
+        assert [w for *_, widths, _, _ in calls for w in widths] == [w for w, _ in pairs]
+        np.testing.assert_array_equal(
+            np.concatenate([rows for *_, rows, _ in calls]),
+            cluster._seed_rows(n, k, tuple(seeds))[[s for _, s in pairs]])
+        done = 0
+        for columns, xnorm, widths, _, gram in calls:
+            narrowest, widest = min(widths), max(widths)
+            assert columns == widest
+            np.testing.assert_allclose(
+                xnorm, np.sqrt(np.cumsum(X * X, axis=1)).T[np.array(widths) - 1], rtol=1e-14)
+            # both limits hold unless the chunk is a single pair, and the
+            # next pair would break one of them or the width-1 rule
+            assert len(widths) == 1 or allowed(widths)
+            done += len(widths)
+            if done < len(pairs):
+                assert not allowed(widths + [pairs[done][0]])
+            assert (gram is not None) == (narrowest > n)
+            if gram is not None:
+                own = X[:, :narrowest]
+                np.testing.assert_allclose(gram, own @ own.T, rtol=1e-12, atol=1e-12)
+
+    def test_a_sweep_chunk_may_split_one_widths_seeds(self):
+        # 10 restarts at k = 2 on 4 x 6: a chunk of several widths holds at
+        # most 180 // (4 x the columns its products read) pairs, so each
+        # chunk stops inside a width
+        X = np.random.default_rng(0).standard_normal((4, 6))
+        with mock.patch.object(cluster, "_SWEEP_FLOATS", 180):
+            calls = driver_chunks(X, 2, list(range(10)), 1)
+        assert [widths for *_, widths, _, _ in calls] == [
+            [1] * 10, [2] * 10 + [3] * 5, [3] * 5 + [4] * 6, [4] * 4 + [5] * 5,
+            [5] * 5 + [6] * 4, [6] * 6]
 
 
 # ---------------------------------------------------------------------------
@@ -1634,6 +1725,13 @@ class TestPca:
         X[2, 1] = bad
         with pytest.raises(ValidationError, match="finite"):
             pca_fit(X, 2)
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_projecting_points_of_another_width_rejected(self, width):
+        model = pca_fit(np.random.default_rng(0).standard_normal((6, 4)), 2)
+        points = np.random.default_rng(1).standard_normal((3, width))
+        with pytest.raises(ValidationError, match=f"points have {width} columns, the PCA model 4"):
+            pca_project(model, points)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from quickroutes import config
+from quickroutes import cluster, config
 from quickroutes.config import PipelineConfig, load_config, parse_config
 from quickroutes.errors import ConfigError
 
@@ -283,6 +283,9 @@ class TestErrors:
     def test_pipeline_config_validates_on_construction(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+    def test_pipeline_restarts_default_to_the_engines(self):
+        assert PipelineConfig().restarts == cluster.DEFAULT_RESTARTS
 
     @pytest.mark.parametrize("section, line", [
         ("pipeline", "restart = 5"),

@@ -71,6 +71,17 @@ def test_replay_week_restarts_match_goldens(workloads, tmp_path):
     assert restart_digests(workloads, tmp_path) == expected
 
 
+def test_replay_week_best_kmeans_runs_57_then_43_restarts(workloads, tmp_path):
+    # 2**18 floats hold the (restarts, 8, 571) blocks of 57 restarts
+    pc, matrix, scaled, scores = prepared(workloads, "replay_week", 0, tmp_path)
+    X = scaled.select(preprocess.select_k_best(scores, matrix.n_features)).values
+    p = pc.pipeline
+    assert (X.shape, p.n_clusters, p.restarts) == ((200, 571), 8, 100)
+    with mock.patch.object(cluster, "_lloyd", wraps=cluster._lloyd) as engine:
+        cluster.best_kmeans(X, p.n_clusters, p.restarts, p.seed0)
+    assert [len(call.args[3]) for call in engine.call_args_list] == [57, 43]
+
+
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_feature_sweep_matches_goldens(workloads, seed, tmp_path):
     expected = json.loads(GOLDENS.read_text(encoding="utf-8"))["feature_sweep"][str(seed)]

@@ -16,25 +16,28 @@ prefix width. The driver applies the finite-norm rule
 ``ValidationError`` before any restart runs, so every center is finite.
 The restarts are batched, and a restart leaves the batch once it
 converges. Each restart's result is bit for bit that of running it alone,
-as Lloyd's algorithm on explicit float centers computes it.
+as Lloyd's algorithm on explicit float centers computes it, except that
+every center is the mean of its member set: a center of one row (a seed
+row, or a row ``_repair`` moved a cluster onto) reads a -0.0 as +0.0,
+which no distance, shift or comparison sees.
 
-During the rounds a restart's state is its assignment, not its centers:
-center j is the mean of its member rows (or, until the rows first gather
-around it, the one row it was set to), and the members are a row of a
-weight matrix W, 1/count on each member. One product a round gives
-``x.c`` for every row and every center whose members changed, across the
-batch: ``W G`` with the Gram matrix G of the rows when a restart is wider
-than there are rows, ``(W X) X^T`` otherwise (``_products``). From the
-products come the estimates ``|c|^2 - 2 x.c`` that assign
-the rows and the squared shifts of the clusters whose members changed,
-each within a stated rounding bound of what the float centers give
-(``_assign``, ``_lloyd``). A decision the estimate cannot certify -- a row
-near a tie, a shift near ``DEFAULT_TOL``, anything that overflows -- and
-every ``_repair`` are taken exactly as on explicit centers, from the float
-centers that ``_centers`` sums for that restart alone. So a round sums no
-cluster unless it needs one; the final centers of ``kmeans_restarts`` are
-summed once, each distinct member set of a chunk once, and its inertias
-are computed once, each distinct (row, member set) term once.
+During the rounds a restart's state is its member sets alone: center j
+is the mean of its member rows, one row at first, and the members are a
+row of a weight matrix W, 1/count on each member. One product a round
+gives ``x.c`` for every row and every center whose members changed,
+across the batch: ``W G`` with the Gram matrix G of the rows when a
+restart is wider than there are rows, ``(W X) X^T`` otherwise
+(``_products``). From the products come the estimates ``|c|^2 - 2 x.c``
+that assign the rows and the squared shifts of the clusters whose
+members changed, each within a stated rounding bound of what the float
+centers give (``_assign``, ``_lloyd``). A decision the estimate cannot
+certify -- a row near a tie, a shift near ``DEFAULT_TOL``, anything that
+overflows -- and every ``_repair`` are taken exactly as on explicit
+centers, from the float centers that ``_centers`` sums for that restart
+alone. So a round sums no cluster unless it needs one; the final centers
+of ``kmeans_restarts`` are summed once, each distinct member set of a
+chunk once, and its inertias are computed once, each distinct (row,
+member set) term once.
 
 Each restart may have its own width: the run of its seed on the first w
 columns. The driver runs its (width, seed) pairs in width-major order, in
@@ -89,7 +92,7 @@ DEFAULT_GMM_REG = 1e-6
 # tracemalloc peak from 7.3 to 10.1 MB; 28-restart chunks held 6.3 MB and
 # ran 36-39 ms.
 _CHUNK_FLOATS = 2**18
-# Floats of one block of differences in _inertias: 512 KB.
+# Floats of one block of differences in _inertias and _squared_distances: 512 KB.
 _BLOCK_FLOATS = 2**16
 # The padding limit of an engine chunk that spans several widths (the
 # feature-count sweep): restarts x points x the columns a round's products
@@ -152,8 +155,17 @@ class KMeansResult:
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """(n, k) squared distances in the difference form, one block of rows
+    at a time, each block's differences at most about ``_BLOCK_FLOATS``
+    floats. On rows in C order, as every caller passes them, an entry
+    rounds as in one (n, k, d) block."""
+    (n, d), k = points.shape, len(centers)
+    d2 = np.empty((n, k))
+    per_block = max(1, _BLOCK_FLOATS // max(1, k * d))
+    for lo in range(0, n, per_block):
+        diff = points[lo:lo + per_block, None, :] - centers[None, :, :]
+        np.einsum("nkd,nkd->nk", diff, diff, out=d2[lo:lo + per_block])
+    return d2
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -199,17 +211,16 @@ def _products(X: np.ndarray, gram: Optional[np.ndarray], base: int, weights: np.
 
 
 def _assign(X: np.ndarray, xnorm: np.ndarray, weights: np.ndarray, products: np.ndarray,
-            raw: np.ndarray, widths: np.ndarray, work: EngineWork) -> np.ndarray:
+            widths: np.ndarray, work: EngineWork) -> np.ndarray:
     """Nearest center per restart and row: ``argmin`` of
     ``_squared_distances`` against each restart's float centers, ties to
     the lowest index, from the product of its weights alone.
 
     Restart a works on the prefix ``X[:, :widths[a]]``, and row a of
     ``xnorm`` holds each row's norm at that width. Its center j is the mean
-    of the rows ``weights[a, j]`` weights (each 1/count), or that one row
-    as is where ``raw[a, j]`` (``_centers``). ``products`` is
-    ``_products`` of ``weights``: ``x.m`` per row and center. The result
-    is (A, n).
+    of the rows ``weights[a, j]`` weights (each 1/count; ``_centers``).
+    ``products`` is ``_products`` of ``weights``: ``x.m`` per row and
+    center. The result is (A, n).
 
     ``|m|^2``, the weighted sum of a center's own products, less twice
     ``x.m`` estimates ``|c|^2 - 2 x.c``, the squared distance less
@@ -256,7 +267,7 @@ def _assign(X: np.ndarray, xnorm: np.ndarray, weights: np.ndarray, products: np.
         unsure = ~(gap > bound)
     redo = np.flatnonzero(unsure.any(axis=1))
     if redo.size:
-        centers, _ = _centers(X, weights[redo] > 0, raw[redo], widths[redo], work)
+        centers, _ = _centers(X, weights[redo] > 0, widths[redo], work)
         for a, own in zip(redo.tolist(), centers):
             rows, w = np.flatnonzero(unsure[a]), widths[a]
             assign[a, rows] = np.argmin(_squared_distances(X[rows, :w], own[:, :w]), axis=1)
@@ -283,7 +294,7 @@ def _repair(X: np.ndarray, centers: np.ndarray,
         farthest = int(np.argmax(point_d2))
         centers[j] = X[farthest]
         placed[j] = farthest
-        d2 = _squared_distances(X, centers)
+        d2[:, j] = _squared_distances(X, centers[j:j + 1])[:, 0]  # only center j moved
         assign = np.argmin(d2, axis=1)
     return assign, placed
 
@@ -332,7 +343,8 @@ def _means(X: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sets are grouped by their packed bitmaps, with one ``np.unique`` over
     the bitmaps' bytes, and each group's rows, gathered in row order, are
     the very C-ordered block ``X[assign[a] == j]`` is: each sum rounds as
-    that one does, numpy's pairwise sum at d = 1 included.
+    that one does, numpy's pairwise sum at d = 1 included, and a set of
+    one row gives that row with any -0.0 read as +0.0.
     ``np.add.reduceat`` over sorted rows would round differently. Each
     distinct set is gathered on its own: one block of every member would be
     as large as (sets, n, d).
@@ -351,34 +363,22 @@ def _means(X: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, which
 
 
-def _centers(X: np.ndarray, members: np.ndarray, raw: np.ndarray, widths: np.ndarray,
+def _centers(X: np.ndarray, members: np.ndarray, widths: np.ndarray,
              work: EngineWork) -> tuple[np.ndarray, np.ndarray]:
-    """The float centers of A restarts, (A, k, d), as Lloyd's algorithm on
-    explicit centers holds them, and each one's member-set id, (A, k).
-    Center j of restart a is the mean of the rows ``members[a, j]``
-    (``_means``; ``work`` counts the sums computed and shared), with id n
-    plus its distinct set's ``which``, or, where ``raw[a, j]``, its one
-    member row r as is, with id r: a seed row or a row ``_repair`` moved an
-    empty cluster onto, which no mean has replaced. A mean of one row
-    differs from the row only in the sign of a zero. Columns past a
+    """The float centers of A restarts, (A, k, d), and each one's
+    member-set id, (A, k): center j of restart a is the mean of the rows
+    ``members[a, j]``, with its distinct set's ``which`` as id (``_means``;
+    ``work`` counts the sums computed and shared). Columns past a
     restart's width are zero; centers of one id and one width are equal."""
     A, k, n = members.shape
     d = X.shape[1]
-    flat, raw = members.reshape(A * k, n), raw.ravel()
-    centers = np.empty((A * k, d))
-    sets = np.empty(A * k, dtype=np.intp)
-    sets[raw] = flat[raw].argmax(axis=1)
-    centers[raw] = X[sets[raw]]
-    if not raw.all():
-        means, which = _means(X, flat[~raw])
-        centers[~raw] = means[which]
-        sets[~raw] = n + which
-        work.sums += len(means)
-        work.shared += which.size - len(means)
-    centers = centers.reshape(A, k, d)
+    means, which = _means(X, members.reshape(A * k, n))
+    work.sums += len(means)
+    work.shared += which.size - len(means)
+    centers = means[which].reshape(A, k, d)
     if (widths < d).any():
         np.copyto(centers, 0.0, where=np.arange(d) >= widths[:, None, None])
-    return centers, sets.reshape(A, k)
+    return centers, which.reshape(A, k)
 
 
 def _initial_rows(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -429,8 +429,8 @@ def kmeans_restarts(points, k: int, seeds: Iterable[int]) -> list[KMeansResult]:
     seeds = list(seeds)
     results: list[KMeansResult] = []
     work = EngineWork()
-    for widths, (assigns, members, raw, rounds) in _runs(X, k, seeds, X.shape[1], work):
-        centers, sets = _centers(X, members, raw, widths, work)
+    for widths, (assigns, members, rounds) in _runs(X, k, seeds, X.shape[1], work):
+        centers, sets = _centers(X, members, widths, work)
         inertias = _inertias(X, centers, sets, assigns, work).tolist()
         results += map(KMeansResult, assigns, centers, inertias, rounds, seeds[len(results):])
     work.log("kmeans_restarts")
@@ -499,11 +499,11 @@ def _runs(X: np.ndarray, k: int, seeds: list[int], first: int,
 
 def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarray,
            gram: Optional[np.ndarray],
-           work: EngineWork) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+           work: EngineWork) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Lloyd rounds of one chunk of restarts, all advancing together: the
-    restarts' final assignments (A, n), the members (A, k, n) and ``raw``
-    flags (A, k) that define their final centers (``_centers``), and each
-    one's number of rounds, in the order of ``rows``. Each restart stops
+    restarts' final assignments (A, n), the members (A, k, n) whose means
+    are their final centers (``_centers``), and each one's number of
+    rounds, in the order of ``rows``. Each restart stops
     when no center moves by ``DEFAULT_TOL`` or more, or after
     ``DEFAULT_MAX_ITER`` rounds; both are read at each call. ``work``
     counts the rounds, the exact stops and the repairs.
@@ -516,8 +516,8 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
     may only run in a chunk where X has one column.
 
     A restart's state is its members: center j is the mean of the rows
-    that held it last, or the row it was set to (a seed row, or a row
-    ``_repair`` moved it onto) until rows gather around it. A round
+    that held it last, or of the one row it was set to (a seed row, or a
+    row ``_repair`` moved it onto) until rows gather around it. A round
     assigns the rows from the products of the weights (``_assign``), then
     rewrites only the member sets that changed. A restart whose sets did
     not change stops: its centers did not move, and its assignment is
@@ -549,38 +549,33 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
     labels = np.arange(k)[:, None]
     members = np.zeros((A, k, n), dtype=bool)
     members[np.arange(A)[:, None], np.arange(k), rows] = True
-    raw = np.ones((A, k), dtype=bool)
     weights = members.astype(float)
     products = _products(X, gram, base, weights, widths)
-    assign = _assign(X, xnorm, weights, products, raw, widths, work)
+    assign = _assign(X, xnorm, weights, products, widths, work)
     reach = xnorm.max(axis=1)
     margin = 32.0 * _gamma(2 * n + d + 6) * (reach * reach + tol * tol)
     margin += 8.0 * (4 * n + 2 * d + 8) * _SMALLEST_SUBNORMAL
-    final, kept, kept_raw = assign, members, raw  # what a DEFAULT_MAX_ITER of 0 returns
+    final, kept = assign, members  # what a DEFAULT_MAX_ITER of 0 returns
     if max_iter > 0:
-        final, kept, kept_raw = np.empty_like(assign), np.empty_like(members), np.empty_like(raw)
+        final, kept = np.empty_like(assign), np.empty_like(members)
     rounds = np.zeros(A, dtype=int)
     live = np.arange(A)
     live_xnorm, live_widths = xnorm, widths
     previous = None  # the live restarts' assignments in the last round
     for it in range(1, max_iter + 1):
         new = assign[:, None, :] == labels
-        new_raw = np.zeros(raw.shape, dtype=bool)
         repaired = ~new.any(axis=2).all(axis=1)
         moved = {}
         fixed = np.flatnonzero(repaired)
-        starts = _centers(X, members[fixed], raw[fixed], live_widths[fixed], work)[0] \
-            if fixed.size else ()
+        starts = _centers(X, members[fixed], live_widths[fixed], work)[0] if fixed.size else ()
         for a, started in zip(fixed.tolist(), starts):
             w = live_widths[a]
             centers = started.copy()  # _repair moves centers in place
             assign[a], placed = _repair(X[:, :w], centers[:, :w], assign[a])
             new[a] = assign[a] == labels
+            # an empty cluster holds the row it was moved onto, or keeps its members
             for j in np.flatnonzero(~new[a].any(axis=1)).tolist():
-                if placed[j] < 0:
-                    new[a, j], new_raw[a, j] = members[a, j], raw[a, j]
-                else:
-                    new[a, j, placed[j]] = new_raw[a, j] = True
+                new[a, j] = members[a, j] if placed[j] < 0 else np.arange(n) == placed[j]
             repeats = previous is not None and bool((assign[a] == previous[a]).all())
             moved[a] = started, centers, repeats
         work.repairs += len(moved)
@@ -608,19 +603,19 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
             halt = np.full(moving.size, it == max_iter)
             unsure = np.flatnonzero(~go[moving] | repaired[moving])
             if it < max_iter and unsure.size:
-                halt[unsure] = _exact_stops(X, members, raw, new, new_raw, moving[unsure],
-                                            live_widths, moved, work)
+                halt[unsure] = _exact_stops(X, members, new, moving[unsure], live_widths,
+                                            moved, work)
             # views, not copies, when every restart moved
             part = slice(None) if moving.size == len(live) else moving
             following = _assign(X, live_xnorm[part], weights[part], products[part],
-                                new_raw[part], live_widths[part], work)
+                                live_widths[part], work)
             stop[moving] = halt
         # a restart whose sets did not change keeps its assignment; any other takes the next
         done = live[stop]
         final[done] = assign[stop]
         if moving.size:
             final[live[moving[halt]]] = following[halt]
-        kept[done], kept_raw[done] = new[stop], new_raw[stop]
+        kept[done] = new[stop]
         rounds[done] = it
         if not 0.0 < tol:
             # a shift of 0 stops nothing: an unchanged restart repeats its round to the cap
@@ -629,7 +624,7 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
         live = live[keep]
         if not live.size:
             break
-        members, raw = new[keep], new_raw[keep]
+        members = new[keep]
         weights, products = weights[keep], products[keep]
         previous, assign = assign[keep], following[~halt]
         live_xnorm, live_widths, margin = live_xnorm[keep], live_widths[keep], margin[keep]
@@ -638,15 +633,14 @@ def _lloyd(X: np.ndarray, xnorm: np.ndarray, rows: np.ndarray, widths: np.ndarra
     work.calls += 1
     work.rounds += max(rounds)
     work.max_iter_hits += rounds.count(max_iter)
-    return final, kept, kept_raw, rounds
+    return final, kept, rounds
 
 
-def _exact_stops(X, members, raw, new, new_raw, restarts, widths, moved,
-                 work: EngineWork) -> np.ndarray:
+def _exact_stops(X, members, new, restarts, widths, moved, work: EngineWork) -> np.ndarray:
     """Whether each of ``restarts`` (indices of the live restarts) stops
-    this round, as the explicit-center loop decides it: the float centers
-    of its old sets (``members``, ``raw``) and new ones, summed together
-    (``_centers``), move by less than ``DEFAULT_TOL`` on its own columns.
+    this round, as the explicit-center loop decides it: the means of its
+    old member sets and new ones, summed together (``_centers``), move by
+    less than ``DEFAULT_TOL`` on its own columns.
     A restart in ``moved`` ran ``_repair``, which gives the centers it
     started from, the moved ones its shift is measured from, and whether
     its assignment repeats last round's; it also stops on that fixed point
@@ -654,7 +648,6 @@ def _exact_stops(X, members, raw, new, new_raw, restarts, widths, moved,
     tol = DEFAULT_TOL
     plain = np.array([a for a in restarts.tolist() if a not in moved], dtype=np.intp)
     both, _ = _centers(X, np.concatenate([new[restarts], members[plain]]),
-                       np.concatenate([new_raw[restarts], raw[plain]]),
                        np.concatenate([widths[restarts], widths[plain]]), work)
     olds = dict(zip(plain.tolist(), both[restarts.size:]))
     work.exact_stops += restarts.size
@@ -682,6 +675,10 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     of the final centers and assignment. The engine reads both constants
     at each call; with a ``DEFAULT_MAX_ITER`` of 0 it runs no round and
     assigns the points to the seed rows, the initial centers.
+
+    Every center is the mean of its member set: a center of one row (a
+    seed row or a repair's singleton) reads a -0.0 as +0.0, unseen by any
+    distance or shift.
 
     k clusters are not guaranteed to stay populated. With fewer than k
     distinct points, the farthest point already sits on a center, its

@@ -153,8 +153,7 @@ def assign_to_sets(X, sets, widths=None):
     gram = X[:, :base] @ X[:, :base].T if base else None
     products = cluster._products(X, gram, base, weights, widths)
     xx = np.cumsum(X * X, axis=1).T[widths - 1]
-    raw = np.zeros(members.shape[:2], dtype=bool)
-    assign = cluster._assign(X, np.sqrt(xx), weights, products, raw, widths, cluster.EngineWork())
+    assign = cluster._assign(X, np.sqrt(xx), weights, products, widths, cluster.EngineWork())
     return assign, centers
 
 
@@ -533,12 +532,15 @@ class TestKMeansRestarts:
         assert_restarts_match_reference(kmeans_restarts(X, 3, seeds), X, 3, seeds)
         # a round keeps the members of every cluster that did not change and
         # sums no cluster: on a line without equidistant rows, where no round
-        # falls back, only the final centers are summed
+        # falls back, only the final centers are summed, and before them at
+        # most one-row seed sets, for rows that tie between seed rows
         X[4:, 0] = np.sort(np.random.default_rng(0).uniform(0, 10, 10))
         assert any(keeps_one_and_moves_another(reference_kmeans(X, 3, s)[4]) for s in seeds)
         with mock.patch.object(cluster, "_means", wraps=cluster._means) as spy:
             results = kmeans_restarts(X, 3, seeds)
-        assert spy.call_count == 1
+        assert spy.call_count >= 1
+        for (_, members), _ in spy.call_args_list[:-1]:
+            assert (members.sum(axis=1) == 1).all()
         assert_restarts_match_reference(results, X, 3, seeds)
 
     def test_repair_after_round_one_in_one_restart_of_a_batch(self):
@@ -635,6 +637,20 @@ class TestKMeansRestarts:
             tracemalloc.stop()
         assert peak <= peak_before
 
+    def test_repairs_at_k_equal_to_n_hold_no_n_squared_d_block(self):
+        # 80 rows twice at k = n = 160: every row seeds a center, each
+        # second copy's center loses its rows to the first copy's, and one
+        # repair moves 80 centers; one (n, k, d) difference block is 20.5 MB
+        X = np.tile(np.random.default_rng(0).standard_normal((80, 100)), (2, 1))
+        tracemalloc.start()
+        try:
+            (result,) = kmeans_restarts(X, 160, [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert result.inertia == 0.0
+
     def test_no_seeds_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_restarts(np.zeros((4, 2)), 2, [])
@@ -650,11 +666,11 @@ class TestKMeansRestarts:
                 best_kmeans(X, 3, restarts=4, seed0=10)
         assert [r.getMessage() for r in caplog.records] == [
             "kmeans_restarts: 1 _lloyd calls, 1 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "6 cluster sums computed, 18 shared, 45 rows assigned in the difference form, "
+            "27 cluster sums computed, 33 shared, 45 rows assigned in the difference form, "
             "4 stops decided on float centers, 4 _repair calls, 10 inertia terms computed, "
             "30 shared",
             "kmeans_restarts: 2 _lloyd calls, 2 Lloyd rounds, 0 restarts stopped at max_iter, "
-            "12 cluster sums computed, 12 shared, 45 rows assigned in the difference form, "
+            "38 cluster sums computed, 22 shared, 45 rows assigned in the difference form, "
             "4 stops decided on float centers, 4 _repair calls, 20 inertia terms computed, "
             "20 shared",
         ]
@@ -727,14 +743,14 @@ def distinct_terms(results, by_value=True):
 
 def member_set_terms(X, k, seeds, max_iter=cluster.DEFAULT_MAX_ITER):
     """The (row, member set) terms of the inertias of these restarts'
-    reference runs, counted once: a center is its seed row when no round
-    ran, else the rows of its cluster in the last round."""
+    reference runs, counted once: a center's set is its seed row alone when
+    no round ran, else the rows of its cluster in the last round."""
     terms = set()
     for seed in seeds:
         final, _, _, _, rounds = reference_kmeans(X, k, seed, max_iter)
         if rounds:
             last = rounds[-1][0]
-            assert len(set(last.tolist())) == k  # every cluster holds rows: none is a raw row
+            assert len(set(last.tolist())) == k  # no cluster is empty: each set is a cluster
             sets = [frozenset(np.flatnonzero(last == j).tolist()) for j in range(k)]
         else:
             sets = [("row", r) for r in cluster._initial_rows(len(X), k, seed)]
@@ -769,9 +785,16 @@ class TestInertias:
         assert computed == member_set_terms(X, 2, seeds, max_iter)
         assert computed + shared == len(seeds) * len(X)
         if max_iter == 0:
-            # the seed rows are the centers: some restarts hold -0.0 where others hold 0.0
+            # the seed rows' sets are the centers: -0.0 and 0.0 rows are two sets of one value
             assert computed > distinct_terms(results)
-        assert_restarts_match_reference(results, X, 2, seeds, max_iter)
+        # every center is the mean of its member set, which reads a -0.0 as +0.0;
+        # no distance or shift sees the sign
+        assert_restarts_match_reference(results, X + 0.0, 2, seeds, max_iter)
+        for result, seed in zip(results, seeds):
+            assign, _, inertia, iterations, _ = reference_kmeans(X, 2, seed, max_iter)
+            np.testing.assert_array_equal(result.assignments, assign)
+            assert (result.inertia, result.iterations) == (inertia, iterations)
+            assert not np.signbit(result.centers[result.centers == 0.0]).any()
 
     def test_one_column(self, caplog):
         X = np.random.default_rng(3).integers(0, 5, size=(30, 1)) * 0.1
@@ -976,8 +999,8 @@ def prefix_lloyd(X, k, seeds, widths):
     base = int(widths.min())
     gram = X[:, :base] @ X[:, :base].T if base > len(X) else None
     work = cluster.EngineWork()
-    assigns, members, raw, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, gram, work)
-    centers, sets = cluster._centers(X, members, raw, widths, work)
+    assigns, members, rounds = cluster._lloyd(X, np.sqrt(xx), rows, widths, gram, work)
+    centers, sets = cluster._centers(X, members, widths, work)
     results = []
     for assign, padded, ids, iterations, seed, w in zip(assigns, centers, sets, rounds, seeds,
                                                         widths.tolist()):
@@ -1131,14 +1154,17 @@ class TestSharedSums:
         assert counts == [(6, 3)]
 
     def test_repaired_restarts_share_their_new_sums(self):
-        # seeds 1 and 6 repair in round 2 onto one assignment, whose sums they share
+        # seeds 1 and 6 repair in round 2 onto one assignment, whose sums they
+        # share; the first two calls sum one-row seed sets, for round 0's ties
+        # and round 1's repairs
         rng = np.random.default_rng(487)
         X = rng.standard_normal((5, 3))[rng.integers(0, 5, size=10)]
         seeds = list(range(8))
         rounds = [reference_kmeans(X, 3, s)[4] for s in seeds]
         assert [s for s in seeds if len(rounds[s]) > 1 and rounds[s][1][1]] == [1, 6]
         with mock.patch.object(cluster, "_repair", wraps=cluster._repair) as repairs:
-            assert self.check(X, 3, seeds, [3] * 8) == [(6, 6), (3, 3), (3, 3), (3, 21)]
+            assert self.check(X, 3, seeds, [3] * 8) == [(8, 4), (8, 4), (6, 6), (3, 3), (3, 3),
+                                                        (3, 21)]
         assert repairs.call_count > 2
 
     def test_two_seeds_reach_one_cluster_at_one_width(self):

@@ -498,6 +498,20 @@ class TestScalerKnots:
         assert got.flags.c_contiguous
         assert_same_scaled(got, reference_scale(fit, probes))
 
+    @settings(max_examples=300, deadline=None)
+    @given(fit_and_probes(), st.data())
+    def test_no_output_is_a_negative_zero(self, case, data):
+        # K-Means reads a -0.0 as +0.0 in a one-row center, which no scaled
+        # matrix can reach: ndtri(0.5) is +0.0 and constant columns are set to 0.0
+        fit, probes = case
+        m = matrix_of({f"c{i}": fit[:, i] for i in range(fit.shape[1])})
+        scaler = fit_quantile(m)
+        zeros = np.array(data.draw(st.lists(st.booleans(), min_size=probes.size,
+                                            max_size=probes.size))).reshape(probes.shape)
+        fresh = np.where(zeros, -0.0, probes)
+        for out in (scaler.transform(m).values, scaler.transform_values(fresh)):
+            assert not np.signbit(out[out == 0.0]).any()
+
     @pytest.mark.parametrize("fit", [
         [[0.0], [1.0]],
         [[-0.0], [0.0]],
